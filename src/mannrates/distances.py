@@ -91,7 +91,6 @@ def build_distance_table(pi: TriangularArray, exact: bool = False,
             if plans is not None:
                 plans[(m, n)] = plan
         if plans is not None:
-            diag = Distribution(pi.rows[n])
             plans[(n, n)] = TransportPlan(
                 tuple((i, i, w) for i, w in enumerate(pi.rows[n])),
                 0, (0,) * (n + 1), (0,) * (n + 1))

@@ -117,7 +117,8 @@ def affine_optimal(N: int, exact: bool = False):
     if exact:
         betas = [Fraction(k, k + 1) for k in range(N + 1)]
         value = affine_theta(betas)
-        assert value == Fraction(2, N + 1)
+        if value != Fraction(2, N + 1):
+            raise ArithmeticError(f"Theta_{N}(k/(k+1)) = {value}, expected 2/{N + 1}")
     else:
         betas = [k / (k + 1) for k in range(N + 1)]
         value = affine_theta(betas)

@@ -72,7 +72,8 @@ def shift_linf_residuals(pi: TriangularArray) -> List[float]:
     out = []
     for n, x in enumerate(xs):
         r = shift_gap(x)
-        assert r >= 1.0 / (n + 1) - 1e-12
+        if r < 1.0 / (n + 1) - 1e-12:
+            raise ArithmeticError(f"shift residual {r} at n={n} is below 1/(n+1)")
         out.append(r)
     return out
 
@@ -115,11 +116,13 @@ def km_l1_residuals(alphas: Sequence[float]) -> List[float]:
         p = q
         r = 2.0 * float(p.max())
         direct = km_l1_residual_direct(p)
-        assert abs(r - direct) <= 1e-12 * max(1.0, direct)
+        if abs(r - direct) > 1e-12 * max(1.0, direct):
+            raise ArithmeticError(f"2 max_k p_k = {r} differs from the direct norm {direct}")
         out.append(r)
     n = len(alphas) - 1
     for k, rk in enumerate(out):
-        assert rk >= 1.0 / math.sqrt(k + 1) - 1e-12
+        if rk < 1.0 / math.sqrt(k + 1) - 1e-12:
+            raise ArithmeticError(f"l1 residual {rk} at n={k} is below 1/sqrt(n+1)")
     return out
 
 

@@ -304,13 +304,16 @@ def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
     """Append the accepted row and fill d(k, n) for k < n in the table."""
     rows.append(tuple(new_row))
     nb = _two_point_beta(rows[n])
+    # the greedy plan is optimal only under row monotonicity, as in
+    # build_distance_table
+    allow_greedy = _rows_monotone(rows)
     for k in range(n):
         kb = _two_point_beta(rows[k]) if nb is not None else None
         if nb is not None and kb is not None:
             table.set_d(k, n, abs(kb - nb) + min(kb, nb) * table.d(k - 1, n - 1))
         else:
             plan = pair_distance(table, rows, k, n, exact=exact,
-                                 allow_greedy=True)
+                                 allow_greedy=allow_greedy)
             table.set_d(k, n, plan.objective)
     table.residuals.append(residual_from_table(table, rows[n], n))
 
@@ -1080,7 +1083,10 @@ def _exact_sequential(N: int, monotone: bool) -> OptimizationResult:
             val, x = _exact_s_stage(rows, table, n)
         _freeze_stage(rows, table, tuple(x), n, exact=True)
         stage_values.append(val)
-        assert val == table.residuals[n]
+        if val != table.residuals[n]:
+            raise ArithmeticError(
+                f"stage {n}: optimum {val} differs from the frozen table's R_n "
+                f"{table.residuals[n]}")
     arr = TriangularArray(rows)
     return OptimizationResult(arr, list(table.residuals), stage_values, {},
                               [0] * N, time.perf_counter() - t0, table)

@@ -64,8 +64,6 @@ class TriangularArray:
 class MonotoneReport:
     monotone: bool
     first_violation: Optional[tuple]  # (n, i) or None
-    tail_ok: bool        # pi^m_m >= sum_{i=m}^{n-1} pi^n_i for all m < n
-    half_ok: bool        # pi^n_n >= 1/2 for n >= 1
 
 
 @dataclass(frozen=True)
@@ -203,9 +201,6 @@ def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
     """Row-monotonicity check enabling the greedy transport fast path."""
     tol = 0 if exact else 1e-12
     first = None
-    tail_ok = True
-    half_ok = True
-    half = Fraction(1, 2) if exact else 0.5
     for n in range(1, pi.horizon + 1):
         row, prev = pi.rows[n], pi.rows[n - 1]
         if row[n] <= tol and first is None:
@@ -213,13 +208,7 @@ def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
         for i in range(n):
             if row[i] > prev[i] + tol and first is None:
                 first = (n, i)
-        if row[n] < half - tol:
-            half_ok = False
-        for m in range(n):
-            if pi.rows[m][m] < sum(row[m:n]) - tol:
-                tail_ok = False
-                break
-    return MonotoneReport(first is None, first, tail_ok, half_ok)
+    return MonotoneReport(first is None, first)
 
 
 def stepsize_formula(name: str, value=None, values: Sequence = None) -> Callable[[int], object]:

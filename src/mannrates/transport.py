@@ -1,21 +1,26 @@
 """Exact solvers for the small transportation problems between coefficient rows.
 
-Two routes are provided: a transportation simplex (`solve_transport`) that
-returns an optimal basic plan together with dual multipliers, and a greedy
-closed-form construction (`greedy_monotone_transport`) valid under the
-monotone-row preconditions.  Both work over floats and over
-`fractions.Fraction` (pass ``exact=True`` for zero-tolerance comparisons).
+Two routes are provided.  `solve_transport` returns an optimal plan with
+dual multipliers: it keeps the mass two rows share on the diagonal, solves
+the remaining excess-to-deficit problem with a transportation simplex
+(Dantzig pricing, Bland's rule against cycling, an array-based basis tree),
+and certifies the result with a single dual potential, solving the full
+problem instead when the certificate fails.  `greedy_monotone_transport` is
+a closed-form construction valid under the monotone-row preconditions.
+Both work over floats and over `fractions.Fraction` (pass ``exact=True`` for
+zero-tolerance comparisons).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from operator import sub
 
 FEAS_TOL = 1e-10
 DUAL_TOL = 1e-9
 
 _MAX_PIVOTS = 200_000
+_DEGENERATE_RUN = 8  # degenerate pivots in a row before Bland's rule
 
 
 class TransportError(Exception):
@@ -27,7 +32,7 @@ class TransportInputError(TransportError):
 
 
 class CyclingError(TransportError):
-    """Pivot guard exceeded; must not happen with Bland's rule."""
+    """Pivot guard exceeded; must not happen, Bland's rule prevents cycling."""
 
 
 class MonotonePreconditionError(TransportError):
@@ -99,203 +104,189 @@ def _check_inputs(source, target, costs, exact):
         )
 
 
-def _northwest_basis(a, b):
-    """Initial basic feasible solution with exactly M+N-1 basic cells."""
+def _arc(q, parent, M):
+    """Cell (i, j) of the tree arc joining node q to its parent."""
+    return (q, parent[q] - M) if q < M else (parent[q], q - M)
+
+
+def _simplex(a, b, c, tol):
+    """Transportation simplex from the northwest-corner basis.
+
+    Returns ({(i, j): flow} on the M+N-1 basic cells, u, v) with
+    u_j - v_i = c_ij on the basis and v_0 = 0.  The basis is a spanning tree
+    on nodes 0..M-1 (sources) and M..M+N-1 (targets), rooted at source 0 and
+    kept as parent/depth/children arrays: a pivot finds the entering cycle by
+    walking up to the common ancestor and shifts the duals of the subtree the
+    leaving cell cuts off only.  Pricing takes the largest reduced cost
+    (Dantzig); after _DEGENERATE_RUN pivots in a row that move no mass it
+    takes the first eligible cell (Bland) until mass moves again, so the
+    method cannot cycle.
+    """
     M, N = len(a), len(b)
+    if not M or not N:
+        return {}, [], []
+    F = [[0] * N for _ in range(M)]
+    parent, depth, pot = [-1] * (M + N), [0] * (M + N), [0] * (M + N)
+    children = [[] for _ in range(M + N)]
     ar, br = list(a), list(b)
-    flow = {}
-    basis = []
     i = j = 0
+    node, par = M, 0  # each northwest cell hangs one new node on the tree
     while True:
         t = ar[i] if ar[i] <= br[j] else br[j]
-        flow[(i, j)] = t
-        basis.append((i, j))
+        F[i][j] = t
         ar[i] -= t
         br[j] -= t
+        parent[node], depth[node] = par, depth[par] + 1
+        children[par].append(node)
+        pot[node] = pot[par] + c[i][j] if node >= M else pot[par] - c[i][j]
         if i == M - 1 and j == N - 1:
             break
         if i < M - 1 and (ar[i] == 0 or j == N - 1):
             i += 1
+            node, par = i, M + j
         else:
             j += 1
-    return flow, set(basis)
+            node, par = M + j, i
 
-
-def _tree_duals(M, N, basis, c):
-    """Solve u[j] - v[i] = c[i][j] on the spanning-tree basis, v[0] = 0."""
-    v = [None] * M
-    u = [None] * N
-    adj_s = [[] for _ in range(M)]
-    adj_t = [[] for _ in range(N)]
-    for (i, j) in basis:
-        adj_s[i].append(j)
-        adj_t[j].append(i)
-    v[0] = 0
-    stack = [("s", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "s":
-            for j in adj_s[k]:
-                if u[j] is None:
-                    u[j] = v[k] + c[k][j]
-                    stack.append(("t", j))
-        else:
-            for i in adj_t[k]:
-                if v[i] is None:
-                    v[i] = u[k] - c[i][k]
-                    stack.append(("s", i))
-    if any(x is None for x in v) or any(x is None for x in u):
-        raise CyclingError("basis is not a spanning tree")
-    return u, v
-
-
-def _tree_path(basis, entering):
-    """Node path from target j_e back to source i_e through the basis tree."""
-    ie, je = entering
-    adj = {}
-    for (i, j) in basis:
-        adj.setdefault(("s", i), []).append(("t", j))
-        adj.setdefault(("t", j), []).append(("s", i))
-    start, goal = ("t", je), ("s", ie)
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nxt in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = node
-                stack.append(nxt)
-    if goal not in prev:
-        raise CyclingError("disconnected basis tree")
-    path = [goal]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    path.reverse()  # from ("t", je) to ("s", ie)
-    cells = []
-    for a, b in zip(path, path[1:]):
-        if a[0] == "t":
-            cells.append((b[1], a[1]))
-        else:
-            cells.append((a[1], b[1]))
-    return cells
-
-
-def _pivot_loop(a, b, c, flow, basis, tol):
-    M, N = len(a), len(b)
+    degenerate = 0
     for _ in range(_MAX_PIVOTS):
-        u, v = _tree_duals(M, N, basis, c)
-        entering = None
+        u = pot[M:]
+        bland = degenerate >= _DEGENERATE_RUN
+        best, ie = tol, -1
         for i in range(M):
-            for j in range(N):
-                if (i, j) not in basis and u[j] - v[i] - c[i][j] > tol:
-                    entering = (i, j)
+            r = max(map(sub, u, c[i])) - pot[i]
+            if r > best:
+                best, ie = r, i
+                if bland:
                     break
-            if entering is not None:
+        if ie < 0:
+            cells = [_arc(q, parent, M) for q in range(1, M + N)]
+            return {(i, j): F[i][j] for i, j in cells}, u, pot[:M]
+        row = list(map(sub, u, c[ie]))
+        if bland:
+            je = next(j for j, r in enumerate(row) if r - pot[ie] > tol)
+        else:
+            je = row.index(max(row))
+        # the cycle is the entering cell plus the tree path between its ends,
+        # found by climbing from both ends to their common ancestor; the
+        # path's arcs alternate losing and gaining mass, and those that lose
+        # hang a target node on the climb from je, a source node from ie
+        s, t = ie, M + je
+        x, y, up_t, up_s = t, s, [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up_t.append(x)
+                x = parent[x]
+            else:
+                up_s.append(y)
+                y = parent[y]
+        minus = [(_arc(q, parent, M), q) for q in up_t if q >= M]
+        minus += [(_arc(q, parent, M), q) for q in up_s if q < M]
+        plus = [_arc(q, parent, M) for q in up_t if q < M]
+        plus += [_arc(q, parent, M) for q in up_s if q >= M]
+        # leaving cell: least flow, ties to the least cell (Bland's rule)
+        theta, (li, lj), leave = min((F[i][j], (i, j), q) for (i, j), q in minus)
+        if theta:
+            F[ie][je] = theta
+            for (i, j), _ in minus:
+                F[i][j] -= theta
+            for i, j in plus:
+                F[i][j] += theta
+        F[li][lj] = 0
+        degenerate = degenerate + 1 if theta <= tol else 0
+        # re-hang the cut-off subtree from the entering cell and shift its duals
+        if leave >= M:
+            e_in, e_out, delta = t, s, pot[s] + c[ie][je] - pot[t]
+        else:
+            e_in, e_out, delta = s, t, pot[t] - c[ie][je] - pot[s]
+        children[parent[leave]].remove(leave)
+        x, new_par = e_in, e_out
+        while True:
+            old, parent[x] = parent[x], new_par
+            children[new_par].append(x)
+            if x == leave:
                 break
-        if entering is None:
-            return u, v
-        cells = _tree_path(basis, entering)
-        # entering gets +theta; cells alternate -,+,-,... along the cycle
-        minus = cells[0::2]
-        plus = cells[1::2]
-        theta = min(flow[cell] for cell in minus)
-        leaving = min(cell for cell in minus if flow[cell] == theta)
-        flow[entering] = flow.get(entering, 0) + theta
-        for cell in minus:
-            flow[cell] -= theta
-        for cell in plus:
-            flow[cell] += theta
-        basis.add(entering)
-        basis.discard(leaving)
-        del flow[leaving]
+            children[old].remove(x)
+            x, new_par = old, x
+        stack = [e_in]
+        while stack:
+            x = stack.pop()
+            depth[x] = depth[parent[x]] + 1
+            pot[x] += delta
+            stack.extend(children[x])
     raise CyclingError("pivot limit exceeded")
 
 
-def _saturate_diagonal(a, b, c, flow, tol):
-    """Reroute mass so that flow(i, i) = min(a_i, b_i) on shared indices.
+def _plan(flow, c, tol):
+    """Plan of the given flows and their cost; the duals are filled in later."""
+    objective = sum(z * c[i][j] for (i, j), z in flow.items())
+    flows = tuple(sorted((i, j, z) for (i, j), z in flow.items() if z > tol or i == j))
+    return TransportPlan(flows, objective, (), ())
 
-    Valid for metric cost tables (the reroute is cost-neutral there); stops
-    if a reroute would strictly increase the cost.
+
+def _certify(a, b, c, plan, sources, v, tol):
+    """The plan with one potential p over all indices as its duals, or None.
+
+    p_j = min_i (v_i + c_ij) over the given sources, shifted to minimum 0.
+    The plan is returned only if p_j - p_i <= c_ij on every cell and the
+    dual objective of p equals the plan's cost, exactly for Fractions and
+    within DUAL_TOL for floats: then both are optimal.  For metric costs
+    both checks hold and p is 1-Lipschitz.
     """
     M, N = len(a), len(b)
-    for i in range(min(M, N)):
-        want = a[i] if a[i] <= b[i] else b[i]
-        while flow.get((i, i), 0) < want - tol:
-            row = [(jj, z) for (ii, jj), z in flow.items() if ii == i and jj != i and z > tol]
-            col = [(kk, z) for (kk, jj), z in flow.items() if jj == i and kk != i and z > tol]
-            if not row or not col:
-                break
-            j, zj = min(row)
-            k, zk = min(col)
-            delta = c[i][i] + c[k][j] - c[i][j] - c[k][i]
-            if delta > max(tol, DUAL_TOL):
-                break  # non-metric costs; keep the optimal plan as-is
-            t = min(zj, zk, want - flow.get((i, i), 0))
-            flow[(i, i)] = flow.get((i, i), 0) + t
-            flow[(k, j)] = flow.get((k, j), 0) + t
-            flow[(i, j)] -= t
-            flow[(k, i)] -= t
-            for cell in ((i, j), (k, i)):
-                if flow[cell] <= tol and flow[cell] >= -tol:
-                    flow[cell] = 0
-
-
-def _potential_duals(u_raw, v_raw, c, M, N, tol):
-    """Single Kantorovich potential from simplex duals via inf-convolution.
-
-    For metric costs the potential is 1-Lipschitz, so after shifting its
-    minimum to 0 all values land in [0, 1] (the Appendix-style convention).
-    """
-    p = [min(v_raw[i] + c[i][j] for i in range(M)) for j in range(N)]
-    lo = min(p)
-    p = [x - lo for x in p]
     if M > N:
         return None
-    # feasibility of (p, p|source) with respect to the costs
+    p = [min((vi + c[i][j] for i, vi in zip(sources, v)), default=0) for j in range(N)]
+    lo = min(p)
+    p = [x - lo for x in p]
+    slack = DUAL_TOL if tol else 0
     for i in range(M):
-        for j in range(N):
-            if p[j] - p[i] > c[i][j] + max(tol, DUAL_TOL):
-                return None
-    return p
-
-
-def _finalize(a, b, c, flow, u_raw, v_raw, tol):
-    M, N = len(a), len(b)
-    objective = sum(z * c[i][j] for (i, j), z in flow.items())
-    p = _potential_duals(u_raw, v_raw, c, M, N, tol)
-    if p is not None:
-        dual_obj = sum(b[j] * p[j] for j in range(N)) - sum(a[i] * p[i] for i in range(M))
-        if abs(dual_obj - objective) <= max(tol, DUAL_TOL):
-            dual_u, dual_v = p, p[:M]
-        else:
-            p = None
-    if p is None:
-        lo = min(min(u_raw), min(v_raw))
-        dual_u = [x - lo for x in u_raw]
-        dual_v = [x - lo for x in v_raw]
-    flows = tuple(sorted((i, j, z) for (i, j), z in flow.items() if z > tol or (i == j)))
-    return TransportPlan(flows, objective, tuple(dual_u), tuple(dual_v))
+        pi = p[i] + slack
+        if any(pj - cij > pi for pj, cij in zip(p, c[i])):
+            return None
+    dual = sum(x * y for x, y in zip(b, p)) - sum(x * y for x, y in zip(a, p))
+    if abs(dual - plan.objective) > slack:
+        return None
+    return replace(plan, dual_u=tuple(p), dual_v=tuple(p[:M]))
 
 
 def solve_transport(source: Distribution, target: Distribution, costs: CostMatrix,
                     exact: bool = False) -> TransportPlan:
     """Minimum-cost transport plan between two rows, with optimal duals.
 
-    Transportation simplex (u-v / MODI method) with Bland's rule.  The plan
-    is post-processed to the "simple" form with flow(i, i) = min(a_i, b_i)
-    on shared support indices, which preserves optimality for metric costs.
+    The shared mass min(a_k, b_k) stays on the diagonal, so flow(k, k) is
+    exactly that, and `_simplex` solves only the excess-to-deficit problem
+    from I = {k: a_k > b_k} to J = {k: b_k > a_k}.  This is optimal when the
+    costs are a metric, which is not assumed but certified (`_certify`).
+    If the certificate fails (costs that are not a metric), or the source
+    row is the longer one, the full problem is solved instead; its duals are
+    returned as one potential when that certifies, else as the simplex left
+    them, shifted to minimum 0.
     """
     _check_inputs(source, target, costs, exact)
     tol = 0 if exact else FEAS_TOL
     a = list(source.weights)
     b = list(target.weights)
     c = costs.entries
-    flow, basis = _northwest_basis(a, b)
-    u, v = _pivot_loop(a, b, c, flow, basis, tol)
-    _saturate_diagonal(a, b, c, flow, tol)
-    return _finalize(a, b, c, flow, u, v, tol)
+    M, N = len(a), len(b)
+    if M <= N:
+        excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
+        I = [k for k in range(N) if excess[k] > 0]
+        J = [k for k in range(N) if excess[k] < 0]
+        reduced, _, v = _simplex([excess[i] for i in I], [-excess[j] for j in J],
+                                 [[c[i][j] for j in J] for i in I], tol)
+        flow = {(k, k): min(a[k], b[k]) for k in range(M)}
+        flow.update(((I[i], J[j]), z) for (i, j), z in reduced.items())
+        plan = _certify(a, b, c, _plan(flow, c, tol), I, v, tol)
+        if plan is not None:
+            return plan
+    flow, u, v = _simplex(a, b, c, tol)
+    plan = _plan(flow, c, tol)
+    certified = _certify(a, b, c, plan, range(M), v, tol)
+    if certified is not None:
+        return certified
+    lo = min(min(u), min(v))
+    return replace(plan, dual_u=tuple(x - lo for x in u), dual_v=tuple(x - lo for x in v))
 
 
 def greedy_monotone_transport(source: Distribution, target: Distribution,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mannrates.halpern import affine_theta
+from mannrates.halpern import affine_optimal, affine_theta
 from mannrates.operators import (affine_shift_halpern_residual,
                                  binomial_floor_function,
                                  binomial_floor_grid_min, check_inf_f_chain,
@@ -18,6 +18,7 @@ from mannrates.operators import (affine_shift_halpern_residual,
                                  poisson_binomial_pmf,
                                  rotation_halpern_residual, shift_gap,
                                  shift_linf_residuals)
+from mannrates.optimize import optimize_sequential
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
 
 from conftest import random_array
@@ -166,3 +167,22 @@ def test_kim_iterates_start():
     xs = kim_iterates(T, x0, 2)
     # first step: t = 0, so x^1 = (x0 + T x0) / 2
     assert xs[1] == pytest.approx(0.5 * (x0 + T(x0)))
+
+
+# -- invariants raise real exceptions, which python -O does not strip --------
+
+@pytest.mark.parametrize("target, fake, call", [
+    ("mannrates.operators.shift_gap", lambda x: 0.0,
+     lambda: shift_linf_residuals(TriangularArray([(1.0,), (0.5, 0.5)]))),
+    ("mannrates.operators.km_l1_residual_direct", lambda p: 0.0,
+     lambda: km_l1_residuals([0, 0.5])),
+    ("mannrates.halpern.affine_theta", lambda betas: Fraction(0),
+     lambda: affine_optimal(3, exact=True)),
+    ("mannrates.optimize._exact_ms_stage",
+     lambda rows, table, n: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
+     lambda: optimize_sequential(1, exact=True)),
+])
+def test_invariant_violations_raise(monkeypatch, target, fake, call):
+    monkeypatch.setattr(target, fake)
+    with pytest.raises(ArithmeticError):
+        call()

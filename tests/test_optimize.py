@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
-from mannrates.optimize import (OptimizeInputError, OptimizerConfig, fit_slope,
-                                optimize_fixed_horizon, optimize_scheme,
+from mannrates.optimize import (OptimizeInputError, OptimizerConfig, _freeze_stage,
+                                fit_slope, optimize_fixed_horizon, optimize_scheme,
                                 optimize_sequential, project_simplex)
+from mannrates.schemes import TriangularArray
+
+from conftest import random_array
 
 
 def test_exact_depth_one():
@@ -120,3 +124,19 @@ def test_project_simplex_properties(v):
     # idempotence
     y = project_simplex(x)
     assert np.max(np.abs(x - y)) <= 1e-9
+
+
+def test_frozen_table_matches_rebuild_on_non_monotone_rows(rng):
+    # the greedy nested plan is optimal only for monotone rows; freezing
+    # stage by stage must gate it exactly as the full table build does
+    for _ in range(30):
+        N = 6
+        rows = random_array(rng, N)
+        frozen, table = [rows[0]], empty_table(N)
+        table.residuals.append(1.0)
+        for n in range(1, N + 1):
+            _freeze_stage(frozen, table, rows[n], n)
+        ref, _ = build_distance_table(TriangularArray(rows))
+        for m, n, d in ref.csv_rows():
+            assert table.d(m, n) == pytest.approx(d, abs=1e-9)
+        assert table.residuals == pytest.approx(ref.residuals, abs=1e-9)

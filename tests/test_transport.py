@@ -6,15 +6,20 @@ and (b) scipy's LP solver, both of which share no code with it.
 """
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mannrates import transport
+from mannrates.distances import build_distance_table
+from mannrates.schemes import TriangularArray
 from mannrates.transport import (CostMatrix, Distribution,
                                  MonotonePreconditionError, TransportInputError,
                                  greedy_monotone_transport, solve_transport)
+from mannrates.witness import build_worst_case_witness
 
 from conftest import random_simplex
 
@@ -224,3 +229,148 @@ def test_input_validation():
                         CostMatrix(((0, 1),)))
     with pytest.raises(TransportInputError):
         Distribution((-0.1, 1.1)).validate()
+
+
+# -- the reduced kernel: shared mass on the diagonal, certified duals --------
+
+@contextmanager
+def _simplex_sizes():
+    """Record the (sources, targets) size of every problem the simplex solves."""
+    inner, sizes = transport._simplex, []
+
+    def recording(a, b, c, tol):
+        sizes.append((len(a), len(b)))
+        return inner(a, b, c, tol)
+
+    transport._simplex = recording
+    try:
+        yield sizes
+    finally:
+        transport._simplex = inner
+
+
+@st.composite
+def _metric_instances(draw):
+    """Rational margins (with ties a_k == b_k and zero weights) and a
+    shortest-path metric on the target indices."""
+    M = draw(st.integers(1, 5))
+    N = draw(st.integers(M, 6))
+    d = [[0] * N for _ in range(N)]
+    for i, j in itertools.combinations(range(N), 2):
+        d[i][j] = d[j][i] = draw(st.integers(1, 9))
+    for k in range(N):
+        for i in range(N):
+            for j in range(N):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    w = st.integers(0, 3)
+    a = draw(st.lists(w, min_size=M, max_size=M))
+    b = [x if draw(st.booleans()) else draw(w) for x in a]
+    b += draw(st.lists(w, min_size=N - M, max_size=N - M))
+    if sum(a) < sum(b):
+        a[-1] += sum(b) - sum(a)
+    else:
+        b[-1] += sum(a) - sum(b)
+    if sum(a) == 0:
+        a[0] = b[0] = 1
+    total = sum(a)
+    return ([Fraction(x, total) for x in a], [Fraction(x, total) for x in b],
+            [[Fraction(x, 10) for x in r] for r in d[:M]])
+
+
+def _floats(a, b, c):
+    return ([float(x) for x in a], [float(x) for x in b],
+            [[float(x) for x in r] for r in c])
+
+
+def _solve(a, b, c, exact=False):
+    return solve_transport(Distribution(tuple(a)), Distribution(tuple(b)),
+                           CostMatrix(c), exact=exact)
+
+
+def _assert_certified(plan, a, b, c, tol):
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert plan.dual_u[j] - plan.dual_v[i] <= c[i][j] + tol
+    dual = (sum(w * u for w, u in zip(b, plan.dual_u))
+            - sum(w * v for w, v in zip(a, plan.dual_v)))
+    assert abs(dual - plan.objective) <= tol
+
+
+@given(_metric_instances())
+def test_reduced_kernel_on_metric_costs(inst):
+    a, b, c = _floats(*inst)
+    with _simplex_sizes() as sizes:
+        plan = _solve(a, b, c)
+    # one solve, of the excess-to-deficit problem only
+    assert sizes == [(sum(x > y for x, y in zip(a, b)),
+                      sum(y > (a[k] if k < len(a) else 0) for k, y in enumerate(b)))]
+    assert plan.objective == pytest.approx(_linprog_oracle(a, b, c), abs=1e-9)
+    for k in range(len(a)):
+        assert plan.mass(k, k) == min(a[k], b[k])
+    _assert_certified(plan, a, b, c, 1e-9)
+
+
+@given(_metric_instances())
+def test_exact_and_float_solves_agree(inst):
+    ex = _solve(*inst, exact=True)
+    fl = _solve(*_floats(*inst))
+    assert isinstance(ex.objective, Fraction)
+    assert abs(float(ex.objective) - fl.objective) <= 1e-12
+    _assert_certified(ex, *inst, 0)
+
+
+@given(_instances())
+def test_non_metric_costs_fall_back_to_full_problem(inst):
+    a, b, c = inst
+    M, N = len(a), len(b)
+    # a costly diagonal makes keeping the shared mass in place suboptimal
+    c = tuple(tuple(5.0 if i == j else x for j, x in enumerate(r))
+              for i, r in enumerate(c))
+    with _simplex_sizes() as sizes:
+        plan = _solve(a, b, c)
+    assert len(sizes) == 2 and sizes[1] == (M, N)
+    assert plan.objective == pytest.approx(_linprog_oracle(a, b, c), abs=1e-9)
+    _assert_certified(plan, a, b, c, 1e-9)
+
+
+@pytest.mark.parametrize("bland_from_start", [False, True])
+@pytest.mark.parametrize("costs", ["equal", "reversed"])
+def test_degenerate_instances_terminate(monkeypatch, costs, bland_from_start):
+    if bland_from_start:
+        monkeypatch.setattr(transport, "_DEGENERATE_RUN", 0)
+    n = 12
+    a = [Fraction(1, n)] * n
+    if costs == "equal":
+        c = [[Fraction(1)] * n for _ in range(n)]
+    else:  # far pairs cheap: uniform margins make most pivots degenerate
+        c = [[1 - Fraction(abs(i - j), n) for j in range(n)] for i in range(n)]
+    for exact in (True, False):
+        inst = (a, a, c) if exact else _floats(a, a, c)
+        plan = _solve(*inst, exact=exact)
+        assert float(plan.objective) == pytest.approx(
+            _linprog_oracle(*_floats(a, a, c)), abs=1e-9)
+        _assert_certified(plan, *inst, 0 if exact else 1e-9)
+
+
+def test_exact_and_float_tables_agree(rng):
+    for N in range(1, 9):
+        for monotone in (False, True):
+            rows = [(Fraction(1),)]
+            for n in range(1, N + 1):
+                if monotone:
+                    alpha = Fraction(rng.randint(1, 9), 10)
+                    rows.append(tuple([(1 - alpha) * w for w in rows[-1]] + [alpha]))
+                else:
+                    w = [rng.randint(0, 9) for _ in range(n)] + [rng.randint(1, 9)]
+                    rows.append(tuple(Fraction(x, sum(w)) for x in w))
+            exact = TriangularArray(rows)
+            flt = TriangularArray([tuple(float(x) for x in r) for r in rows])
+            te, pe = build_distance_table(exact, exact=True, keep_plans=True)
+            tf, pf = build_distance_table(flt, keep_plans=True)
+            for (m, n, de), (_, _, df) in zip(te.csv_rows(), tf.csv_rows()):
+                assert isinstance(de, (int, Fraction))
+                assert abs(float(de) - df) <= 1e-12
+            for re, rf in zip(te.residuals, tf.residuals):
+                assert abs(float(re) - rf) <= 1e-12
+            build_worst_case_witness(exact, table=te, plans=pe)
+            build_worst_case_witness(flt, table=tf, plans=pf)
