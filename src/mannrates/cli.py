@@ -113,8 +113,7 @@ def cmd_bounds(args):
 
 
 def cmd_optimize(args):
-    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed,
-                          mode=args.mode.upper())
+    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     mode = args.mode.lower()
     if mode == "fh":
         res = optimize_fixed_horizon(args.N, cfg, exact=args.exact)

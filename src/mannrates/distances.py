@@ -81,7 +81,7 @@ def build_distance_table(pi: TriangularArray, exact: bool = False,
     plans: Optional[Dict] = {} if keep_plans else None
     mono = check_monotone(pi, exact=exact)
     # greedy is justified by the quadrangle inequality, itself guaranteed
-    # under row monotonicity; otherwise every pair goes through the LP
+    # under row monotonicity; otherwise every pair goes to solve_transport
     allow_greedy = mono.monotone
     for n in range(N + 1):
         for m in range(n):

@@ -8,9 +8,12 @@ A per-scheme variant optimizes only the 1-2 stepsize parameters of a named
 iteration family at each stage.
 
 Float mode uses multistart local search (Nelder-Mead with simplex
-projection; SLSQP on the smooth monotone-stage quadratic).  Exact-rational
-mode solves the small stages globally by enumerating KKT systems of the
-quadratic over every face of the feasible polytope.
+projection; SLSQP on the smooth monotone-stage quadratic).  The free and
+scheme searches rank candidates on a cutting-plane surrogate and confirm
+them with exact pair solves by the certified transport kernel
+(`transport.solve_transport`), whose dual potentials become the cuts.
+Exact-rational mode solves the small stages globally by enumerating KKT
+systems of the quadratic over every face of the feasible polytope.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from scipy.optimize import minimize
 from .distances import (DistanceTable, build_distance_table, empty_table,
                         pair_distance, residual_from_table)
 from .schemes import SchemeSpec, TriangularArray, build_rows
-from .transport import (CostMatrix, Distribution, MonotonePreconditionError,
-                        greedy_monotone_transport, solve_transport)
 
 
 class OptimizeInputError(ValueError):
@@ -42,7 +43,6 @@ class OptimizerConfig:
     max_evals: int = 20000
     tolerance: float = 1e-10
     seed: int = 0
-    mode: str = "MS"  # FH | S | MS | SchemeConstrained
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -148,7 +148,9 @@ class StageEvaluator:
     potentials, whose feasible set does not depend on the candidate.  Dual
     solutions harvested from exact solves therefore give reusable lower
     bounds, making derivative-free search cheap; `exact` confirms (and
-    tightens the pools at) incumbents.
+    tightens the pools at) incumbents.  Pairs without a closed form are
+    solved by the certified transport kernel through `pair_distance`, so
+    every cut is an optimal dual of that pair.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int, rows_monotone: bool):
@@ -163,8 +165,6 @@ class StageEvaluator:
         self.pool_U: List[list] = [[] for _ in range(n)]
         self.pool_c: List[list] = [[] for _ in range(n)]
         self._dmrows: Dict[int, list] = {}
-        self._lp_cache: Dict[int, tuple] = {}
-        self.exact_solves = 0
 
     def _dmrow(self, m):
         row = self._dmrows.get(m)
@@ -246,58 +246,16 @@ class StageEvaluator:
         self.table.residuals.append(
             residual_from_table(self.table, rows[self.n], self.n))
 
-    def _pair_lp(self, m):
-        """Cached (cost vector, sparse margin constraints) for pair (m, n)."""
-        cached = self._lp_cache.get(m)
-        if cached is None:
-            from scipy.sparse import coo_matrix
-
-            M, Nt = m + 1, self.n + 1
-            cvec = np.array([self.table.d(i - 1, j - 1)
-                             for i in range(M) for j in range(Nt)])
-            rows_idx, cols_idx = [], []
-            for i in range(M):
-                for j in range(Nt):
-                    rows_idx.append(i)
-                    cols_idx.append(i * Nt + j)
-            for j in range(Nt):
-                for i in range(M):
-                    rows_idx.append(M + j)
-                    cols_idx.append(i * Nt + j)
-            A = coo_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)),
-                           shape=(M + Nt, M * Nt)).tocsr()
-            cached = (cvec, A)
-            self._lp_cache[m] = cached
-        return cached
-
     def _solve_pair(self, cand, k) -> float:
-        """Exact d(k-1, n) at the candidate via an LP; duals go to the pool."""
-        from scipy.optimize import linprog
-
+        """Exact d(k-1, n) at the candidate by the transport kernel; its duals
+        go to the pool as the cut u.cand - v.pi^m."""
         m = k - 1
-        cvec, A = self._pair_lp(m)
-        b_eq = np.concatenate([np.asarray(self.rows[m], dtype=float),
-                               np.asarray(cand, dtype=float)])
-        # presolve mis-declares infeasibility when margins span many orders
-        # of magnitude (tiny but genuine masses), so it stays off
-        res = linprog(cvec, A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs",
-                      options={"presolve": False})
-        if not res.success:
-            plan = pair_distance(self.table, self.rows + [tuple(cand)], m,
-                                 self.n, allow_greedy=False)
-            self.exact_solves += 1
-            u = np.asarray(plan.dual_u, dtype=float)
-            const = -sum(v * a for v, a in zip(plan.dual_v, self.rows[m]))
-            self.pool_U[m].append(u)
-            self.pool_c[m].append(const)
-            return float(plan.objective)
-        self.exact_solves += 1
-        y = np.asarray(res.eqlin.marginals)
-        u = y[m + 1:]                       # target-margin duals
-        const = float(y[: m + 1] @ b_eq[: m + 1])
-        self.pool_U[m].append(u)
-        self.pool_c[m].append(const)
-        return float(res.fun)
+        # plain floats: numpy scalars slow the kernel's Python arithmetic
+        plan = pair_distance(self.table, self.rows + [tuple(map(float, cand))], m,
+                             self.n, allow_greedy=False)
+        self.pool_U[m].append(np.asarray(plan.dual_u, dtype=float))
+        self.pool_c[m].append(-sum(v * a for v, a in zip(plan.dual_v, self.rows[m])))
+        return float(plan.objective)
 
 
 def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
@@ -755,7 +713,7 @@ def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationR
     table = empty_table(N)
     table.residuals.append(1.0)
     stage_values = []
-    coeffs: Dict[str, list] = {"alpha": [], "beta": []}
+    coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
     certificates = []
 
     n = 1
@@ -807,17 +765,18 @@ def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationR
         if block_obj(p) > best_v:
             p = best_p
         b, a = p
-        coeffs["beta"].append(b)
-        coeffs["alpha"].append(a)
-        row = _scheme_row("extra-km", n, rows, (b, 1 - b))
-        _freeze_stage(rows, table, row, n)
-        stage_values.append(float(table.residuals[n]))
-        certificates.append(0.0)
-        if n + 1 <= N:
-            row = _scheme_row("extra-km", n + 1, rows, (a, 0.0))
-            _freeze_stage(rows, table, row, n + 1)
-            stage_values.append(float(table.residuals[n + 1]))
-            certificates.append(0.0)
+        for stage, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
+            if stage > last:
+                break
+            row = _scheme_row("extra-km", stage, rows, prm)
+            val = float(stage_residual(rows, table, row, stage, _rows_monotone(rows)))
+            _freeze_stage(rows, table, row, stage)
+            stage_values.append(val)
+            certificates.append(abs(val - float(table.residuals[stage])))
+            # coefficients are per row, as for the other kinds: both rows of
+            # a block carry its (alpha, beta)
+            coeffs["alpha"].append(a)
+            coeffs["beta"].append(b)
         n += 2
     arr = TriangularArray(rows)
     return OptimizationResult(arr, list(table.residuals), stage_values, coeffs,

@@ -1,6 +1,7 @@
 """Coefficient optimizers: exact small-horizon optima, regime ordering,
 scheme-constrained searches, and determinism."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import given, strategies as st
 
 from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
-from mannrates.optimize import (OptimizeInputError, OptimizerConfig, _freeze_stage,
+from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
+                                StageEvaluator, _freeze_stage, _rows_monotone,
                                 fit_slope, optimize_fixed_horizon, optimize_scheme,
                                 optimize_sequential, project_simplex)
-from mannrates.schemes import TriangularArray
+from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
+from mannrates.witness import build_worst_case_witness
 
-from conftest import random_array
+from conftest import random_array, random_monotone_array, random_simplex
 
 
 def test_exact_depth_one():
@@ -140,3 +143,80 @@ def test_frozen_table_matches_rebuild_on_non_monotone_rows(rng):
         for m, n, d in ref.csv_rows():
             assert table.d(m, n) == pytest.approx(d, abs=1e-9)
         assert table.residuals == pytest.approx(ref.residuals, abs=1e-9)
+
+
+def _wide_range_array(rng, N):
+    """Rational rows whose weights span nine orders of magnitude."""
+    rows = [(Fraction(1),)]
+    for n in range(1, N + 1):
+        w = [10 ** rng.randint(0, 9) * rng.randint(0, 3) for _ in range(n + 1)]
+        w[n] += 1
+        total = sum(w)
+        rows.append(tuple(Fraction(x, total) for x in w))
+    return rows
+
+
+def test_stage_pair_solves_match_exact_table():
+    # margins spanning many orders of magnitude: an LP solver at default
+    # tolerances missed these distances by up to 1e-7, beyond CERT_TOL
+    N = 5
+    for seed in range(30):
+        rows = _wide_range_array(random.Random(seed), N)
+        exact, _ = build_distance_table(TriangularArray(rows), exact=True)
+        table = empty_table(N)
+        for m, n, d in exact.csv_rows():
+            table.set_d(m, n, float(d))
+        frows = [tuple(map(float, r)) for r in rows]
+        for n in range(2, N + 1):
+            ev = StageEvaluator(frows[:n], table, n, _rows_monotone(frows[:n]))
+            for k in range(1, n + 1):
+                assert ev._solve_pair(frows[n], k) == pytest.approx(
+                    float(exact.d(k - 1, n)), abs=1e-12)
+
+
+def test_surrogate_is_lower_bound_tight_at_harvested_points(rng):
+    N = 5
+    for builder in (random_array, random_monotone_array):
+        for _ in range(5):
+            rows = builder(rng, N)
+            table, _ = build_distance_table(TriangularArray(rows))
+            ev = StageEvaluator(rows[:N], table, N, _rows_monotone(rows[:N]))
+            harvested = [random_simplex(rng, N + 1) for _ in range(4)]
+            exacts = [ev.exact(c) for c in harvested]
+            for c, val in zip(harvested, exacts):
+                assert ev.surrogate(c) == pytest.approx(val, abs=1e-12)
+            for _ in range(40):
+                c = random_simplex(rng, N + 1)
+                assert ev.surrogate(c) <= ev.exact(c) + 1e-12
+
+
+def _optimizer_outputs():
+    cfg = OptimizerConfig(restarts=2, seed=3, max_evals=2000)
+    yield "ms", optimize_sequential(6, cfg, monotone=True)
+    yield "s", optimize_sequential(4, cfg, monotone=False)
+    yield "fh", optimize_fixed_horizon(3, cfg)
+    for kind in SCHEME_PARAMS:
+        yield kind, optimize_scheme(kind, 6, cfg)
+
+
+def test_optimizer_outputs_rebuild_and_certify():
+    # each optimizer's stage values come from its own closed forms, surrogate
+    # and pair solves; an independent table build of the emitted array and
+    # its witness must agree
+    for name, res in _optimizer_outputs():
+        table, _ = build_distance_table(res.array)
+        assert [float(v) for v in table.residuals] == pytest.approx(
+            [float(v) for v in res.values], abs=1e-9), name
+        assert build_worst_case_witness(res.array).report.ok, name
+        assert max(res.certificates) <= 1e-9, name
+
+
+def test_ishikawa_coefficients_follow_rows():
+    for N in (5, 6):
+        res = optimize_scheme("ishikawa", N, OptimizerConfig(restarts=2))
+        c = res.coefficients
+        assert len(c["alpha"]) == len(c["beta"]) == N + 1
+        arr = build_rows(SchemeSpec("ishikawa", alphas=c["alpha"][1::2],
+                                    betas=c["beta"][1::2]), N)
+        for got, want in zip(arr.rows, res.array.rows):
+            assert got == pytest.approx(want, abs=1e-15)
