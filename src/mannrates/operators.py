@@ -93,11 +93,16 @@ def poisson_binomial_pmf(alphas: Sequence[float]) -> np.ndarray:
     """
     p = np.array([1.0])
     for a in alphas[1:]:
-        q = np.zeros(len(p) + 1)
-        q[: len(p)] += (1 - a) * p
-        q[1:] += a * p
-        p = q
+        p = _add_bernoulli(p, a)
     return p
+
+
+def _add_bernoulli(p: np.ndarray, a: float) -> np.ndarray:
+    """pmf of S + B from the pmf p of S, for B ~ Bernoulli(a) independent of S."""
+    q = np.zeros(len(p) + 1)
+    q[: len(p)] += (1 - a) * p
+    q[1:] += a * p
+    return q
 
 
 def km_l1_residuals(alphas: Sequence[float]) -> List[float]:
@@ -110,10 +115,7 @@ def km_l1_residuals(alphas: Sequence[float]) -> List[float]:
     p = np.array([1.0])
     out = [2.0 * float(p.max())]
     for a in alphas[1:]:
-        q = np.zeros(len(p) + 1)
-        q[: len(p)] += (1 - a) * p
-        q[1:] += a * p
-        p = q
+        p = _add_bernoulli(p, a)
         r = 2.0 * float(p.max())
         direct = km_l1_residual_direct(p)
         if abs(r - direct) > 1e-12 * max(1.0, direct):

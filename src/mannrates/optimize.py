@@ -13,7 +13,10 @@ scheme searches rank candidates on a cutting-plane surrogate and confirm
 them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
 Exact-rational mode solves the small stages globally by enumerating KKT
-systems of the quadratic over every face of the feasible polytope.
+systems of the quadratic over every face of the feasible polytope; the
+coordinate bounds active on a face fix their coordinates, so each system is
+solved on the free coordinates only.  Float and exact monotone stages share
+one stage-quadratic builder.
 """
 
 from __future__ import annotations
@@ -161,9 +164,10 @@ class StageEvaluator:
         self.dcol = _dcol(table, n)
         self.base = [table.d(k - 2, n - 1) for k in range(1, n + 1)]
         self.betas = [_two_point_beta(r) for r in self.rows]
-        # per pair m = k-1: matrix of dual rows U and constants -v.a
-        self.pool_U: List[list] = [[] for _ in range(n)]
-        self.pool_c: List[list] = [[] for _ in range(n)]
+        # per pair m = k-1: stacked dual rows U and constants -v.a, or None
+        # before the pair's first exact solve
+        self.pool_U: List[Optional[np.ndarray]] = [None] * n
+        self.pool_c: List[Optional[np.ndarray]] = [None] * n
         self._dmrows: Dict[int, list] = {}
 
     def _dmrow(self, m):
@@ -212,13 +216,12 @@ class StageEvaluator:
             d = self._pair_fast(cand, cb, k, tails[k - 1])
             if d is None:
                 m = k - 1
-                if not self.pool_U[m]:
+                if self.pool_U[m] is None:
                     d = self._solve_pair(cand, k)
                 else:
                     if c is None:
                         c = np.asarray(cand, dtype=float)
-                    U = np.asarray(self.pool_U[m])
-                    d = float((U @ c + np.asarray(self.pool_c[m])).max())
+                    d = float((self.pool_U[m] @ c + self.pool_c[m]).max())
             total += cand[k] * d
         return float(total)
 
@@ -253,8 +256,13 @@ class StageEvaluator:
         # plain floats: numpy scalars slow the kernel's Python arithmetic
         plan = pair_distance(self.table, self.rows + [tuple(map(float, cand))], m,
                              self.n, allow_greedy=False)
-        self.pool_U[m].append(np.asarray(plan.dual_u, dtype=float))
-        self.pool_c[m].append(-sum(v * a for v, a in zip(plan.dual_v, self.rows[m])))
+        u = np.asarray(plan.dual_u, dtype=float)
+        c = -sum(v * a for v, a in zip(plan.dual_v, self.rows[m]))
+        if self.pool_U[m] is None:
+            self.pool_U[m], self.pool_c[m] = u[None, :], np.array([c], dtype=float)
+        else:
+            self.pool_U[m] = np.vstack((self.pool_U[m], u))
+            self.pool_c[m] = np.append(self.pool_c[m], c)
         return float(plan.objective)
 
 
@@ -288,19 +296,26 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 # monotone stage quadratic
 
 def _stage_quadratic(rows, table: DistanceTable, n: int):
-    """Objective of the monotone stage as lin . x + x^T Q x over x in R^{n+1}."""
-    dcol = np.array(_dcol(table, n), dtype=float)
-    lin = np.zeros(n + 1)
-    Q = np.zeros((n + 1, n + 1))
-    lin[0] = 1.0
+    """Objective of the monotone stage as lin . x + x^T Q x over x in R^{n+1}.
+
+    Nested lists in the arithmetic of the rows (float or Fraction); row 0 is
+    the Dirac mass, so rows[0][0] is the one of that arithmetic.
+    """
+    one = rows[0][0]
+    zero = 0 * one
+    dcol = _dcol(table, n)
+    lin = [zero] * (n + 1)
+    Q = [[zero] * (n + 1) for _ in range(n + 1)]
+    lin[0] = one
     for k in range(1, n + 1):
         m = k - 1
         prow = rows[m]
         lin[k] = sum(prow[i] * dcol[i] for i in range(m + 1))
-        Q[k, : m + 1] -= dcol[: m + 1]
+        for i in range(m + 1):
+            Q[k][i] -= dcol[i]
         base = table.d(m - 1, n - 1)
         for j in range(m + 1, n + 1):
-            Q[k, j] += table.d(m - 1, j - 1) - base
+            Q[k][j] += table.d(m - 1, j - 1) - base
     return lin, Q
 
 
@@ -321,7 +336,7 @@ def _repair_monotone(x: np.ndarray, prev, n: int) -> np.ndarray:
 
 def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
               rng: np.random.Generator) -> np.ndarray:
-    lin, Q = _stage_quadratic(rows, table, n)
+    lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
     H = Q + Q.T
     prev = rows[n - 1]
 
@@ -809,64 +824,94 @@ def _exact_qp(lin, Q, ineqs, d):
 
     Enumerates KKT systems over all active subsets; the global minimum of a
     quadratic over a polytope is stationary on the relative interior of some
-    face, so it appears among the candidates.  Ties break to the
-    lexicographically smallest point.
+    face, so it appears among the candidates.  An active row with a single
+    nonzero coefficient (a coordinate bound) fixes its coordinate, so each
+    system is solved on the free coordinates only, with one multiplier for
+    sum x = 1 and one per active general row.  Subsets whose full KKT system
+    is singular by its shape (two bounds on one coordinate, no coordinate
+    left free) are skipped without a solve (`_faces`).  The candidates are
+    those of the full systems, and ties break to the lexicographically
+    smallest point.  Inputs are `Fraction`s.
     """
     H = [[Q[i][j] + Q[j][i] for j in range(d)] for i in range(d)]
-    ones = [Fraction(1)] * d
+    # the coordinate each row bounds, or None for a general row
+    bound_of = []
+    for a, _ in ineqs:
+        nonzero = [j for j in range(d) if a[j] != 0]
+        bound_of.append(nonzero[0] if len(nonzero) == 1 else None)
     best = None
-    for r in range(min(d, len(ineqs)) + 1):
-        for subset in itertools.combinations(range(len(ineqs)), r):
-            act = [ineqs[i] for i in subset]
-            k = 1 + len(act)
-            size = d + k
-            A = [[Fraction(0)] * size for _ in range(size)]
-            rhs = [Fraction(0)] * size
-            for i in range(d):
-                for j in range(d):
-                    A[i][j] = H[i][j]
-                A[i][d] = ones[i]
-                for t, (a, _) in enumerate(act):
-                    A[i][d + 1 + t] = a[i]
-                rhs[i] = -lin[i]
-            for j in range(d):
-                A[d][j] = ones[j]
-            rhs[d] = Fraction(1)
-            for t, (a, b) in enumerate(act):
-                for j in range(d):
-                    A[d + 1 + t][j] = a[j]
-                rhs[d + 1 + t] = b
-            sol = _gauss_solve(A, rhs)
-            if sol is None:
-                continue
-            x = sol[:d]
-            if any(sum(a[j] * x[j] for j in range(d)) > b for (a, b) in ineqs):
-                continue
-            val = sum(lin[i] * x[i] for i in range(d)) + \
-                sum(x[i] * Q[i][j] * x[j] for i in range(d) for j in range(d))
-            cand = (val, x)
-            if best is None or val < best[0] or (val == best[0] and x < best[1]):
-                best = cand
+    for fixed, general in _faces(ineqs, bound_of, d):
+        x = _face_stationary_point(lin, H, fixed, general, d)
+        if x is None or not _feasible(x, ineqs, bound_of, d):
+            continue
+        val = sum(lin[i] * x[i] for i in range(d)) + \
+            sum(x[i] * Q[i][j] * x[j] for i in range(d) for j in range(d))
+        if best is None or val < best[0] or (val == best[0] and x < best[1]):
+            best = (val, x)
     if best is None:
         raise OptimizeInputError("empty feasible polytope in exact stage")
     return best
 
 
-def _exact_stage_quadratic(rows, table, n):
-    dcol = [table.d(i - 1, n - 1) for i in range(n + 1)]
-    lin = [Fraction(0)] * (n + 1)
-    Q = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    lin[0] = Fraction(1)
-    for k in range(1, n + 1):
-        m = k - 1
-        prow = rows[m]
-        lin[k] = sum(Fraction(prow[i]) * dcol[i] for i in range(m + 1))
-        for i in range(m + 1):
-            Q[k][i] -= dcol[i]
-        base = table.d(m - 1, n - 1)
-        for j in range(m + 1, n + 1):
-            Q[k][j] += table.d(m - 1, j - 1) - base
-    return lin, Q
+def _faces(ineqs, bound_of, d):
+    """(fixed coordinates, active general rows) for every active subset whose
+    KKT system can be nonsingular.
+
+    Subsets of d or more rows are left out: with sum x = 1 they put d + 1
+    constraints on d coordinates (this also drops every subset that fixes
+    all coordinates).  So is a subset with two bounds on one coordinate.
+    """
+    for r in range(min(d - 1, len(ineqs)) + 1):
+        for subset in itertools.combinations(range(len(ineqs)), r):
+            fixed = {}
+            general = []
+            for t in subset:
+                i = bound_of[t]
+                if i is None:
+                    general.append(ineqs[t])
+                elif i in fixed:
+                    break
+                else:
+                    a, b = ineqs[t]
+                    fixed[i] = b / a[i]
+            else:
+                yield fixed, general
+
+
+def _face_stationary_point(lin, H, fixed, general, d):
+    """Stationary point of the quadratic on the face where the coordinates in
+    `fixed` take their values and the `general` rows hold with equality, from
+    the KKT system on the free coordinates; None if that system is singular."""
+    free = [j for j in range(d) if j not in fixed]
+    f, g = len(free), len(general)
+    zero, one = Fraction(0), Fraction(1)
+    A = []
+    rhs = []
+    for i in free:
+        A.append([H[i][j] for j in free] + [one] + [a[i] for a, _ in general])
+        rhs.append(-lin[i] - sum(H[i][j] * v for j, v in fixed.items()))
+    A.append([one] * f + [zero] * (1 + g))
+    rhs.append(one - sum(fixed.values()))
+    for a, b in general:
+        A.append([a[j] for j in free] + [zero] * (1 + g))
+        rhs.append(b - sum(a[j] * v for j, v in fixed.items()))
+    sol = _gauss_solve(A, rhs)
+    if sol is None:
+        return None
+    x = [None] * d
+    for j, v in fixed.items():
+        x[j] = v
+    for p, j in enumerate(free):
+        x[j] = sol[p]
+    return x
+
+
+def _feasible(x, ineqs, bound_of, d) -> bool:
+    for (a, b), i in zip(ineqs, bound_of):
+        lhs = a[i] * x[i] if i is not None else sum(a[j] * x[j] for j in range(d))
+        if lhs > b:
+            return False
+    return True
 
 
 EXACT_MS_LIMIT = 4
@@ -874,7 +919,7 @@ EXACT_S_LIMIT = 2
 
 
 def _exact_ms_stage(rows, table, n):
-    lin, Q = _exact_stage_quadratic(rows, table, n)
+    lin, Q = _stage_quadratic(rows, table, n)
     ineqs = []
     for i in range(n + 1):
         a = [Fraction(0)] * (n + 1)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 def _fmt(v) -> str:
@@ -40,31 +39,3 @@ def write_sidecar(path: str, config: dict) -> str:
         json.dump(config, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return side
-
-
-@dataclass
-class RunReport:
-    """One produced artifact: where it went and what made it."""
-
-    path: str
-    config: dict
-    rows: int
-    sidecar: Optional[str] = None
-
-    def emit(self, header, rows_iter) -> "RunReport":
-        rows = list(rows_iter)
-        write_csv(self.path, header, rows)
-        self.rows = len(rows)
-        self.sidecar = write_sidecar(self.path, self.config)
-        return self
-
-
-def residual_rows(values, bounds=None, certified=None):
-    """(n, residual[, bound][, certificate]) rows for a residual series."""
-    for n, v in enumerate(values):
-        row = [n, v]
-        if bounds is not None:
-            row.append(bounds[n])
-        if certified is not None:
-            row.append("witness-verified" if certified else "unverified")
-        yield row

@@ -23,10 +23,6 @@ SCHEME_KINDS = (
     "general",
 )
 
-FORMULAS = ("constant", "n/(n+1)", "n/(n+2)", "(n+1)/(n+3)", "optimal-recursion",
-            "explicit-list")
-
-
 class SchemeError(ValueError):
     pass
 

@@ -6,12 +6,26 @@ y^k carry, at coordinate (-1, n), the distance d(k-1, n) and, at coordinate
 (extended beyond index n by inf-convolution with the distance table).  The
 iterates x^k = sum_i pi^k_i y^i then satisfy ||x^m - x^n|| = d(m, n) and
 ||x^n - y^{n+1}|| = R_n exactly, certifying tightness of the bounds.
+
+The points are built as numpy arrays, so both arithmetics share one code
+path: the distance table D, the point matrix Y (one row per y^k), the
+potentials extended by a column-wise minimum, and X = Pi @ Y.  Float tables
+use dtype float.  Exact tables use dtype object holding Python integers: the
+numerators of all entries over their least common denominator, which keeps
+the arithmetic exact without the gcd that every `Fraction` operation pays.
+Pairwise sup norms are taken one row m at a time, never as an all-pairs
+tensor.  The witness exposes its points as tuples of Python floats or
+`Fraction`s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .distances import DistanceTable, build_distance_table
 from .schemes import TriangularArray
@@ -52,19 +66,6 @@ class WorstCaseWitness:
         return self.ys[k + 1]
 
 
-def _extend_potential(u, table: DistanceTable, upto: int):
-    """u_i = min_k (u_k + d(k-1, i-1)) for indices past the original support."""
-    n = len(u) - 1
-    out = list(u)
-    for i in range(n + 1, upto + 1):
-        out.append(min(u[k] + table.d(k - 1, i - 1) for k in range(n + 1)))
-    return out
-
-
-def _sup_dist(x, y):
-    return max(abs(a - b) for a, b in zip(x, y))
-
-
 def build_worst_case_witness(pi: TriangularArray, N: int = None,
                              table: DistanceTable = None, plans: Dict = None,
                              tol: float = CERT_TOL) -> WorstCaseWitness:
@@ -83,59 +84,74 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
 
     pairs: List[Tuple[int, int]] = [(m, n) for m in range(-1, N + 1)
                                     for n in range(m, N + 1)]
-    potentials = {}
-    for (m, n) in pairs:
-        if m >= 0:
-            potentials[(m, n)] = _extend_potential(plans[(m, n)].dual_u, table, N + 1)
+    D = [[table.d(i - 1, j - 1) for j in range(N + 2)] for i in range(N + 2)]
+    P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows[: N + 1])]
+    U = {p: plans[p].dual_u for p in pairs if p[0] >= 0}
+    R = [table.residuals[: N + 1]]
+    entries = [v for block in (D, P, U.values(), R) for r in block for v in r]
+    # exact entries become integers over their least common denominator
+    # `den`, so no operation below needs a gcd; float entries stay as they are
+    exact = any(isinstance(v, Fraction) for v in entries)
+    den = math.lcm(*(Fraction(v).denominator for v in entries)) if exact else 1
+    unit = Fraction(1, den) if exact else 1.0  # the value of numerator 1
 
-    ys = []
-    for k in range(N + 2):
-        y = []
-        for (m, n) in pairs:
-            if m == -1:
-                y.append(table.d(k - 1, n))
-            else:
-                y.append(potentials[(m, n)][k])
-        ys.append(tuple(y))
+    def array(rows):
+        if exact:
+            return np.array([[int(Fraction(v) * den) for v in r] for r in rows],
+                            dtype=object)
+        return np.array(rows, dtype=float)
 
-    xs = []
-    for k in range(N + 1):
-        row = pi.rows[k]
-        xs.append(tuple(sum(row[i] * ys[i][c] for i in range(k + 1))
-                        for c in range(len(pairs))))
+    D, Pi, R = array(D), array(P), array(R)[0]   # D[i, j] = d(i-1, j-1)
+    Y = np.empty((N + 2, len(pairs)), dtype=D.dtype)
+    for c, (m, n) in enumerate(pairs):
+        if m == -1:
+            Y[:, c] = D[:, n + 1]
+        else:
+            # the potential over 0..n, extended past n by inf-convolution:
+            # u_i = min_k (u_k + d(k-1, i-1))
+            u = array([U[(m, n)]])[0]
+            Y[: n + 1, c] = u
+            Y[n + 1:, c] = (u[:, None] + D[: n + 1, n + 1:]).min(axis=0)
+    # X carries den^2 per unit; every check below is made at that scale
+    X = Pi @ Y[: N + 1]
+    Yx, Dx, Rx = Y * den, D * den, R * den
 
-    max_dist = 0.0
-    worst_pair = None
+    # pairwise sup norms one row m at a time: an all-pairs difference tensor
+    # would hold (N+1)^2 points at once; the first worst pair in row-major
+    # order is reported
+    max_dist, worst_pair = 0, None
+    max_exp, worst_exp = 0, None
     for m in range(N + 1):
-        for n in range(m, N + 1):
-            err = abs(_sup_dist(xs[m], xs[n]) - table.d(m, n))
-            if err > max_dist:
-                max_dist, worst_pair = err, (m, n)
-    max_res = 0.0
-    worst_res = None
-    for n in range(N + 1):
-        err = abs(_sup_dist(xs[n], ys[n + 1]) - table.residuals[n])
-        if err > max_res:
-            max_res, worst_res = err, (n, n + 1)
-    max_exp = 0.0
-    worst_exp = None
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            gap = _sup_dist(ys[m + 1], ys[n + 1]) - _sup_dist(xs[m], xs[n])
-            if gap > max_exp:
-                max_exp, worst_exp = gap, (m, n)
+        dx = abs(X[m:] - X[m]).max(axis=1)
+        err = abs(dx - Dx[m + 1, m + 1:])
+        k = int(err.argmax())
+        if err[k] > max_dist:
+            max_dist, worst_pair = err[k], (m, m + k)
+        gap = abs(Yx[m + 1:] - Yx[m + 1]).max(axis=1) - dx
+        k = int(gap.argmax())
+        if gap[k] > max_exp:
+            max_exp, worst_exp = gap[k], (m, m + k)
+    res = abs(abs(X - Yx[1:]).max(axis=1) - Rx)
+    n = int(res.argmax())
+    max_res, worst_res = (res[n], (n, n + 1)) if res[n] > 0 else (0, None)
+    scale = unit * unit
+    max_dist, max_res, max_exp = max_dist * scale, max_res * scale, max_exp * scale
 
+    # the report holds floats: a Fraction has no e-format before Python 3.12
     report = WitnessReport(float(max_dist), float(max_res), float(max_exp))
     if max_dist > tol:
-        raise CertificationError(
-            f"distance equality off by {max_dist:.3e} at pair {worst_pair}", worst_pair)
+        raise CertificationError(f"distance equality off by "
+                                 f"{report.max_distance_error:.3e} at pair {worst_pair}",
+                                 worst_pair)
     if max_res > tol:
-        raise CertificationError(
-            f"residual equality off by {max_res:.3e} at {worst_res}", worst_res)
+        raise CertificationError(f"residual equality off by "
+                                 f"{report.max_residual_error:.3e} at {worst_res}",
+                                 worst_res)
     if max_exp > tol:
-        raise CertificationError(
-            f"map expands by {max_exp:.3e} at pair {worst_exp}", worst_exp)
-    return WorstCaseWitness(N, tuple(pairs), tuple(ys), tuple(xs), table, report)
+        raise CertificationError(f"map expands by {report.max_expansion:.3e} "
+                                 f"at pair {worst_exp}", worst_exp)
+    return WorstCaseWitness(N, tuple(pairs), tuple(map(tuple, (Y * unit).tolist())),
+                            tuple(map(tuple, (X * scale).tolist())), table, report)
 
 
 def witness_json(w: WorstCaseWitness) -> dict:

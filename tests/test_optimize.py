@@ -1,6 +1,7 @@
 """Coefficient optimizers: exact small-horizon optima, regime ordering,
 scheme-constrained searches, and determinism."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from hypothesis import given, strategies as st
 from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
-                                StageEvaluator, _freeze_stage, _rows_monotone,
+                                StageEvaluator, _exact_qp, _freeze_stage,
+                                _gauss_solve, _rows_monotone, _stage_quadratic,
                                 fit_slope, optimize_fixed_horizon, optimize_scheme,
                                 optimize_sequential, project_simplex)
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
@@ -220,3 +222,163 @@ def test_ishikawa_coefficients_follow_rows():
                                     betas=c["beta"][1::2]), N)
         for got, want in zip(arr.rows, res.array.rows):
             assert got == pytest.approx(want, abs=1e-15)
+
+
+# -- exact stages: reduced KKT faces against the full systems ----------------
+
+def _full_kkt_qp(lin, Q, ineqs, d):
+    """The enumerator over full (d + 1 + r)-sized KKT systems that `_exact_qp`
+    replaced, kept as its reference."""
+    H = [[Q[i][j] + Q[j][i] for j in range(d)] for i in range(d)]
+    best = None
+    for r in range(min(d, len(ineqs)) + 1):
+        for subset in itertools.combinations(range(len(ineqs)), r):
+            act = [ineqs[i] for i in subset]
+            size = d + 1 + len(act)
+            A = [[Fraction(0)] * size for _ in range(size)]
+            rhs = [Fraction(0)] * size
+            for i in range(d):
+                for j in range(d):
+                    A[i][j] = H[i][j]
+                A[i][d] = Fraction(1)
+                for t, (a, _) in enumerate(act):
+                    A[i][d + 1 + t] = a[i]
+                rhs[i] = -lin[i]
+            for j in range(d):
+                A[d][j] = Fraction(1)
+            rhs[d] = Fraction(1)
+            for t, (a, b) in enumerate(act):
+                for j in range(d):
+                    A[d + 1 + t][j] = a[j]
+                rhs[d + 1 + t] = b
+            sol = _gauss_solve(A, rhs)
+            if sol is None:
+                continue
+            x = sol[:d]
+            if any(sum(a[j] * x[j] for j in range(d)) > b for (a, b) in ineqs):
+                continue
+            val = sum(lin[i] * x[i] for i in range(d)) + \
+                sum(x[i] * Q[i][j] * x[j] for i in range(d) for j in range(d))
+            if best is None or val < best[0] or (val == best[0] and x < best[1]):
+                best = (val, x)
+    if best is None:
+        raise OptimizeInputError("empty feasible polytope in exact stage")
+    return best
+
+
+def _random_qp(rng):
+    d = rng.randint(2, 4)
+    frac = lambda lo, hi: Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+    lin = [frac(-5, 5) for _ in range(d)]
+    Q = [[frac(-5, 5) for _ in range(d)] for _ in range(d)]
+
+    def row(coefs):
+        a = [Fraction(0)] * d
+        for j, c in coefs.items():
+            a[j] = Fraction(c)
+        return a
+
+    ineqs = [(row({i: -1}), Fraction(0)) for i in range(d)]  # x >= 0
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(d)
+        kind = rng.choice(["upper", "lower", "duplicate", "scaled", "general"])
+        if kind == "upper":
+            ineqs.append((row({i: 1}), frac(1, 6)))
+        elif kind == "lower":    # may contradict an upper bound on i
+            ineqs.append((row({i: -1}), -frac(0, 3)))
+        elif kind == "duplicate":
+            ineqs.append(ineqs[rng.randrange(len(ineqs))])
+        elif kind == "scaled":   # a single-coordinate row with coefficient != +-1
+            ineqs.append((row({i: rng.choice([-3, 2, 5])}), frac(-2, 6)))
+        else:
+            j = rng.choice([k for k in range(d) if k != i])
+            ineqs.append((row({i: rng.randint(-3, 3) or 1, j: rng.randint(1, 3)}),
+                          frac(0, 6)))
+    rng.shuffle(ineqs)
+    return lin, Q, ineqs, d
+
+
+def _qp_or_empty(qp, lin, Q, ineqs, d):
+    try:
+        return qp(lin, Q, ineqs, d)
+    except OptimizeInputError:
+        return "empty"
+
+
+def test_exact_qp_matches_full_kkt_enumeration():
+    rng = random.Random(2024)
+    empty = 0
+    for _ in range(60):
+        lin, Q, ineqs, d = _random_qp(rng)
+        want = _qp_or_empty(_full_kkt_qp, lin, Q, ineqs, d)
+        assert _qp_or_empty(_exact_qp, lin, Q, ineqs, d) == want
+        empty += want == "empty"
+    assert 0 < empty < 60
+
+
+def test_exact_qp_duplicate_and_fixing_bounds():
+    # x_0 <= 1/3 twice, 3 x_1 <= 1 and x_1 >= 1/3 (x_1 fixed at 1/3), and a
+    # general row x_0 + 2 x_2 <= 1: the full enumerator meets singular
+    # systems for every subset holding both bounds on one coordinate
+    d = 3
+    e = lambda i, c: [Fraction(c) if j == i else Fraction(0) for j in range(d)]
+    ineqs = [(e(0, 1), Fraction(1, 3)), (e(0, 1), Fraction(1, 3)),
+             (e(1, 3), Fraction(1)), (e(1, -1), Fraction(-1, 3)),
+             ([Fraction(1), Fraction(0), Fraction(2)], Fraction(1))]
+    ineqs += [(e(i, -1), Fraction(0)) for i in range(d)]
+    lin = [Fraction(1), Fraction(-2), Fraction(1, 2)]
+    Q = [[Fraction(i - j, 1 + i + j) for j in range(d)] for i in range(d)]
+    got = _exact_qp(lin, Q, ineqs, d)
+    assert got == _full_kkt_qp(lin, Q, ineqs, d)
+    assert got[1][1] == Fraction(1, 3)
+
+
+# rationals the full-KKT enumerator produced for the exact MS stages
+_EXACT_MS_STAGES = [
+    Fraction(3, 4), Fraction(17, 28), Fraction(26391, 51464),
+    Fraction(95673482340235616107, 214831683619820295616)]
+_EXACT_MS_ROWS = [
+    (Fraction(1),),
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(5, 14), Fraction(1, 14), Fraction(4, 7)),
+    (Fraction(257, 919), Fraction(32, 919), Fraction(131, 1838),
+     Fraction(1129, 1838)),
+    (Fraction(34439692753947, 149085965515298), Fraction(67389652297, 3042570724802),
+     Fraction(787162753613, 21297995073614), Fraction(17079644244015, 298171931030596),
+     Fraction(194588436802999, 298171931030596)),
+]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_exact_ms_stages_pinned(N):
+    res = optimize_sequential(N, monotone=True, exact=True)
+    assert res.stage_values == _EXACT_MS_STAGES[:N]
+    assert list(res.array.rows) == _EXACT_MS_ROWS[: N + 1]
+    assert res.values[1:] == _EXACT_MS_STAGES[:N]
+
+
+def _float_stage_quadratic_reference(rows, table, n):
+    dcol = np.array([table.d(i - 1, n - 1) for i in range(n + 1)], dtype=float)
+    lin = np.zeros(n + 1)
+    Q = np.zeros((n + 1, n + 1))
+    lin[0] = 1.0
+    for k in range(1, n + 1):
+        m = k - 1
+        prow = rows[m]
+        lin[k] = sum(prow[i] * dcol[i] for i in range(m + 1))
+        Q[k, : m + 1] -= dcol[: m + 1]
+        base = table.d(m - 1, n - 1)
+        for j in range(m + 1, n + 1):
+            Q[k, j] += table.d(m - 1, j - 1) - base
+    return lin, Q
+
+
+def test_float_stage_quadratic_bit_identical(rng):
+    for N in (1, 4, 9):
+        rows = random_monotone_array(rng, N)
+        table, _ = build_distance_table(TriangularArray(rows))
+        for n in range(1, N + 1):
+            got = [np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n)]
+            want = _float_stage_quadratic_reference(rows, table, n)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()

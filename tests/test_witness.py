@@ -1,5 +1,7 @@
 """The sup-norm witness must attain every tabulated bound exactly."""
 
+from fractions import Fraction
+
 import pytest
 
 from mannrates.distances import build_distance_table
@@ -81,3 +83,31 @@ def test_witness_json_shape():
     assert len(doc["y"]) == 5
     assert all(len(y) == len(doc["index_set"]) for y in doc["y"])
     assert doc["report"]["max_distance_error"] <= 1e-8
+
+
+def _rational_halpern_array(N):
+    return build_rows(SchemeSpec("halpern", betas=tuple(Fraction(k, k + 1)
+                                                        for k in range(N + 1))), N)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("pair", [(0, 2), (1, 3), (3, 4)])
+def test_corrupted_table_reports_the_pair(exact, pair):
+    pi = _rational_halpern_array(4) if exact else _optimal_halpern_array(4)
+    table, plans = build_distance_table(pi, exact=exact, keep_plans=True)
+    table.set_d(*pair, table.d(*pair) / 2)
+    with pytest.raises(CertificationError) as info:
+        build_worst_case_witness(pi, table=table, plans=plans)
+    assert info.value.pair == pair
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_witness_coordinates_are_python_scalars(exact):
+    pi = _rational_halpern_array(5) if exact else _optimal_halpern_array(5)
+    table, plans = build_distance_table(pi, exact=exact, keep_plans=True)
+    w = build_worst_case_witness(pi, table=table, plans=plans)
+    want = Fraction if exact else float
+    assert {type(v) for point in w.ys + w.xs for v in point} == {want}
+    if exact:
+        assert w.report.max_distance_error == 0.0
+        assert w.report.max_residual_error == 0.0
