@@ -20,8 +20,7 @@ import sys
 
 import numpy as np
 
-from .distances import (build_distance_table, halpern_residuals,
-                        validate_metric, validate_quadrangle)
+from .distances import build_distance_table, halpern_residuals
 from .halpern import harmonic_bound, optimal_recursion
 from .operators import inf_f, km_l1_residuals, shift_linf_residuals
 from .optimize import (OptimizerConfig, fit_slope, optimize_fixed_horizon,

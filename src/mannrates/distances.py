@@ -8,7 +8,7 @@ is provided for the two-point (Halpern-structured) rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .schemes import TriangularArray, check_monotone
@@ -30,6 +30,10 @@ class DistanceTable:
     def set_d(self, m: int, n: int, value) -> None:
         self._d[m + 1][n + 1] = value
         self._d[n + 1][m + 1] = value
+
+    def copy(self) -> DistanceTable:
+        return DistanceTable(self.horizon, [r[:] for r in self._d],
+                             list(self.residuals))
 
     def csv_rows(self):
         for m in range(-1, self.horizon + 1):
@@ -103,14 +107,19 @@ def residual_from_table(table: DistanceTable, row, n: int):
     return sum(row[i] * table.d(i - 1, n) for i in range(n + 1))
 
 
+def two_point_distance(b_m, b_n, d_prev):
+    """d(m, n) between the two-point rows (1 - b_m, 0, ..., b_m) and
+    (1 - b_n, 0, ..., b_n), given d_prev = d(m-1, n-1)."""
+    return abs(b_m - b_n) + min(b_m, b_n) * d_prev
+
+
 def halpern_adjacent_distances(betas):
     """d(n-1, n) series for two-point rows, via the O(N) recursion."""
     _check_betas(betas)
     N = len(betas) - 1
     adj = [1]  # d(-1, 0)
     for n in range(1, N + 1):
-        bm, bn = betas[n - 1], betas[n]
-        adj.append(abs(bm - bn) + min(bm, bn) * adj[n - 1])
+        adj.append(two_point_distance(betas[n - 1], betas[n], adj[n - 1]))
     return adj
 
 
@@ -124,7 +133,7 @@ def halpern_residuals(betas):
 
 
 def halpern_distance_recursion(betas) -> DistanceTable:
-    """Full table for Halpern rows via d(m,n) = |b_m - b_n| + min(b_m,b_n) d(m-1,n-1).
+    """Full table for Halpern rows by the two-point recursion in gap order.
 
     O(N^2), no transport solves; identical to build_distance_table on the
     two-point array.
@@ -135,8 +144,8 @@ def halpern_distance_recursion(betas) -> DistanceTable:
     for gap in range(1, N + 1):
         for m in range(0, N + 1 - gap):
             n = m + gap
-            bm, bn = betas[m], betas[n]
-            table.set_d(m, n, abs(bm - bn) + min(bm, bn) * table.d(m - 1, n - 1))
+            table.set_d(m, n, two_point_distance(betas[m], betas[n],
+                                                 table.d(m - 1, n - 1)))
     table.residuals.extend(halpern_residuals(betas))
     return table
 

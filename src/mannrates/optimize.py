@@ -5,7 +5,16 @@ horizon (all rows jointly, small n only), sequential (row n with earlier
 rows frozen), and monotone sequential (sequential plus the monotone-row
 constraints, which turn the stage objective into an explicit quadratic).
 A per-scheme variant optimizes only the 1-2 stepsize parameters of a named
-iteration family at each stage.
+iteration family at each stage; its rows come from `schemes.scheme_step`,
+the step `schemes.build_rows` unrolls.
+
+Every stagewise optimizer (MS, S, scheme, Ishikawa and exact) uses one
+stage model.  `StageEvaluator.exact` is the stage value: row n scored by
+the nested transport costs d(k, n) against the frozen rows and table.
+`_freeze_stage` then freezes the accepted row by the table rule: the
+two-point closed form, else `pair_distance` with the greedy plan gated on
+row monotonicity, as in `build_distance_table`.  Each stage certificate,
+|stage value - R_n of the frozen table|, cross-checks the two rules.
 
 Float mode uses multistart local search (Nelder-Mead with simplex
 projection; SLSQP on the smooth monotone-stage quadratic).  The free and
@@ -24,16 +33,16 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .distances import (DistanceTable, build_distance_table, empty_table,
-                        pair_distance, residual_from_table)
-from .schemes import SchemeSpec, TriangularArray, build_rows
+                        pair_distance, residual_from_table, two_point_distance)
+from .schemes import TriangularArray, check_monotone, scheme_step
 
 
 class OptimizeInputError(ValueError):
@@ -44,14 +53,11 @@ class OptimizeInputError(ValueError):
 class OptimizerConfig:
     restarts: int = 32
     max_evals: int = 20000
-    tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise OptimizeInputError("restarts must be >= 1")
-        if self.tolerance <= 0:
-            raise OptimizeInputError("tolerance must be positive")
 
 
 @dataclass
@@ -60,7 +66,7 @@ class OptimizationResult:
     values: list                 # R_0..R_N recomputed from the array
     stage_values: list           # best objective found at each stage (1..N)
     coefficients: dict           # per-stage stepsizes for scheme searches
-    certificates: list           # |stage objective - recomputed R_n| per stage
+    certificates: list           # |stage value - frozen table's R_n| per stage
     wall_time: float
     table: Optional[DistanceTable] = None
 
@@ -96,76 +102,37 @@ def _two_point_beta(row):
     return row[last]
 
 
-def stage_residual(rows, table: DistanceTable, cand, n: int,
-                   rows_monotone: bool = True, exact: bool = False):
-    """R_n for candidate row `cand` with rows/table up to n-1 frozen.
-
-    Per pair, uses the closed-form nested-plan cost when the monotone
-    preconditions hold, the two-point distance recursion when both rows are
-    anchored two-point rows, and the transport solver otherwise.
-    """
-    tol = 0 if exact else 1e-12
-    dcol = _dcol(table, n)
-    total = cand[0] * 1  # d(-1, n) = 1
-    tail_after = [0] * (n + 1)
-    acc = 0
-    for j in range(n - 1, -1, -1):
-        acc += cand[j]
-        tail_after[j] = acc  # sum_{i=j}^{n-1} cand_i
-    cand_beta = _two_point_beta(cand)
-    for k in range(1, n + 1):
-        m = k - 1
-        prow = rows[m]
-        if cand_beta is not None:
-            pb = _two_point_beta(prow)
-            if pb is not None:
-                dmn = abs(pb - cand_beta) + min(pb, cand_beta) * table.d(m - 1, n - 1)
-                total += cand[k] * dmn
-                continue
-        fast = rows_monotone
-        if fast:
-            for i in range(m + 1):
-                if cand[i] > prow[i] + tol:
-                    fast = False
-                    break
-            if fast and prow[m] < tail_after[m] - tol:
-                fast = False
-        if fast:
-            dmn = sum((prow[i] - cand[i]) * dcol[i] for i in range(m + 1))
-            base = table.d(m - 1, n - 1)
-            dmn += sum(cand[j] * (table.d(m - 1, j - 1) - base)
-                       for j in range(m + 1, n + 1))
-        else:
-            plan = pair_distance(table, list(rows) + [tuple(cand)], m, n,
-                                 exact=exact, allow_greedy=False)
-            dmn = plan.objective
-        total += cand[k] * dmn
-    return total
-
-
 class StageEvaluator:
-    """Stage-n residual evaluation with a cutting-plane surrogate.
+    """The stage value R_n(cand): row n scored against the frozen rows 0..n-1
+    and their table.
+
+    Each pair d(k-1, n) takes the first rule that applies: the two-point
+    closed form when both rows are two-point rows; the nested-plan closed
+    form when the frozen rows are monotone and the candidate meets that
+    plan's margin conditions; else the certified transport kernel through
+    `pair_distance`.  Float or `Fraction` arithmetic follows the rows.
 
     The per-pair distance d(m, n) is a convex piecewise-linear function of
     the candidate margins: the max of u.cand - v.pi^m over dual-feasible
     potentials, whose feasible set does not depend on the candidate.  Dual
-    solutions harvested from exact solves therefore give reusable lower
-    bounds, making derivative-free search cheap; `exact` confirms (and
-    tightens the pools at) incumbents.  Pairs without a closed form are
-    solved by the certified transport kernel through `pair_distance`, so
-    every cut is an optimal dual of that pair.
+    solutions harvested from transport solves therefore give reusable lower
+    bounds (`surrogate`), making derivative-free search cheap; `exact`
+    confirms (and tightens the pools at) incumbents.
     """
 
-    def __init__(self, rows, table: DistanceTable, n: int, rows_monotone: bool):
+    def __init__(self, rows, table: DistanceTable, n: int):
         self.rows = [tuple(r) for r in rows]
         self.table = table
         self.n = n
-        self.rows_monotone = rows_monotone
+        self.rational = isinstance(self.rows[0][0], Fraction)
+        self.tol = 0 if self.rational else 1e-12
+        self.monotone = check_monotone(TriangularArray(self.rows),
+                                       exact=self.rational).monotone
         self.dcol = _dcol(table, n)
         self.base = [table.d(k - 2, n - 1) for k in range(1, n + 1)]
         self.betas = [_two_point_beta(r) for r in self.rows]
         # per pair m = k-1: stacked dual rows U and constants -v.a, or None
-        # before the pair's first exact solve
+        # before the pair's first transport solve
         self.pool_U: List[Optional[np.ndarray]] = [None] * n
         self.pool_c: List[Optional[np.ndarray]] = [None] * n
         self._dmrows: Dict[int, list] = {}
@@ -182,14 +149,13 @@ class StageEvaluator:
         m = k - 1
         prow = self.rows[m]
         if cb is not None and self.betas[m] is not None:
-            pb = self.betas[m]
-            return abs(pb - cb) + min(pb, cb) * self.dcol[m]
-        if not self.rows_monotone:
+            return two_point_distance(self.betas[m], cb, self.dcol[m])
+        if not self.monotone:
             return None
         for i in range(m + 1):
-            if cand[i] > prow[i] + 1e-12:
+            if cand[i] > prow[i] + self.tol:
                 return None
-        if prow[m] < tail_mk - 1e-12:
+        if prow[m] < tail_mk - self.tol:
             return None
         val = sum((prow[i] - cand[i]) * self.dcol[i] for i in range(m + 1))
         base = self.base[m]
@@ -199,8 +165,8 @@ class StageEvaluator:
         return val
 
     def _tails(self, cand):
-        out = [0.0] * (self.n + 1)
-        acc = 0.0
+        out = [0] * (self.n + 1)
+        acc = 0
         for j in range(self.n - 1, -1, -1):
             acc += cand[j]
             out[j] = acc
@@ -225,37 +191,27 @@ class StageEvaluator:
             total += cand[k] * d
         return float(total)
 
-    def exact(self, cand) -> float:
-        """True R_n(cand); harvests duals from any transport solves."""
-        return float(cand[0] + sum(cand[k] * d
-                                   for k, d in self.pair_exacts(cand)))
-
-    def pair_exacts(self, cand):
-        """(k, exact d(k-1, n)) for k = 1..n at the candidate row."""
+    def exact(self, cand):
+        """True R_n(cand), in the rows' arithmetic; harvests duals from any
+        transport solves."""
         tails = self._tails(cand)
         cb = _two_point_beta(cand)
-        for k in range(1, self.n + 1):
-            d = self._pair_fast(cand, cb, k, tails[k - 1])
-            if d is None:
-                d = self._solve_pair(cand, k)
-            yield k, d
+        total = cand[0] + sum(cand[k] * self._pair_exact(cand, cb, k, tails[k - 1])
+                              for k in range(1, self.n + 1))
+        return total if self.rational else float(total)
 
-    def freeze(self, rows, cand):
-        """Accept the candidate: append it and fill d(k, n) and R_n."""
-        dvals = dict(self.pair_exacts(cand))
-        rows.append(tuple(cand))
-        for k, d in dvals.items():
-            self.table.set_d(k - 1, self.n, d)
-        self.table.residuals.append(
-            residual_from_table(self.table, rows[self.n], self.n))
+    def _pair_exact(self, cand, cb, k, tail_mk):
+        d = self._pair_fast(cand, cb, k, tail_mk)
+        return self._solve_pair(cand, k) if d is None else d
 
-    def _solve_pair(self, cand, k) -> float:
+    def _solve_pair(self, cand, k):
         """Exact d(k-1, n) at the candidate by the transport kernel; its duals
         go to the pool as the cut u.cand - v.pi^m."""
         m = k - 1
         # plain floats: numpy scalars slow the kernel's Python arithmetic
-        plan = pair_distance(self.table, self.rows + [tuple(map(float, cand))], m,
-                             self.n, allow_greedy=False)
+        cand = tuple(cand) if self.rational else tuple(map(float, cand))
+        plan = pair_distance(self.table, self.rows + [cand], m, self.n,
+                             exact=self.rational, allow_greedy=False)
         u = np.asarray(plan.dual_u, dtype=float)
         c = -sum(v * a for v, a in zip(plan.dual_v, self.rows[m]))
         if self.pool_U[m] is None:
@@ -263,20 +219,23 @@ class StageEvaluator:
         else:
             self.pool_U[m] = np.vstack((self.pool_U[m], u))
             self.pool_c[m] = np.append(self.pool_c[m], c)
-        return float(plan.objective)
+        return plan.objective if self.rational else float(plan.objective)
 
 
 def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
-    """Append the accepted row and fill d(k, n) for k < n in the table."""
+    """Append the accepted row and fill d(k, n) for k < n and R_n.
+
+    The table rule: the two-point closed form when both rows are two-point
+    rows, else `pair_distance`, whose greedy plan is optimal only under row
+    monotonicity, as in build_distance_table.
+    """
     rows.append(tuple(new_row))
     nb = _two_point_beta(rows[n])
-    # the greedy plan is optimal only under row monotonicity, as in
-    # build_distance_table
-    allow_greedy = _rows_monotone(rows)
+    allow_greedy = check_monotone(TriangularArray(rows), exact=exact).monotone
     for k in range(n):
         kb = _two_point_beta(rows[k]) if nb is not None else None
-        if nb is not None and kb is not None:
-            table.set_d(k, n, abs(kb - nb) + min(kb, nb) * table.d(k - 1, n - 1))
+        if kb is not None:
+            table.set_d(k, n, two_point_distance(kb, nb, table.d(k - 1, n - 1)))
         else:
             plan = pair_distance(table, rows, k, n, exact=exact,
                                  allow_greedy=allow_greedy)
@@ -379,9 +338,9 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 # free (non-monotone) stage via projected Nelder-Mead
 
 def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
-             rng: np.random.Generator, rows_monotone: bool,
-             warm: Optional[np.ndarray]) -> np.ndarray:
-    ev = StageEvaluator(rows, table, n, rows_monotone)
+             rng: np.random.Generator, warm: Optional[np.ndarray]):
+    """Best free row found and its stage value."""
+    ev = StageEvaluator(rows, table, n)
 
     def f(x):
         p = project_simplex(np.asarray(x, dtype=float))
@@ -418,7 +377,7 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
             best, best_val = x, val
         else:
             break
-    return best, ev
+    return best, best_val
 
 
 def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = True,
@@ -438,31 +397,19 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
     for n in range(1, N + 1):
         if monotone:
             x = _ms_stage(rows, table, n, cfg, rng)
-            obj = float(stage_residual(rows, table, x, n, True))
-            _freeze_stage(rows, table, tuple(float(v) for v in x), n)
+            obj = StageEvaluator(rows, table, n).exact(x)
         else:
             # the restricted quadratic stage is exact under monotone rows and
             # still a strong heuristic start otherwise; the free search only
             # accepts exact-evaluated improvements over it
             warm = _ms_stage(rows, table, n, cfg, rng)
-            x, ev = _s_stage(rows, table, n, cfg, rng, _rows_monotone(rows), warm)
-            obj = ev.exact(x)
-            ev.freeze(rows, tuple(float(v) for v in x))
+            x, obj = _s_stage(rows, table, n, cfg, rng, warm)
+        _freeze_stage(rows, table, tuple(float(v) for v in x), n)
         stage_values.append(obj)
         certificates.append(abs(obj - float(table.residuals[n])))
     arr = TriangularArray(rows)
     return OptimizationResult(arr, list(table.residuals), stage_values, {},
                               certificates, time.perf_counter() - t0, table)
-
-
-def _rows_monotone(rows) -> bool:
-    for n in range(1, len(rows)):
-        if rows[n][n] <= 0:
-            return False
-        for i in range(n):
-            if rows[n][i] > rows[n - 1][i] + 1e-12:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -565,43 +512,14 @@ SCHEME_PARAMS = {
 
 def _scheme_row(kind: str, n: int, rows, params) -> Optional[tuple]:
     """Row n of the scheme given frozen earlier rows; None if infeasible."""
-    prev = rows[n - 1]
-    prev = tuple(prev) + (0.0,) * (n + 1 - len(prev))
-    if kind == "halpern":
-        (b,) = params
-        row = [1.0 - b] + [0.0] * (n - 1) + [b]
-    elif kind == "km":
-        (a,) = params
-        row = [(1.0 - a) * w for w in prev]
-        row[n] += a
+    if len(params) == 1:
+        a = b = params[0]  # halpern reads only b, km only a
     else:
         a, b = params
         if a < 0 or b < 0 or a + b > 1:
             return None
-        if kind == "inertial-halpern":
-            row = [1.0 - a - b] + [0.0] * n
-            row[n - 1] += b
-            row[n] += a
-        elif kind == "inertial-km":
-            row = [(1.0 - a - b) * w for w in prev]
-            row[n - 1] += b
-            row[n] += a
-        elif kind == "km-halpern":
-            row = [b * w for w in prev]
-            row[0] += 1.0 - a - b
-            row[n] += a
-        elif kind == "extra-km":
-            base = rows[n - 2] if n >= 2 else rows[n - 1]
-            base = tuple(base) + (0.0,) * (n + 1 - len(base))
-            row = [(1.0 - a - b) * w for w in base]
-            for i in range(len(prev)):
-                row[i] += b * prev[i]
-            row[n] += a
-        else:
-            return None
-    if any(w < 0 for w in row):
-        return None
-    return tuple(row)
+    row = scheme_step(kind, n, rows, a, b)
+    return None if any(w < 0 for w in row) else row
 
 
 def _golden(f, lo, hi, iters=60):
@@ -653,8 +571,7 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
         return _optimize_ishikawa(N, cfg, t0)
 
     for n in range(1, N + 1):
-        mono = _rows_monotone(rows)
-        ev = StageEvaluator(rows, table, n, mono)
+        ev = StageEvaluator(rows, table, n)
 
         def obj(params, n=n):
             row = _scheme_row(kind, n, rows, params)
@@ -705,7 +622,7 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
                 break
         params, val = best_params, best_exact
         row = _scheme_row(kind, n, rows, params)
-        ev.freeze(rows, row)
+        _freeze_stage(rows, table, tuple(float(v) for v in row), n)
         stage_values.append(val)
         certificates.append(abs(val - float(table.residuals[n])))
         if SCHEME_PARAMS[kind] == 1:
@@ -739,31 +656,16 @@ def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationR
             b, a = p
             if not (0 <= a <= b <= 1):
                 return math.inf
-            trial_rows = list(rows)
-            trial_table_vals = []
+            # stage n is frozen into copies to score stage n + 1
+            trial_rows, trial = list(rows), table.copy()
             for stage, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
-                if stage > last:
-                    break
                 row = _scheme_row("extra-km", stage, trial_rows, prm)
                 if row is None:
                     return math.inf
-                val = float(stage_residual(trial_rows, table, row, stage,
-                                           _rows_monotone(trial_rows)))
-                trial_rows.append(row)
-                # temporarily freeze intra-block distances
-                if stage < last:
-                    for k in range(stage):
-                        plan = pair_distance(table, trial_rows, k, stage,
-                                             allow_greedy=True)
-                        trial_table_vals.append((k, stage, table.d(k, stage)))
-                        table.set_d(k, stage, plan.objective)
-                else:
-                    for k, s, old in reversed(trial_table_vals):
-                        table.set_d(k, s, old)
+                val = StageEvaluator(trial_rows, trial, stage).exact(row)
+                if stage == last:
                     return val
-            for k, s, old in reversed(trial_table_vals):
-                table.set_d(k, s, old)
-            return val
+                _freeze_stage(trial_rows, trial, row, stage)
 
         grid = np.linspace(0.0, 1.0, 13)
         best_p, best_v = (0.5, 0.5), math.inf
@@ -784,7 +686,7 @@ def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationR
             if stage > last:
                 break
             row = _scheme_row("extra-km", stage, rows, prm)
-            val = float(stage_residual(rows, table, row, stage, _rows_monotone(rows)))
+            val = StageEvaluator(rows, table, stage).exact(row)
             _freeze_stage(rows, table, row, stage)
             stage_values.append(val)
             certificates.append(abs(val - float(table.residuals[stage])))
@@ -1080,17 +982,20 @@ def _exact_sequential(N: int, monotone: bool) -> OptimizationResult:
     table = empty_table(N)
     table.residuals.append(Fraction(1))
     stage_values = []
+    certificates = []
     for n in range(1, N + 1):
         if monotone:
             val, x = _exact_ms_stage(rows, table, n)
         else:
             val, x = _exact_s_stage(rows, table, n)
+        obj = StageEvaluator(rows, table, n).exact(x)
         _freeze_stage(rows, table, tuple(x), n, exact=True)
         stage_values.append(val)
+        certificates.append(abs(obj - table.residuals[n]))
         if val != table.residuals[n]:
             raise ArithmeticError(
                 f"stage {n}: optimum {val} differs from the frozen table's R_n "
                 f"{table.residuals[n]}")
     arr = TriangularArray(rows)
     return OptimizationResult(arr, list(table.residuals), stage_values, {},
-                              [0] * N, time.perf_counter() - t0, table)
+                              certificates, time.perf_counter() - t0, table)

@@ -8,7 +8,7 @@ stepsizes start acting at n = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -92,8 +92,47 @@ def _step(seq, n, what):
     return s
 
 
-def _pad(prev, length):
-    return tuple(prev) + (0,) * (length - len(prev))
+def _pad(prev, length, zero):
+    return tuple(prev) + (zero,) * (length - len(prev))
+
+
+def scheme_step(kind: str, n: int, rows, a, b) -> tuple:
+    """Row n of a scheme from its earlier rows and the stage-n stepsizes
+    a = alpha_n, b = beta_n.
+
+    Halpern reads only b and KM only a.  The zeros of the row take the
+    arithmetic of the Dirac row's one, rows[0][0].  No range checks: the
+    callers validate the stepsizes.
+    """
+    one = rows[0][0]
+    zero = 0 * one
+    prev = _pad(rows[n - 1], n + 1, zero)
+    if kind == "halpern":
+        row = [one - b] + [zero] * (n - 1) + [b]
+    elif kind == "km":
+        row = [(one - a) * w for w in prev]
+        row[n] += a
+    elif kind == "inertial-halpern":
+        row = [one - a - b] + [zero] * n
+        row[n - 1] += b
+        row[n] += a
+    elif kind == "inertial-km":
+        row = [(one - a - b) * w for w in prev]
+        row[n - 1] += b
+        row[n] += a
+    elif kind == "km-halpern":
+        row = [b * w for w in prev]
+        row[0] += one - a - b
+        row[n] += a
+    elif kind == "extra-km":
+        base = _pad(rows[n - 2], n + 1, zero) if n >= 2 else prev
+        row = [(one - a - b) * w for w in base]
+        for i, w in enumerate(rows[n - 1]):
+            row[i] += b * w
+        row[n] += a
+    else:
+        raise SchemeError(f"scheme kind {kind!r} has no row step")
+    return tuple(row)
 
 
 def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
@@ -106,51 +145,13 @@ def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
         return arr
     if spec.kind == "ishikawa":
         return _ishikawa_rows(spec, N)
-    one = _one_like(spec)
-    rows = [(one,)]
+    rows = [(_one_like(spec),)]
     for n in range(1, N + 1):
-        prev = rows[n - 1]
-        prev2 = rows[n - 2] if n >= 2 else None
-        if spec.kind == "halpern":
-            b = _step(spec.betas, n, "beta")
-            row = [one - b] + [0] * (n - 1) + [b]
-        elif spec.kind == "km":
-            a = _step(spec.alphas, n, "alpha")
-            row = [(one - a) * w for w in _pad(prev, n + 1)]
-            row[n] += a
-        elif spec.kind == "inertial-halpern":
-            a = _step(spec.alphas, n, "alpha")
-            b = _step(spec.betas, n, "beta")
+        a = _step(spec.alphas, n, "alpha") if spec.kind != "halpern" else None
+        b = _step(spec.betas, n, "beta") if spec.kind != "km" else None
+        if a is not None and b is not None:
             _check_pair(a, b, n)
-            row = [one - a - b] + [0] * n
-            row[n - 1] += b
-            row[n] += a
-        elif spec.kind == "inertial-km":
-            a = _step(spec.alphas, n, "alpha")
-            b = _step(spec.betas, n, "beta")
-            _check_pair(a, b, n)
-            row = [(one - a - b) * w for w in _pad(prev, n + 1)]
-            row[n - 1] += b
-            row[n] += a
-        elif spec.kind == "km-halpern":
-            a = _step(spec.alphas, n, "alpha")
-            b = _step(spec.betas, n, "beta")
-            _check_pair(a, b, n)
-            row = [b * w for w in _pad(prev, n + 1)]
-            row[0] += one - a - b
-            row[n] += a
-        elif spec.kind == "extra-km":
-            a = _step(spec.alphas, n, "alpha")
-            b = _step(spec.betas, n, "beta")
-            _check_pair(a, b, n)
-            base = prev2 if prev2 is not None else prev
-            row = [(one - a - b) * w for w in _pad(base, n + 1)]
-            for i, w in enumerate(prev):
-                row[i] += b * w
-            row[n] += a
-        else:  # pragma: no cover
-            raise SchemeError(spec.kind)
-        rows.append(tuple(row))
+        rows.append(scheme_step(spec.kind, n, rows, a, b))
     arr = TriangularArray(rows)
     arr.validate()
     return arr
