@@ -122,6 +122,8 @@ def cmd_optimize(args):
     elif mode == "scheme":
         if not args.kind:
             raise InputError("optimize --mode scheme needs --kind")
+        if args.exact:
+            raise InputError("optimize --mode scheme has no exact mode")
         res = optimize_scheme(args.kind, args.N, cfg)
     else:
         raise InputError(f"unknown optimize mode {args.mode!r}")
@@ -240,6 +242,8 @@ def cmd_reproduce(args):
     targets = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
                "fig5": _reproduce_fig5, "remarks-table": _reproduce_remarks,
                "lower-bounds": _reproduce_lower_bounds}
+    if args.exact or args.certify:
+        raise InputError("reproduce takes neither --exact nor --certify")
     targets[args.target](args)
     return EXIT_OK
 

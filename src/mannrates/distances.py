@@ -98,8 +98,7 @@ def build_distance_table(pi: TriangularArray, exact: bool = False,
             plans[(n, n)] = TransportPlan(
                 tuple((i, i, w) for i, w in enumerate(pi.rows[n])),
                 0, (0,) * (n + 1), (0,) * (n + 1))
-        row = pi.rows[n]
-        table.residuals.append(sum(row[i] * table.d(i - 1, n) for i in range(n + 1)))
+        table.residuals.append(residual_from_table(table, pi.rows[n], n))
     return table, plans
 
 

@@ -15,12 +15,17 @@ the nested transport costs d(k, n) against the frozen rows and table.
 two-point closed form, else `pair_distance` with the greedy plan gated on
 row monotonicity, as in `build_distance_table`.  Each stage certificate,
 |stage value - R_n of the frozen table|, cross-checks the two rules.
+The stage value reads each nested-plan pair value from its row of the
+monotone stage quadratic (`_stage_quadratic`), so that formula has one
+copy.
 
 Float mode uses multistart local search (Nelder-Mead with simplex
 projection; SLSQP on the smooth monotone-stage quadratic).  The free and
 scheme searches rank candidates on a cutting-plane surrogate and confirm
 them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
+Every scheme kind, and each Ishikawa block, is searched the same way: the
+best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -129,20 +134,14 @@ class StageEvaluator:
         self.monotone = check_monotone(TriangularArray(self.rows),
                                        exact=self.rational).monotone
         self.dcol = _dcol(table, n)
-        self.base = [table.d(k - 2, n - 1) for k in range(1, n + 1)]
+        # row k of the stage quadratic is pair k's nested-plan value
+        self.lin, self.Q = (_stage_quadratic(self.rows, table, n)
+                            if self.monotone else (None, None))
         self.betas = [_two_point_beta(r) for r in self.rows]
         # per pair m = k-1: stacked dual rows U and constants -v.a, or None
         # before the pair's first transport solve
         self.pool_U: List[Optional[np.ndarray]] = [None] * n
         self.pool_c: List[Optional[np.ndarray]] = [None] * n
-        self._dmrows: Dict[int, list] = {}
-
-    def _dmrow(self, m):
-        row = self._dmrows.get(m)
-        if row is None:
-            row = [self.table.d(m - 1, j - 1) for j in range(self.n + 1)]
-            self._dmrows[m] = row
-        return row
 
     def _pair_fast(self, cand, cb, k, tail_mk):
         """Closed-form d(k-1, n) for the candidate, or None."""
@@ -157,12 +156,7 @@ class StageEvaluator:
                 return None
         if prow[m] < tail_mk - self.tol:
             return None
-        val = sum((prow[i] - cand[i]) * self.dcol[i] for i in range(m + 1))
-        base = self.base[m]
-        drow = self._dmrow(m)
-        val += sum(cand[j] * (drow[j] - base)
-                   for j in range(m + 1, self.n + 1))
-        return val
+        return self.lin[k] + sum(q * c for q, c in zip(self.Q[k], cand))
 
     def _tails(self, cand):
         out = [0] * (self.n + 1)
@@ -172,37 +166,35 @@ class StageEvaluator:
             out[j] = acc
         return out
 
-    def surrogate(self, cand) -> float:
-        """Lower bound on R_n(cand); exact where closed forms apply."""
+    def _value(self, cand, pair):
+        """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k)` for each
+        pair without a closed form."""
         tails = self._tails(cand)
         cb = _two_point_beta(cand)
-        c = None
         total = cand[0]
         for k in range(1, self.n + 1):
             d = self._pair_fast(cand, cb, k, tails[k - 1])
-            if d is None:
-                m = k - 1
-                if self.pool_U[m] is None:
-                    d = self._solve_pair(cand, k)
-                else:
-                    if c is None:
-                        c = np.asarray(cand, dtype=float)
-                    d = float((self.pool_U[m] @ c + self.pool_c[m]).max())
-            total += cand[k] * d
-        return float(total)
+            total += cand[k] * (pair(cand, k) if d is None else d)
+        return total
+
+    def surrogate(self, cand) -> float:
+        """Lower bound on R_n(cand); exact where closed forms apply."""
+        return float(self._value(cand, self._cut))
 
     def exact(self, cand):
         """True R_n(cand), in the rows' arithmetic; harvests duals from any
         transport solves."""
-        tails = self._tails(cand)
-        cb = _two_point_beta(cand)
-        total = cand[0] + sum(cand[k] * self._pair_exact(cand, cb, k, tails[k - 1])
-                              for k in range(1, self.n + 1))
+        total = self._value(cand, self._solve_pair)
         return total if self.rational else float(total)
 
-    def _pair_exact(self, cand, cb, k, tail_mk):
-        d = self._pair_fast(cand, cb, k, tail_mk)
-        return self._solve_pair(cand, k) if d is None else d
+    def _cut(self, cand, k):
+        """The best harvested cut at the candidate, or a transport solve
+        before the pair has one."""
+        m = k - 1
+        if self.pool_U[m] is None:
+            return self._solve_pair(cand, k)
+        return float((self.pool_U[m] @ np.asarray(cand, dtype=float)
+                      + self.pool_c[m]).max())
 
     def _solve_pair(self, cand, k):
         """Exact d(k-1, n) at the candidate by the transport kernel; its duals
@@ -522,23 +514,18 @@ def _scheme_row(kind: str, n: int, rows, params) -> Optional[tuple]:
     return None if any(w < 0 for w in row) else row
 
 
-def _golden(f, lo, hi, iters=60):
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+def _grid_then_nm(f, dim: int, size: int, **nm_options):
+    """Minimize f over [0, 1]^dim: the best point of a size^dim grid, refined
+    by Nelder-Mead and clipped to the cube.  The refinement is kept only if
+    it is no worse than the grid point.  f takes a tuple and returns inf off
+    its feasible set."""
+    points = list(itertools.product(np.linspace(0.0, 1.0, size), repeat=dim))
+    vals = [f(p) for p in points]
+    best = int(np.argmin(vals))
+    res = minimize(lambda p: f(tuple(p)), np.array(points[best]),
+                   method="Nelder-Mead", options=nm_options)
+    p = tuple(np.clip(res.x, 0.0, 1.0))
+    return points[best] if f(p) > vals[best] else p
 
 
 # stepsizes under which row n degenerates to the previous row padded with 0
@@ -553,31 +540,32 @@ _CARRY_PARAMS = {
 def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> OptimizationResult:
     """Stagewise search over the scheme's stepsize parameters.
 
-    Grid plus golden-section refinement for 1-parameter families, grid plus
-    Nelder-Mead for 2-parameter ones; Ishikawa optimizes its (alpha, beta)
-    pair over each 2-stage block.
+    Each stage takes the best point of a grid on the surrogate (65 points
+    for 1-parameter families, 17^2 for 2-parameter ones) and refines it by
+    Nelder-Mead; Ishikawa optimizes its (alpha, beta) pair over each 2-stage
+    block the same way.  The search is deterministic: `cfg` is accepted for
+    a uniform optimizer signature.
     """
     if kind not in SCHEME_PARAMS:
         raise OptimizeInputError(f"unknown scheme kind {kind!r}")
-    cfg = cfg or OptimizerConfig()
     t0 = time.perf_counter()
+    if kind == "ishikawa":
+        return _optimize_ishikawa(N, t0)
     rows: List[tuple] = [(1.0,)]
     table = empty_table(N)
     table.residuals.append(1.0)
     stage_values = []
     coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
     certificates = []
-    if kind == "ishikawa":
-        return _optimize_ishikawa(N, cfg, t0)
+    dim = SCHEME_PARAMS[kind]
+    keys = ("beta",) if kind == "halpern" else ("alpha", "beta")[:dim]
 
     for n in range(1, N + 1):
         ev = StageEvaluator(rows, table, n)
 
         def obj(params, n=n):
             row = _scheme_row(kind, n, rows, params)
-            if row is None:
-                return math.inf
-            return ev.surrogate(row)
+            return math.inf if row is None else ev.surrogate(row)
 
         best_params, best_exact = None, math.inf
         carry = _CARRY_PARAMS.get(kind)
@@ -588,31 +576,8 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
             if crow is not None:
                 best_params, best_exact = carry, ev.exact(crow)
         for _ in range(3):  # repeat search while exact solves tighten the pools
-            if SCHEME_PARAMS[kind] == 1:
-                grid = np.linspace(0.0, 1.0, 65)
-                vals = [obj((g,)) for g in grid]
-                k = int(np.argmin(vals))
-                lo = grid[max(0, k - 1)]
-                hi = grid[min(len(grid) - 1, k + 1)]
-                x, _v = _golden(lambda t: obj((t,)), lo, hi, iters=70)
-                params = (x,)
-            else:
-                grid = np.linspace(0.0, 1.0, 17)
-                best_p, best_v = (0.0, 0.0), math.inf
-                for a in grid:
-                    for b in grid:
-                        if a + b > 1:
-                            continue
-                        v = obj((a, b))
-                        if v < best_v:
-                            best_p, best_v = (a, b), v
-                res = minimize(lambda p: obj(tuple(p)), np.array(best_p),
-                               method="Nelder-Mead",
-                               options={"maxfev": 2000, "xatol": 1e-11,
-                                        "fatol": 1e-14})
-                params = tuple(np.clip(res.x, 0.0, 1.0))
-                if obj(params) > best_v:
-                    params = best_p
+            params = _grid_then_nm(obj, dim, 65 if dim == 1 else 17,
+                                   maxfev=2000, xatol=1e-11, fatol=1e-14)
             row = _scheme_row(kind, n, rows, params)
             sur = ev.surrogate(row)  # before harvesting, to detect a stale model
             val = ev.exact(row)
@@ -625,18 +590,14 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
         _freeze_stage(rows, table, tuple(float(v) for v in row), n)
         stage_values.append(val)
         certificates.append(abs(val - float(table.residuals[n])))
-        if SCHEME_PARAMS[kind] == 1:
-            key = "beta" if kind == "halpern" else "alpha"
-            coeffs[key].append(params[0])
-        else:
-            coeffs["alpha"].append(params[0])
-            coeffs["beta"].append(params[1])
+        for key, p in zip(keys, params):
+            coeffs[key].append(p)
     arr = TriangularArray(rows)
     return OptimizationResult(arr, list(table.residuals), stage_values, coeffs,
                               certificates, time.perf_counter() - t0, table)
 
 
-def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationResult:
+def _optimize_ishikawa(N: int, t0: float) -> OptimizationResult:
     """Blockwise (alpha_k, beta_k) search with 0 <= alpha <= beta <= 1.
 
     Odd rows use extra-KM parameters (beta, 1 - beta); even rows (alpha, 0).
@@ -667,20 +628,8 @@ def _optimize_ishikawa(N: int, cfg: OptimizerConfig, t0: float) -> OptimizationR
                     return val
                 _freeze_stage(trial_rows, trial, row, stage)
 
-        grid = np.linspace(0.0, 1.0, 13)
-        best_p, best_v = (0.5, 0.5), math.inf
-        for b in grid:
-            for a in grid:
-                if a > b:
-                    continue
-                v = block_obj((b, a))
-                if v < best_v:
-                    best_p, best_v = (b, a), v
-        res = minimize(block_obj, np.array(best_p), method="Nelder-Mead",
-                       options={"maxfev": 1500, "xatol": 1e-10, "fatol": 1e-13})
-        p = tuple(np.clip(res.x, 0.0, 1.0))
-        if block_obj(p) > best_v:
-            p = best_p
+        p = _grid_then_nm(block_obj, 2, 13,
+                          maxfev=1500, xatol=1e-10, fatol=1e-13)
         b, a = p
         for stage, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
             if stage > last:

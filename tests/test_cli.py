@@ -93,6 +93,18 @@ def test_optimize_scheme_requires_kind(tmp_path):
                 "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--mode", "scheme", "--kind", "halpern", "--N", "1", "--exact"],
+    ["reproduce", "--target", "remarks-table", "--N", "20", "--exact"],
+    ["reproduce", "--target", "remarks-table", "--N", "20", "--certify"],
+])
+def test_unsupported_flags_are_input_errors(tmp_path, argv):
+    # a flag the command cannot honour must not be ignored silently
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_optimize_unknown_mode(tmp_path):
     assert run(["optimize", "--mode", "quench", "--out", str(tmp_path)]) == 1
 

@@ -2,7 +2,7 @@
 
 Invariants raise real exceptions: `python -O` strips `assert` statements,
 so the package source must hold none.  Nor may a module keep an import it
-never reads."""
+never reads, nor the package a private function nobody calls."""
 
 import ast
 from pathlib import Path
@@ -41,4 +41,43 @@ def test_package_has_no_unused_imports():
     found = [f"{path.name}:{line} {name}"
              for path in sources
              for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def _private_defs(tree):
+    """Private module-level functions and private methods (not dunders)."""
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    return [node for body in scopes for node in body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__")]
+
+
+def _referenced_names(tree, skip=None):
+    """Names read as identifiers or attributes, outside the subtree `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_package_has_no_unreferenced_private_functions():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert trees
+    found = []
+    for name, tree in trees.items():
+        for node in _private_defs(tree):
+            used = set().union(*(_referenced_names(t, skip=node)
+                                 for t in trees.values()))
+            if node.name not in used:
+                found.append(f"{name}:{node.lineno} {node.name}")
     assert found == []

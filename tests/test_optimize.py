@@ -63,12 +63,15 @@ def test_fixed_horizon_limit():
 
 
 def test_scheme_halpern_matches_recursion():
-    res = optimize_scheme("halpern", 12, OptimizerConfig(restarts=4))
-    betas, resid = optimal_recursion(12)
-    for n in range(13):
-        assert res.values[n] == pytest.approx(resid[n], abs=1e-8)
-    for n in range(1, 13):
-        assert res.coefficients["beta"][n] == pytest.approx(betas[n], abs=1e-6)
+    # the stage minimum is flat in beta: R_n matches to rounding at N=30,
+    # the stepsizes only to the local refinement's resolution
+    for N, r_tol, beta_tol in ((12, 1e-8, 1e-6), (30, 1e-15, 1e-8)):
+        res = optimize_scheme("halpern", N, OptimizerConfig(restarts=4))
+        betas, resid = optimal_recursion(N)
+        for n in range(N + 1):
+            assert res.values[n] == pytest.approx(resid[n], abs=r_tol)
+        for n in range(1, N + 1):
+            assert res.coefficients["beta"][n] == pytest.approx(betas[n], abs=beta_tol)
 
 
 def test_scheme_km_value_reasonable():
