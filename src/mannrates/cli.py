@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,43 +40,75 @@ class InputError(Exception):
     pass
 
 
-def _parse_steps(text, N):
-    """A stepsize flag: formula name, 'constant:c', comma list, or @file."""
+def _rational(text):
+    """The exact value of a numeral: 0.3 is 3/10, and p/q is read too.
+
+    InputError for a float with no rational value (nan, inf) and for a zero
+    denominator, ValueError for text that is no number.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"{text.strip()!r} divides by zero")
+    except ValueError:
+        float(text)
+        raise InputError(f"{text.strip()!r} has no exact rational value")
+
+
+def _no_rational(name):
+    raise InputError(f"{name} has no exact rational value")
+
+
+def _json_numbers(exact):
+    """json.load keywords: under --exact every JSON number is read exactly."""
+    return {"parse_float": Fraction, "parse_constant": _no_rational} if exact else {}
+
+
+def _parse_steps(text, N, exact):
+    """A stepsize flag: formula name, 'constant:c', comma list, or @file.
+
+    With `exact` every value and formula is a Fraction.
+    """
     if text is None:
         return None
+    number = _rational if exact else float
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return tuple(json.load(fh))
+            return tuple(json.load(fh, **_json_numbers(exact)))
     if "," in text:
-        return tuple(float(t) for t in text.split(","))
+        return tuple(number(t) for t in text.split(","))
     if text == "optimal":
         text = "optimal-recursion"
     if text.startswith("constant:"):
-        return {"formula": "constant", "value": float(text.split(":", 1)[1])}
+        return {"formula": "constant", "value": number(text.split(":", 1)[1])}
     try:
-        c = float(text)
+        c = number(text)
     except ValueError:
         return text  # formula name, resolved by scheme_from_json
     return {"formula": "constant", "value": c}
 
 
-def _load_array(path, N):
+def _load_array(path, N, exact):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, **_json_numbers(exact))
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read array file {path}: {e}")
     rows = doc.get("rows", doc if isinstance(doc, list) else None)
     if rows is None:
         raise InputError(f"{path}: expected a 'rows' key or a bare list of rows")
-    return TriangularArray(rows[: N + 1])
+    rows = rows[: N + 1]
+    if not all(isinstance(r, list) and all(isinstance(w, (int, float, Fraction)) for w in r)
+               for r in rows):
+        raise InputError(f"{path}: every row must be a list of numbers")
+    return TriangularArray(rows)
 
 
 def _scheme_array(args):
     doc = {"kind": args.scheme,
-           "alpha": _parse_steps(args.alpha, args.N),
-           "beta": _parse_steps(args.beta, args.N)}
-    spec = scheme_from_json(doc, args.N)
+           "alpha": _parse_steps(args.alpha, args.N, args.exact),
+           "beta": _parse_steps(args.beta, args.N, args.exact)}
+    spec = scheme_from_json(doc, args.N, args.exact)
     return build_rows(spec, args.N)
 
 
@@ -86,8 +119,8 @@ def _outpath(args, name):
 
 def cmd_bounds(args):
     if args.array:
-        pi = _load_array(args.array, args.N)
-        pi.validate()
+        pi = _load_array(args.array, args.N, args.exact)
+        pi.validate(args.exact)
     elif args.scheme:
         pi = _scheme_array(args)
     else:
@@ -274,7 +307,8 @@ def make_parser():
 
     o = sub.add_parser("optimize", help="run a coefficient optimizer")
     o.add_argument("--mode", required=True,
-                   help="fh | s | ms | scheme")
+                   help="fh | s | ms | scheme; scheme mode searches a fixed "
+                        "grid and reads neither --restarts nor --seed")
     o.add_argument("--kind", choices=[k for k in SCHEME_KINDS if k != "general"])
     common(o)
     o.set_defaults(func=cmd_optimize)

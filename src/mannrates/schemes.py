@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Callable, Optional, Sequence
 
 SCHEME_KINDS = (
@@ -44,6 +45,8 @@ class TriangularArray:
         return self.rows[n]
 
     def validate(self, exact: bool = False) -> None:
+        """Row 0 the Dirac mass, row n nonnegative on 0..n and summing to 1:
+        exactly when `exact`, else within 1e-12."""
         tol = 0 if exact else 1e-12
         if not self.rows or len(self.rows[0]) != 1 or abs(self.rows[0][0] - 1) > tol:
             raise SchemeError("row 0 must be the Dirac mass at index 0")
@@ -52,7 +55,7 @@ class TriangularArray:
                 raise SchemeError(f"row {n} has support size {len(row)}, expected {n + 1}")
             if any(w < -tol for w in row):
                 raise SchemeError(f"row {n} has a negative weight")
-            if abs(sum(row) - 1) > max(tol, 1e-12):
+            if (sum(row) != 1) if exact else abs(sum(row) - 1) > 1e-12:
                 raise SchemeError(f"row {n} does not sum to 1")
 
 
@@ -208,26 +211,35 @@ def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
     return MonotoneReport(first is None, first)
 
 
-def stepsize_formula(name: str, value=None, values: Sequence = None) -> Callable[[int], object]:
-    """Resolve a stepsize formula name to a function of the iteration index."""
+def stepsize_formula(name: str, value=None, values: Sequence = None,
+                     exact: bool = False) -> Callable[[int], object]:
+    """Resolve a stepsize formula name to a function of the iteration index.
+
+    With `exact` the named formulas give Fractions; "constant" and
+    "explicit-list" return their values as given.
+    """
+    div = Fraction if exact else truediv
     if name == "constant":
         if value is None:
             raise SchemeError("formula 'constant' needs a value")
         return lambda n: value
     if name == "n/(n+1)":
-        return lambda n: n / (n + 1)
+        return lambda n: div(n, n + 1)
     if name == "n/(n+2)":
-        return lambda n: n / (n + 2)
+        return lambda n: div(n, n + 2)
     if name == "(n+1)/(n+3)":
-        return lambda n: (n + 1) / (n + 3)
+        return lambda n: div(n + 1, n + 3)
     if name == "optimal-recursion":
         from .halpern import optimal_recursion
 
         cache = {}
 
         def beta(n, _cache=cache):
+            # exact denominators double in length per step: compute no
+            # further ahead than asked
             if "betas" not in _cache or len(_cache["betas"]) <= n:
-                _cache["betas"] = optimal_recursion(max(n, 64))[0]
+                _cache["betas"] = optimal_recursion(n if exact else max(n, 64),
+                                                    exact)[0]
             return _cache["betas"][n]
 
         return beta
@@ -239,24 +251,25 @@ def stepsize_formula(name: str, value=None, values: Sequence = None) -> Callable
     raise SchemeError(f"unknown stepsize formula {name!r}")
 
 
-def _expand_steps(v, horizon: int) -> Optional[tuple]:
+def _expand_steps(v, horizon: int, exact: bool) -> Optional[tuple]:
     if v is None:
         return None
     if isinstance(v, (list, tuple)):
         return tuple(v)
     if isinstance(v, dict):
-        fn = stepsize_formula(v["formula"], v.get("value"), v.get("values"))
+        fn = stepsize_formula(v["formula"], v.get("value"), v.get("values"), exact)
     else:
-        fn = stepsize_formula(str(v))
+        fn = stepsize_formula(str(v), exact=exact)
     return tuple(fn(n) for n in range(horizon + 1))
 
 
-def scheme_from_json(doc: dict, horizon: int) -> SchemeSpec:
+def scheme_from_json(doc: dict, horizon: int, exact: bool = False) -> SchemeSpec:
     """Build a SchemeSpec from a JSON/CLI description.
 
     Expected keys: "kind"; optionally "alpha"/"beta", each either an explicit
     list, a formula name, or {"formula": name, "value": c}; kind "general"
-    takes explicit "rows" instead.
+    takes explicit "rows" instead.  With `exact` the formulas are evaluated
+    as Fractions.
     """
     kind = doc.get("kind")
     if kind not in SCHEME_KINDS:
@@ -267,5 +280,5 @@ def scheme_from_json(doc: dict, horizon: int) -> SchemeSpec:
             raise SchemeError("kind 'general' requires rows")
         return SchemeSpec("general", rows=tuple(tuple(r) for r in rows))
     return SchemeSpec(kind,
-                      alphas=_expand_steps(doc.get("alpha"), horizon),
-                      betas=_expand_steps(doc.get("beta"), horizon))
+                      alphas=_expand_steps(doc.get("alpha"), horizon, exact),
+                      betas=_expand_steps(doc.get("beta"), horizon, exact))

@@ -7,13 +7,23 @@ the remaining excess-to-deficit problem with a transportation simplex
 and certifies the result with a single dual potential, solving the full
 problem instead when the certificate fails.  `greedy_monotone_transport` is
 a closed-form construction valid under the monotone-row preconditions.
-Both work over floats and over `fractions.Fraction` (pass ``exact=True`` for
-zero-tolerance comparisons).
+
+Both work over floats and, with ``exact=True``, over `int` and
+`fractions.Fraction` entries.  An exact problem is scaled to integers before
+it is solved: the margins become numerators over their least common
+denominator D, the costs numerators over theirs E.  A transportation basis
+keeps integer margins integral and integer costs keep the potentials
+integral, so the same code runs on plain `int`s with zero tolerances and
+pays no gcd per operation.  The plan is mapped back once: flows over D,
+duals over E, the objective over D*E.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import chain
 from operator import sub
 
 FEAS_TOL = 1e-10
@@ -54,14 +64,21 @@ class Distribution:
         return len(self.weights) - 1
 
     def validate(self, exact: bool = False) -> None:
-        tol = 0 if exact else 1e-12
+        """Nonnegative weights summing to 1: exactly when `exact`, so that
+        the scaled margins of an exact solve balance, else within 1e-12."""
         if len(self.weights) == 0:
             raise TransportInputError("empty distribution")
-        if any(w < -tol for w in self.weights):
+        if exact:  # summed as integers: a Fraction sum pays a gcd per term
+            _require_rational(self.weights, "weights")
+            (w,), D = _common_denominator((self.weights,))
+            negative, off = min(w) < 0, sum(w) != D
+        else:
+            negative = any(w < -1e-12 for w in self.weights)
+            off = abs(sum(self.weights) - 1) > 1e-12
+        if negative:
             raise TransportInputError("negative weight in distribution")
-        total = sum(self.weights)
-        if abs(total - 1) > max(tol, 1e-12):
-            raise TransportInputError(f"weights sum to {total}, expected 1")
+        if off:
+            raise TransportInputError(f"weights sum to {sum(self.weights)}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,16 @@ class TransportPlan:
         return self.flow_dict().get((i, j), 0)
 
 
+def _require_rational(values, what):
+    for x in values:
+        if not isinstance(x, (int, Fraction)):
+            raise TransportInputError(
+                f"exact arithmetic needs int or Fraction {what}, got {x!r}")
+
+
 def _check_inputs(source, target, costs, exact):
+    if exact:
+        _require_rational(chain(*costs.entries), "costs")
     source.validate(exact)
     target.validate(exact)
     M, N = len(source.weights), len(target.weights)
@@ -261,13 +287,19 @@ def solve_transport(source: Distribution, target: Distribution, costs: CostMatri
     If the certificate fails (costs that are not a metric), or the source
     row is the longer one, the full problem is solved instead; its duals are
     returned as one potential when that certifies, else as the simplex left
-    them, shifted to minimum 0.
+    them, shifted to minimum 0.  Exact problems are solved on their integer
+    scaling: margins over their least common denominator, costs over theirs.
     """
     _check_inputs(source, target, costs, exact)
-    tol = 0 if exact else FEAS_TOL
-    a = list(source.weights)
-    b = list(target.weights)
-    c = costs.entries
+    if exact:
+        (a, b), D = _common_denominator((source.weights, target.weights))
+        c, E = _common_denominator(costs.entries)
+        return _rational(_solve(a, b, c, 0), D, E)
+    return _solve(list(source.weights), list(target.weights), costs.entries, FEAS_TOL)
+
+
+def _solve(a, b, c, tol):
+    """`solve_transport` on margin lists a, b and costs c of one arithmetic."""
     M, N = len(a), len(b)
     if M <= N:
         excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
@@ -289,6 +321,23 @@ def solve_transport(source: Distribution, target: Distribution, costs: CostMatri
     return replace(plan, dual_u=tuple(x - lo for x in u), dual_v=tuple(x - lo for x in v))
 
 
+def _common_denominator(rows):
+    """Numerators of the rows' entries over their least common denominator,
+    and that denominator."""
+    dens = {x.denominator for r in rows for x in r}
+    D = math.lcm(*dens)
+    q = {d: D // d for d in dens}
+    return [[x.numerator * q[x.denominator] for x in r] for r in rows], D
+
+
+def _rational(plan, D, E):
+    """The plan of an integer problem over denominators D and E in Fractions."""
+    return TransportPlan(tuple((i, j, Fraction(z, D)) for i, j, z in plan.flows),
+                         Fraction(plan.objective, D * E),
+                         tuple(Fraction(x, E) for x in plan.dual_u),
+                         tuple(Fraction(x, E) for x in plan.dual_v))
+
+
 def greedy_monotone_transport(source: Distribution, target: Distribution,
                               costs: CostMatrix, exact: bool = False) -> TransportPlan:
     """Closed-form nested plan for monotone rows (source row m, target row n).
@@ -296,13 +345,22 @@ def greedy_monotone_transport(source: Distribution, target: Distribution,
     Requires target_i <= source_i for i <= m and the tail condition
     source_m >= sum_{j=m}^{n-1} target_j; the cost table must additionally
     satisfy the quadrangle inequality (caller-checked).  Raises
-    MonotonePreconditionError when the margin conditions fail.
+    MonotonePreconditionError when the margin conditions fail.  Exact
+    problems are scaled to integers as in `solve_transport`, the costs only
+    once the margin conditions hold.
     """
     _check_inputs(source, target, costs, exact)
-    tol = 0 if exact else FEAS_TOL
-    a = list(source.weights)
-    b = list(target.weights)
-    c = costs.entries
+    if exact:
+        (a, b), D = _common_denominator((source.weights, target.weights))
+        flow = _nested_flow(a, b, 0)
+        c, E = _common_denominator(costs.entries)
+        return _rational(_nested_plan(flow, c, 0, E), D, E)
+    flow = _nested_flow(list(source.weights), list(target.weights), FEAS_TOL)
+    return _nested_plan(flow, costs.entries, FEAS_TOL, 1)
+
+
+def _nested_flow(a, b, tol):
+    """The nested plan's flows {(i, j): mass}, or MonotonePreconditionError."""
     M, N = len(a), len(b)
     if M > N:
         raise MonotonePreconditionError("source support longer than target support")
@@ -322,12 +380,19 @@ def greedy_monotone_transport(source: Distribution, target: Distribution,
     for i in range(m):
         flow[(i, N - 1)] = flow.get((i, N - 1), 0) + (a[i] - b[i])
     flow[(m, N - 1)] = flow.get((m, N - 1), 0) + (a[m] - tail)
-    flow = {k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}
+    return {k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}
+
+
+def _nested_plan(flow, c, tol, one):
+    """The nested plan of the given flows, with `one` the unit cost in the
+    units of the costs c."""
+    M, N = len(c), len(c[0])
+    m = M - 1
     objective = sum(z * c[i][j] for (i, j), z in flow.items())
 
     # Prop-2 dual solution, as a single potential over 0..n
-    u = [1 - c[i][N - 1] for i in range(M)]
-    u += [1 - c[m][N - 1] + c[m][j] for j in range(M, N)]
+    u = [one - c[i][N - 1] for i in range(M)]
+    u += [one - c[m][N - 1] + c[m][j] for j in range(M, N)]
     lo = min(u)
     u = [x - lo for x in u]
     flows = tuple(sorted((i, j, z) for (i, j), z in flow.items() if z > tol or i == j))

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from mannrates import cli
+from mannrates.distances import build_distance_table
+from mannrates.schemes import SchemeSpec, build_rows
 
 
 def _read_csv(path):
@@ -86,6 +89,44 @@ def test_optimize_exact_mode(tmp_path):
     assert code == 0
     rows = _read_csv(os.path.join(out, "optimize-ms.csv"))
     assert float(rows[3][1]) == pytest.approx(17 / 28, abs=1e-15)
+
+
+@pytest.mark.parametrize("source", ["flags", "array"])
+def test_bounds_exact_reads_decimals_as_rationals(tmp_path, source):
+    # 0.3 is read as 3/10, and the array file's 0.49 as 49/100: the table
+    # runs in Fractions and certifies
+    alphas = (Fraction(0),) + (Fraction(3, 10),) * 6
+    pi = build_rows(SchemeSpec("km", alphas=alphas), 6)
+    if source == "flags":
+        flags = ["--scheme", "km", "--alpha", "0.3"]
+    else:  # every weight is a short decimal, written exactly by repr
+        apath = tmp_path / "array.json"
+        apath.write_text(json.dumps({"rows": [[float(w) for w in r] for r in pi.rows]}))
+        flags = ["--array", str(apath)]
+    out = str(tmp_path / "o")
+    assert run(["bounds", "--N", "6", "--exact", "--certify", "--out", out] + flags) == 0
+    table, _ = build_distance_table(pi, exact=True)
+    rows = _read_csv(os.path.join(out, "bounds.csv"))
+    assert [r[1] for r in rows[1:]] == [f"{float(R):.17g}" for R in table.residuals]
+    assert {r[3] for r in rows[1:]} == {"witness-verified"}
+
+
+@pytest.mark.parametrize("flags, array", [
+    (["--scheme", "km", "--alpha", "nan"], None),
+    (["--scheme", "km", "--alpha", "constant:inf"], None),
+    (["--scheme", "km", "--alpha", "1/0"], None),
+    (["--scheme", "halpern", "--beta", "0,0.5,nan"], None),
+    ([], '{"rows": [[1.0], [0.5, NaN]]}'),
+    ([], '{"rows": [[1.0], [0.5, "0.5"]]}'),
+    ([], '{"rows": [[1.0], [0.5, 0.4999999999999]]}'),  # not exactly 1
+])
+def test_bounds_exact_needs_rational_input(tmp_path, flags, array):
+    if array is not None:
+        (tmp_path / "a.json").write_text(array)
+        flags = ["--array", str(tmp_path / "a.json")]
+    out = tmp_path / "o"
+    assert run(["bounds", "--N", "2", "--exact", "--out", str(out)] + flags) == 1
+    assert not out.exists()
 
 
 def test_optimize_scheme_requires_kind(tmp_path):

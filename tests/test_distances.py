@@ -1,6 +1,9 @@
 """Distance tables, residual series, and the two-point closed forms."""
 
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,3 +118,32 @@ def test_plans_cover_all_pairs():
     for (m, n), plan in plans.items():
         assert float(plan.objective) == pytest.approx(float(table.d(m, n)),
                                                       abs=1e-12)
+
+
+def _random_rational_rows(N, seed):
+    rng = random.Random(seed)
+    rows = [(Fraction(1),)]
+    for n in range(1, N + 1):
+        w = [rng.randint(1, 9) for _ in range(n + 1)]
+        rows.append(tuple(Fraction(x, sum(w)) for x in w))
+    return TriangularArray(rows)
+
+
+def _rational_km_rows(N, seed):
+    rng = random.Random(seed)
+    alphas = (Fraction(0),) + tuple(Fraction(rng.randint(1, 9), 10) for _ in range(N))
+    return build_rows(SchemeSpec("km", alphas=alphas), N)
+
+
+@pytest.mark.parametrize("name, pi", [
+    ("random rational N=14", _random_rational_rows(14, 14)),
+    ("rational km N=20", _rational_km_rows(20, 20)),
+])
+def test_exact_tables_are_pinned(name, pi):
+    """Every exact d(m, n) and R_n, digit for digit, as recorded for these
+    arrays before the kernel ran exact solves on integer numerators."""
+    with open(Path(__file__).parent / "data" / "exact_tables.json") as fh:
+        want = json.load(fh)[name]
+    table, _ = build_distance_table(pi, exact=True)
+    assert [str(d) for _, _, d in table.csv_rows()] == want["d"]
+    assert [str(r) for r in table.residuals] == want["R"]

@@ -114,6 +114,17 @@ def test_stepsize_formulas():
         stepsize_formula("fibonacci")
 
 
+def test_exact_stepsize_formulas_are_fractions():
+    for name in ("n/(n+1)", "n/(n+2)", "(n+1)/(n+3)", "optimal-recursion"):
+        exact, flt = stepsize_formula(name, exact=True), stepsize_formula(name)
+        for n in range(8):
+            assert type(exact(n)) is Fraction
+            assert float(exact(n)) == pytest.approx(flt(n), abs=1e-15)
+    assert stepsize_formula("optimal-recursion", exact=True)(3) == Fraction(89, 128)
+    spec = scheme_from_json({"kind": "halpern", "beta": "n/(n+1)"}, 4, exact=True)
+    assert spec.betas == tuple(Fraction(n, n + 1) for n in range(5))
+
+
 def test_scheme_from_json_roundtrip():
     doc = {"kind": "halpern", "beta": "n/(n+1)"}
     spec = scheme_from_json(doc, 4)

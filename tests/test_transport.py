@@ -231,6 +231,37 @@ def test_input_validation():
         Distribution((-0.1, 1.1)).validate()
 
 
+@pytest.mark.parametrize("solver", [solve_transport, greedy_monotone_transport])
+@pytest.mark.parametrize("where", ["weight", "cost"])
+def test_exact_mode_refuses_non_rational_entries(solver, where):
+    # the integer scaling needs numerators and denominators
+    a = Distribution((Fraction(1, 2), Fraction(1, 2)))
+    b = Distribution((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    c = [[Fraction(0), Fraction(1, 3), Fraction(1)], [Fraction(1, 3), 0, 1]]
+    if where == "weight":
+        a = Distribution((0.5, Fraction(1, 2)))
+    else:
+        c[1][2] = 1.0
+    with pytest.raises(TransportInputError, match="int or Fraction"):
+        solver(a, b, CostMatrix(c), exact=True)
+    if where == "cost":  # the same problem with rational entries solves
+        c[1][2] = 1
+        assert solver(a, b, CostMatrix(c), exact=True).objective == Fraction(1, 2)
+
+
+def test_exact_validation_needs_a_unit_sum():
+    off = Distribution((Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**13)))
+    off.validate()  # within the float tolerance
+    with pytest.raises(TransportInputError, match="sum"):
+        off.validate(exact=True)
+    with pytest.raises(TransportInputError, match="sum"):
+        solve_transport(off, Distribution((Fraction(1),) + (0,)),
+                        CostMatrix(((0, 1), (1, 0))), exact=True)
+    Distribution((Fraction(1, 3), Fraction(2, 3), 0)).validate(exact=True)
+    with pytest.raises(TransportInputError, match="int or Fraction"):
+        Distribution((0.5, 0.5)).validate(exact=True)
+
+
 # -- the reduced kernel: shared mass on the diagonal, certified duals --------
 
 @contextmanager
@@ -317,6 +348,21 @@ def test_exact_and_float_solves_agree(inst):
     assert isinstance(ex.objective, Fraction)
     assert abs(float(ex.objective) - fl.objective) <= 1e-12
     _assert_certified(ex, *inst, 0)
+
+
+@given(_metric_instances())
+def test_exact_plans_are_rational_balanced_and_certified(inst):
+    a, b, c = inst
+    plan = _solve(a, b, c, exact=True)
+    values = [z for *_, z in plan.flows] + [plan.objective, *plan.dual_u, *plan.dual_v]
+    assert all(type(x) is Fraction for x in values)
+    out, into = [0] * len(a), [0] * len(b)
+    for i, j, z in plan.flows:
+        out[i] += z
+        into[j] += z
+    assert out == a and into == b
+    assert plan.objective == sum(z * c[i][j] for i, j, z in plan.flows)
+    _assert_certified(plan, a, b, c, 0)
 
 
 @given(_instances())
