@@ -94,9 +94,11 @@ def _load_array(path, N, exact):
             doc = json.load(fh, **_json_numbers(exact))
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read array file {path}: {e}")
-    rows = doc.get("rows", doc if isinstance(doc, list) else None)
-    if rows is None:
+    rows = doc.get("rows") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list):
         raise InputError(f"{path}: expected a 'rows' key or a bare list of rows")
+    if len(rows) < N + 1:
+        raise InputError(f"{path}: --N {N} needs rows 0..{N}, the file has {len(rows)}")
     rows = rows[: N + 1]
     if not all(isinstance(r, list) and all(isinstance(w, (int, float, Fraction)) for w in r)
                for r in rows):

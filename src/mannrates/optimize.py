@@ -19,8 +19,10 @@ The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
 copy.
 
-Float mode uses multistart local search (Nelder-Mead with simplex
-projection; SLSQP on the smooth monotone-stage quadratic).  The free and
+Float mode uses multistart local search: Nelder-Mead with simplex
+projection, and SLSQP on the monotone-stage quadratic, whose caps
+x_k <= pi^{n-1}_k and floor x_n >= 1/2 are box bounds and whose one
+constraint is the equality sum(x) = 1.  The free and
 scheme searches rank candidates on a cutting-plane surrogate and confirm
 them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
@@ -297,17 +299,11 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
     def grad(x):
         return lin + H @ x
 
+    # every inequality of the stage is a coordinate bound: the cap
+    # x_k <= prev_k and the floor x_n >= 1/2; only the mass is a constraint
     cons = [{"type": "eq", "fun": lambda x: x.sum() - 1.0,
              "jac": lambda x: np.ones_like(x)}]
-    A = np.zeros((n + 1, n + 1))
-    ub = np.zeros(n + 1)
-    for k in range(n):
-        A[k, k] = -1.0
-        ub[k] = prev[k]
-    A[n, n] = 1.0
-    ub[n] = -0.5
-    cons.append({"type": "ineq", "fun": lambda x: ub + A @ x, "jac": lambda x: A})
-    bounds = [(0.0, 1.0)] * (n + 1)
+    bounds = [(0.0, float(prev[k])) for k in range(n)] + [(0.5, 1.0)]
 
     starts = [_repair_monotone(np.array(prev[:n] + (0.0,)) * 0.5, prev, n)]
     nstarts = max(2, min(cfg.restarts, 8 if n > 20 else cfg.restarts))

@@ -346,14 +346,15 @@ def greedy_monotone_transport(source: Distribution, target: Distribution,
     source_m >= sum_{j=m}^{n-1} target_j; the cost table must additionally
     satisfy the quadrangle inequality (caller-checked).  Raises
     MonotonePreconditionError when the margin conditions fail.  Exact
-    problems are scaled to integers as in `solve_transport`, the costs only
-    once the margin conditions hold.
+    problems are scaled to integers as in `solve_transport`; of the costs,
+    only the entries the plan reads are scaled, once the margin conditions
+    hold.
     """
     _check_inputs(source, target, costs, exact)
     if exact:
         (a, b), D = _common_denominator((source.weights, target.weights))
         flow = _nested_flow(a, b, 0)
-        c, E = _common_denominator(costs.entries)
+        c, E = _nested_costs(costs.entries)
         return _rational(_nested_plan(flow, c, 0, E), D, E)
     flow = _nested_flow(list(source.weights), list(target.weights), FEAS_TOL)
     return _nested_plan(flow, costs.entries, FEAS_TOL, 1)
@@ -381,6 +382,21 @@ def _nested_flow(a, b, tol):
         flow[(i, N - 1)] = flow.get((i, N - 1), 0) + (a[i] - b[i])
     flow[(m, N - 1)] = flow.get((m, N - 1), 0) + (a[m] - tail)
     return {k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}
+
+
+def _nested_costs(c):
+    """The rational costs c as numerators over the least common denominator
+    E of the entries the nested plan reads (the diagonal, the last source
+    row and the last target column), 0 elsewhere, and E."""
+    M, N = len(c), len(c[0])
+    m = M - 1
+    cells = [(i, i) for i in range(m)] + [(i, N - 1) for i in range(m)]
+    cells += [(m, j) for j in range(N)]
+    (scaled,), E = _common_denominator(([c[i][j] for i, j in cells],))
+    rows = [[0] * N for _ in range(M)]
+    for (i, j), x in zip(cells, scaled):
+        rows[i][j] = x
+    return rows, E
 
 
 def _nested_plan(flow, c, tol, one):

@@ -45,26 +45,41 @@ def test_bounds_certify_flag(tmp_path):
 
 
 def test_bounds_array_file(tmp_path):
-    apath = tmp_path / "array.json"
-    apath.write_text(json.dumps({"rows": [[1.0], [0.5, 0.5]]}))
-    out = str(tmp_path / "o")
-    code = run(["bounds", "--array", str(apath), "--N", "1", "--out", out])
-    assert code == 0
-    rows = _read_csv(os.path.join(out, "bounds.csv"))
-    assert float(rows[2][1]) == pytest.approx(0.75, abs=1e-12)
+    # a 'rows' key or a bare list of rows
+    for i, doc in enumerate(({"rows": [[1.0], [0.5, 0.5]]}, [[1.0], [0.5, 0.5]])):
+        apath = tmp_path / f"array{i}.json"
+        apath.write_text(json.dumps(doc))
+        out = str(tmp_path / f"o{i}")
+        code = run(["bounds", "--array", str(apath), "--N", "1", "--out", out])
+        assert code == 0
+        rows = _read_csv(os.path.join(out, "bounds.csv"))
+        assert float(rows[2][1]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_bounds_requires_scheme_or_array(tmp_path):
     assert run(["bounds", "--out", str(tmp_path)]) == 1
 
 
-def test_bad_array_file_is_input_error(tmp_path):
+def test_bad_array_file_is_input_error(tmp_path, capsys):
     apath = tmp_path / "bad.json"
     apath.write_text("{not json")
     assert run(["bounds", "--array", str(apath), "--out", str(tmp_path)]) == 1
+    assert "cannot read array file" in capsys.readouterr().err
     apath2 = tmp_path / "bad2.json"
     apath2.write_text(json.dumps({"rows": [[1.0], [0.9, 0.9]]}))
-    assert run(["bounds", "--array", str(apath2), "--out", str(tmp_path)]) == 1
+    assert run(["bounds", "--array", str(apath2), "--N", "1", "--out", str(tmp_path)]) == 1
+    assert "does not sum to 1" in capsys.readouterr().err
+    # a JSON scalar, and files with fewer than N+1 rows
+    for i, (doc, N, msg) in enumerate(((3, 1, "expected a 'rows' key"),
+                                       ({"rows": [[1.0], [0.5, 0.5]]}, 5, "needs rows 0..5"),
+                                       ([[1.0], [0.5, 0.5]], 5, "needs rows 0..5"))):
+        apath = tmp_path / f"shape{i}.json"
+        apath.write_text(json.dumps(doc))
+        out = tmp_path / f"o{i}"
+        assert run(["bounds", "--array", str(apath), "--N", str(N),
+                    "--out", str(out)]) == 1
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_optimize_ms_small(tmp_path):
@@ -120,12 +135,15 @@ def test_bounds_exact_reads_decimals_as_rationals(tmp_path, source):
     ([], '{"rows": [[1.0], [0.5, "0.5"]]}'),
     ([], '{"rows": [[1.0], [0.5, 0.4999999999999]]}'),  # not exactly 1
 ])
-def test_bounds_exact_needs_rational_input(tmp_path, flags, array):
-    if array is not None:
+def test_bounds_exact_needs_rational_input(tmp_path, capsys, flags, array):
+    N = "2"
+    if array is not None:  # the files hold rows 0..1
         (tmp_path / "a.json").write_text(array)
-        flags = ["--array", str(tmp_path / "a.json")]
+        flags, N = ["--array", str(tmp_path / "a.json")], "1"
     out = tmp_path / "o"
-    assert run(["bounds", "--N", "2", "--exact", "--out", str(out)] + flags) == 1
+    assert run(["bounds", "--N", N, "--exact", "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "needs rows" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Coefficient optimizers: exact small-horizon optima, regime ordering,
 scheme-constrained searches, and determinism."""
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -110,6 +112,32 @@ def test_determinism_same_seed():
 def test_stage_certificates_are_tight():
     res = optimize_sequential(8, OptimizerConfig(restarts=6), monotone=True)
     assert max(res.certificates) <= 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _ms30(seed):
+    return optimize_sequential(30, OptimizerConfig(restarts=8, seed=seed))
+
+
+def test_ms_rows_meet_stage_constraints():
+    # the monotone stage polytope: 0 <= x_k <= pi^{n-1}_k, x_n >= 1/2, sum 1
+    rows = _ms30(0).array.rows
+    for n in range(1, 31):
+        x, prev = rows[n], rows[n - 1]
+        assert all(0.0 <= x[k] <= prev[k] for k in range(n))
+        assert x[n] >= 0.5
+        assert abs(math.fsum(x) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("seed, before", [
+    # R_30 of the stage solver that passed the caps and the floor to SLSQP
+    # as general inequalities; a stage solve may not end above it by more
+    # than the benchmark's 1e-9
+    (0, 0.10789550042971266),
+    (3, 0.10787547560031752),
+])
+def test_ms_r30_no_worse_than_recorded(seed, before):
+    assert _ms30(seed).values[-1] <= before + 1e-9
 
 
 def test_config_validation():
