@@ -6,9 +6,10 @@ Subcommands
     optimize   run an optimizer (fh | s | ms | scheme) and dump coefficients
     reproduce  regenerate figure/table data bundles
 
-Every CSV gets a JSON sidecar with the full configuration; identical
-command plus seed gives byte-identical output.  Exit codes: 0 success,
-1 input error, 2 certification failure.
+Every CSV gets a JSON `.config.json` sidecar with the parsed flags and the
+command.  Identical command plus seed gives byte-identical CSVs and array
+JSON, and sidecars that differ only in the `wall_time` that `optimize`
+records.  Exit codes: 0 success, 1 input error, 2 certification failure.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ def _scheme_array(args):
     return build_rows(spec, args.N)
 
 
+def _config(args, **extra):
+    """Sidecar record: the parsed flags and `extra`, without the handler
+    function, whose repr holds a per-process address."""
+    return {k: v for k, v in vars(args).items() if k != "func"} | extra
+
+
 def _outpath(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -138,10 +145,10 @@ def cmd_bounds(args):
     write_csv(path, ["n", "R", "inv_R", "certificate"],
               [[n, r, 1.0 / float(r) if r else float("inf"), cert]
                for n, r in enumerate(table.residuals)])
-    write_sidecar(path, vars(args) | {"command": "bounds"})
+    write_sidecar(path, _config(args, command="bounds"))
     dpath = _outpath(args, "distance-table.csv")
     write_csv(dpath, ["m", "n", "d"], list(table.csv_rows()))
-    write_sidecar(dpath, vars(args) | {"command": "bounds"})
+    write_sidecar(dpath, _config(args, command="bounds"))
     print(f"wrote {path} and {dpath} (R_{table.horizon} = {float(table.residuals[-1]):.12g})")
     return EXIT_OK
 
@@ -177,8 +184,8 @@ def cmd_optimize(args):
         rows.append(rec)
     header = ["n", "R", "inv_R", "certificate"] + sorted(res.coefficients)
     write_csv(path, header, rows)
-    write_sidecar(path, vars(args) | {"command": "optimize",
-                                      "wall_time": res.wall_time})
+    write_sidecar(path, _config(args, command="optimize",
+                                wall_time=res.wall_time))
     apath = _outpath(args, f"optimize-{mode}-array.json")
     with open(apath, "w") as fh:
         json.dump({"rows": [[float(w) for w in r] for r in res.array.rows]},
@@ -206,10 +213,10 @@ def _reproduce_fig3(args):
                      1.0 / fh_vals[n] if n < len(fh_vals) else ""])
     path = _outpath(args, "fig3.csv")
     write_csv(path, ["n", "R_ms", "inv_R_ms", "R_s", "inv_R_s", "R_fh", "inv_R_fh"], rows)
-    write_sidecar(path, vars(args) | {"command": "reproduce", "target": "fig3",
-                                      "slope_ms": fit_slope(range(20, N + 1),
-                                                            [1 / v for v in ms.values[20:]])
-                                      if N >= 25 else None})
+    write_sidecar(path, _config(args, command="reproduce", target="fig3",
+                                slope_ms=fit_slope(range(20, N + 1),
+                                                   [1 / v for v in ms.values[20:]])
+                                if N >= 25 else None))
     print(f"wrote {path}")
 
 
@@ -223,7 +230,7 @@ def _reproduce_fig4(args):
     rows = [[n] + [series[k][n] for k in series] for n in range(N + 1)]
     path = _outpath(args, "fig4.csv")
     write_csv(path, ["n"] + [f"R_{k}" for k in series], rows)
-    write_sidecar(path, vars(args) | {"command": "reproduce", "target": "fig4"})
+    write_sidecar(path, _config(args, command="reproduce", target="fig4"))
     print(f"wrote {path}")
 
 
@@ -237,7 +244,7 @@ def _reproduce_fig5(args):
             rows.append([n, i, w])
     path = _outpath(args, "fig5.csv")
     write_csv(path, ["n", "i", "pi"], rows)
-    write_sidecar(path, vars(args) | {"command": "reproduce", "target": "fig5"})
+    write_sidecar(path, _config(args, command="reproduce", target="fig5"))
     print(f"wrote {path}")
 
 
@@ -250,8 +257,8 @@ def _reproduce_remarks(args):
              harmonic[n] / opt[n]] for n in range(N + 1)]
     path = _outpath(args, "remarks-table.csv")
     write_csv(path, ["n", "R_harmonic", "closed_form", "R_opt", "ratio"], rows)
-    write_sidecar(path, vars(args) | {"command": "reproduce",
-                                      "target": "remarks-table"})
+    write_sidecar(path, _config(args, command="reproduce",
+                                target="remarks-table"))
     print(f"wrote {path}")
 
 
@@ -268,8 +275,8 @@ def _reproduce_lower_bounds(args):
     path = _outpath(args, "lower-bounds.csv")
     write_csv(path, ["n", "shift_linf", "floor_linf", "km_l1", "floor_l1",
                      "inf_f"], rows)
-    write_sidecar(path, vars(args) | {"command": "reproduce",
-                                      "target": "lower-bounds"})
+    write_sidecar(path, _config(args, command="reproduce",
+                                target="lower-bounds"))
     print(f"wrote {path}")
 
 

@@ -27,7 +27,13 @@ scheme searches rank candidates on a cutting-plane surrogate and confirm
 them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
 Every scheme kind, and each Ishikawa block, is searched the same way: the
-best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.
+best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.  The float
+search does its per-candidate work on plain Python floats: the stage value
+turns each candidate into a list of floats once, `project_simplex` sorts and
+sums in a Python loop, and the grid search hands its objective tuples of
+floats.  Every sum runs left to right, the order numpy float64 scalars and
+`cumsum` take, so each value equals its numpy float64 form to the bit; only
+the cut evaluation stays a numpy matrix-vector product.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -42,6 +48,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -81,15 +88,23 @@ class OptimizationResult:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def project_simplex(v) -> np.ndarray:
+    """Euclidean projection onto the probability simplex, as a float64 array.
+
+    The sort-and-threshold rule on plain floats: with u sorted in decreasing
+    order and c_k = u_1 + ... + u_k - 1, theta = c_rho / rho for the last rho
+    with u_rho - c_rho / rho > 0.  Each c_k is a left-to-right running sum,
+    as numpy's cumsum forms it, and max(0.0, x) gives +0.0 at -0.0 as
+    np.maximum(x, 0.0) does, so the result is numpy's formula bit for bit.
+    """
+    v = np.asarray(v, dtype=float).tolist()
+    s = 0.0
+    for k, x in enumerate(sorted(v, reverse=True), 1):
+        s += x
+        if x - (s - 1) / k > 0:
+            rho, c = k, s - 1
+    theta = c / rho
+    return np.array([max(0.0, x - theta) for x in v])
 
 
 def _dcol(table: DistanceTable, n: int) -> List[float]:
@@ -102,7 +117,7 @@ def _two_point_beta(row):
     last = len(row) - 1
     if last == 0:
         return 0 * row[0]  # exact zero in the row's arithmetic (float/Fraction)
-    if any(row[i] != 0 for i in range(1, last)):
+    if any(row[1:last]):
         return None
     if abs(row[0] + row[last] - 1) > 1e-13:
         return None
@@ -125,6 +140,11 @@ class StageEvaluator:
     solutions harvested from transport solves therefore give reusable lower
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
+
+    A float candidate, whether an ndarray, a tuple or a list, is read as a
+    list of plain floats once per call; the sums run left to right, as they
+    do on numpy float64 scalars, so the value's bits do not depend on the
+    candidate's type.  `Fraction` candidates stay `Fraction`s.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int):
@@ -139,6 +159,9 @@ class StageEvaluator:
         # row k of the stage quadratic is pair k's nested-plan value
         self.lin, self.Q = (_stage_quadratic(self.rows, table, n)
                             if self.monotone else (None, None))
+        # the nested plan's margin caps pi^m_i + tol, per frozen row m
+        self.caps = ([[w + self.tol for w in r] for r in self.rows]
+                     if self.monotone else None)
         self.betas = [_two_point_beta(r) for r in self.rows]
         # per pair m = k-1: stacked dual rows U and constants -v.a, or None
         # before the pair's first transport solve
@@ -151,14 +174,13 @@ class StageEvaluator:
         prow = self.rows[m]
         if cb is not None and self.betas[m] is not None:
             return two_point_distance(self.betas[m], cb, self.dcol[m])
-        if not self.monotone:
+        if not self.monotone or any(map(gt, cand, self.caps[m])):
             return None
-        for i in range(m + 1):
-            if cand[i] > prow[i] + self.tol:
-                return None
         if prow[m] < tail_mk - self.tol:
             return None
-        return self.lin[k] + sum(q * c for q, c in zip(self.Q[k], cand))
+        # left to right through Python 3.11; from 3.12 on, sum() of plain
+        # floats is compensated and can differ in the last bits
+        return self.lin[k] + sum(map(mul, self.Q[k], cand))
 
     def _tails(self, cand):
         out = [0] * (self.n + 1)
@@ -171,6 +193,9 @@ class StageEvaluator:
     def _value(self, cand, pair):
         """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k)` for each
         pair without a closed form."""
+        if not self.rational:
+            # plain floats: numpy scalars make the scalar arithmetic slow
+            cand = np.asarray(cand, dtype=float).tolist()
         tails = self._tails(cand)
         cb = _two_point_beta(cand)
         total = cand[0]
@@ -202,9 +227,7 @@ class StageEvaluator:
         """Exact d(k-1, n) at the candidate by the transport kernel; its duals
         go to the pool as the cut u.cand - v.pi^m."""
         m = k - 1
-        # plain floats: numpy scalars slow the kernel's Python arithmetic
-        cand = tuple(cand) if self.rational else tuple(map(float, cand))
-        plan = pair_distance(self.table, self.rows + [cand], m, self.n,
+        plan = pair_distance(self.table, self.rows + [tuple(cand)], m, self.n,
                              exact=self.rational, allow_greedy=False)
         u = np.asarray(plan.dual_u, dtype=float)
         c = -sum(v * a for v, a in zip(plan.dual_v, self.rows[m]))
@@ -331,15 +354,14 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
     ev = StageEvaluator(rows, table, n)
 
     def f(x):
-        p = project_simplex(np.asarray(x, dtype=float))
-        return ev.surrogate(p)
+        return ev.surrogate(project_simplex(x))
 
     starts = []
     best, best_val = None, math.inf
     if warm is not None:
         # the warm start is itself a feasible candidate; keep it as the
         # incumbent so the search can only improve on it
-        w = project_simplex(np.asarray(warm, dtype=float))
+        w = project_simplex(warm)
         starts.append(w)
         best, best_val = w, ev.exact(w)
     starts.append(np.full(n + 1, 1.0 / (n + 1)))
@@ -431,8 +453,7 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
     def unpack(x):
         rows = [(1.0,)]
         for idx, size in enumerate(sizes):
-            seg = project_simplex(np.asarray(x[offsets[idx]:offsets[idx + 1]],
-                                             dtype=float))
+            seg = project_simplex(x[offsets[idx]:offsets[idx + 1]])
             rows.append(tuple(seg))
         return rows
 
@@ -463,7 +484,7 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
         for stage in range(1, N + 1):
             def stage_obj(seg, stage=stage):
                 trial = list(rows)
-                trial[stage] = tuple(project_simplex(np.asarray(seg, dtype=float)))
+                trial[stage] = tuple(project_simplex(seg))
                 table, _ = build_distance_table(TriangularArray(trial))
                 return float(table.residuals[N])
 
@@ -513,14 +534,15 @@ def _scheme_row(kind: str, n: int, rows, params) -> Optional[tuple]:
 def _grid_then_nm(f, dim: int, size: int, **nm_options):
     """Minimize f over [0, 1]^dim: the best point of a size^dim grid, refined
     by Nelder-Mead and clipped to the cube.  The refinement is kept only if
-    it is no worse than the grid point.  f takes a tuple and returns inf off
-    its feasible set."""
-    points = list(itertools.product(np.linspace(0.0, 1.0, size), repeat=dim))
+    it is no worse than the grid point.  f takes a tuple of plain floats and
+    returns inf off its feasible set."""
+    points = list(itertools.product(np.linspace(0.0, 1.0, size).tolist(),
+                                    repeat=dim))
     vals = [f(p) for p in points]
     best = int(np.argmin(vals))
-    res = minimize(lambda p: f(tuple(p)), np.array(points[best]),
+    res = minimize(lambda p: f(tuple(p.tolist())), np.array(points[best]),
                    method="Nelder-Mead", options=nm_options)
-    p = tuple(np.clip(res.x, 0.0, 1.0))
+    p = tuple(np.clip(res.x, 0.0, 1.0).tolist())
     return points[best] if f(p) > vals[best] else p
 
 

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS/OpenMP thread, set before anything imports numpy: the optimizers'
+# small matrix products only lose time to threading
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import random
 
 import pytest

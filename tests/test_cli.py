@@ -193,6 +193,22 @@ def test_byte_identical_reruns(tmp_path):
     assert a1 == a2
 
 
+def test_sidecars_of_reruns_differ_only_in_wall_time(tmp_path):
+    out = str(tmp_path)
+    docs = []
+    for _ in range(2):
+        assert run(["optimize", "--mode", "ms", "--exact", "--N", "2",
+                    "--out", out]) == 0
+        with open(os.path.join(out, "optimize-ms.config.json")) as fh:
+            text = fh.read()
+        assert "0x" not in text
+        doc = json.loads(text)
+        assert "func" not in doc
+        del doc["wall_time"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_reproduce_remarks_table(tmp_path):
     out = str(tmp_path)
     assert run(["reproduce", "--target", "remarks-table", "--N", "30",

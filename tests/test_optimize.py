@@ -160,6 +160,50 @@ def test_project_simplex_properties(v):
     assert np.max(np.abs(x - y)) <= 1e-9
 
 
+def _project_simplex_numpy(v):
+    """The projection in numpy's vector form, the reference for its bits."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1
+    ks = np.arange(1, len(v) + 1)
+    cond = u - css / ks > 0
+    rho = ks[cond][-1]
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def _simplex_inputs(gen, rounds):
+    for _ in range(rounds):
+        d = int(gen.integers(1, 14))
+        yield gen.normal(size=d)
+        yield gen.dirichlet(np.ones(d))
+        yield np.round(gen.normal(size=d), 1)  # ties
+        yield gen.normal(size=d) * 1e8
+        yield gen.normal(size=1)
+        # dyadic weights summing to exactly 1 (so theta = +0.0) among signed
+        # zeros: the projection of -0.0 is then -0.0 - 0.0 = -0.0
+        parts = [1.0]
+        for _ in range(int(gen.integers(0, 4))):
+            i = int(gen.integers(len(parts)))
+            parts[i] /= 2
+            parts.append(parts[i])
+        zeros = gen.choice([0.0, -0.0], size=int(gen.integers(1, 6)))
+        v = np.concatenate([parts, zeros])
+        gen.shuffle(v)
+        yield v
+        v = gen.normal(size=d)
+        v[gen.random(d) < 0.4] = gen.choice([0.0, -0.0])
+        yield v
+
+
+def test_project_simplex_matches_numpy_form_bit_for_bit():
+    for v in _simplex_inputs(np.random.default_rng(2024), 3000):
+        want = _project_simplex_numpy(v).tobytes()
+        for arg in (v, v.tolist()):
+            got = project_simplex(arg)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.tobytes() == want
+
+
 def _freeze_all(rows, exact=False):
     N = len(rows) - 1
     frozen, table = [rows[0]], empty_table(N)
@@ -266,6 +310,55 @@ def test_surrogate_is_lower_bound_tight_at_harvested_points(rng):
             for _ in range(40):
                 c = random_simplex(rng, N + 1)
                 assert ev.surrogate(c) <= ev.exact(c) + 1e-12
+
+
+@pytest.mark.parametrize("builder", [random_monotone_array, random_array])
+def test_stage_value_bits_do_not_depend_on_candidate_type(rng, builder):
+    # the float stage value runs on plain floats whatever holds the
+    # candidate: monotone frozen rows take the nested form, the others cuts
+    N = 6
+    closed_forms = cut_pairs = 0
+    for _ in range(5):
+        rows = builder(rng, N)
+        table, _ = build_distance_table(TriangularArray(rows[:N]))
+        harvest = [random_simplex(rng, N + 1) for _ in range(3)]
+        probes = [rows[N], random_simplex(rng, N + 1)]
+        results = []
+        for form in (np.array, lambda c: tuple(map(np.float64, c)), list):
+            ev = StageEvaluator(rows[:N], table, N)
+            vals = [ev.exact(form(c)) for c in harvest]
+            vals += [value(form(c)) for c in probes
+                     for value in (ev.surrogate, ev.exact)]
+            assert all(type(v) is float for v in vals)
+            results.append([v.hex() for v in vals])
+        assert results[0] == results[1] == results[2]
+        tails = ev._tails(rows[N])
+        closed_forms += sum(ev._pair_fast(rows[N], None, k, tails[k - 1])
+                            is not None for k in range(1, N + 1))
+        cut_pairs += sum(U is not None for U in ev.pool_U)
+    if builder is random_monotone_array:
+        assert closed_forms > 0
+    else:
+        assert closed_forms == 0 and cut_pairs > 0
+
+
+def _rational_km_array(rng, N):
+    rows = [(Fraction(1),)]
+    for n in range(1, N + 1):
+        a = Fraction(rng.randint(1, 9), 10)
+        rows.append(tuple([(1 - a) * w for w in rows[-1]] + [a]))
+    return rows
+
+
+def test_rational_stage_value_stays_fraction():
+    N = 5
+    for rows in (_rational_km_array(random.Random(1), N),
+                 _wide_range_array(random.Random(1), N)):
+        table, _ = build_distance_table(TriangularArray(rows[:N]), exact=True)
+        ref, _ = build_distance_table(TriangularArray(rows), exact=True)
+        for form in (tuple, list):
+            val = StageEvaluator(rows[:N], table, N).exact(form(rows[N]))
+            assert isinstance(val, Fraction) and val == ref.residuals[N]
 
 
 def _optimizer_outputs():
