@@ -28,12 +28,20 @@ them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
 Every scheme kind, and each Ishikawa block, is searched the same way: the
 best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.  The float
-search does its per-candidate work on plain Python floats: the stage value
-turns each candidate into a list of floats once, `project_simplex` sorts and
-sums in a Python loop, and the grid search hands its objective tuples of
-floats.  Every sum runs left to right, the order numpy float64 scalars and
-`cumsum` take, so each value equals its numpy float64 form to the bit; only
-the cut evaluation stays a numpy matrix-vector product.
+search does its per-candidate work on plain Python floats: the free search
+projects Nelder-Mead's list of floats with `_project_list`, a Python sort
+and running sum, and hands the stage value that list; the stage value turns
+any other candidate into a list of floats once, and the grid search hands
+its objective tuples of floats.  Every sum runs left to right, the order
+numpy float64 scalars and `cumsum` take, so each value equals its numpy
+float64 form to the bit; only the cut evaluation stays a numpy
+matrix-vector product.
+Every Nelder-Mead search runs `_nelder_mead`, an in-house copy of scipy's
+loop that takes the same iterates bit for bit but forms its trial points on
+plain floats and hands them to the objective as lists.  Vertices that tie in
+value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort does not
+keep ties in input order, so a stable sort would change the search path and
+the outputs.  scipy's `minimize` serves SLSQP only.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -46,9 +54,10 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, mul
+from operator import gt, lt, mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -97,14 +106,143 @@ def project_simplex(v) -> np.ndarray:
     as numpy's cumsum forms it, and max(0.0, x) gives +0.0 at -0.0 as
     np.maximum(x, 0.0) does, so the result is numpy's formula bit for bit.
     """
-    v = np.asarray(v, dtype=float).tolist()
+    return np.array(_project_list(np.asarray(v, dtype=float).tolist()))
+
+
+def _project_list(v: List[float]) -> List[float]:
+    """`project_simplex` from a list of plain floats to a list of them."""
     s = 0.0
     for k, x in enumerate(sorted(v, reverse=True), 1):
         s += x
         if x - (s - 1) / k > 0:
             rho, c = k, s - 1
     theta = c / rho
-    return np.array([max(0.0, x - theta) for x in v])
+    return [max(0.0, x - theta) for x in v]
+
+
+class _MaxFev(Exception):
+    """A Nelder-Mead call would pass the evaluation budget."""
+
+
+def _nm_order(fs: List[float]):
+    """The vertex order `np.argsort(fs)` gives, and whether it is the only
+    sorted order.
+
+    When the values are pairwise distinct and none is NaN, that order is the
+    only sorted one and a Python sort finds it.  Otherwise numpy's own sort
+    decides: its SIMD quicksort does not keep ties in input order, and the
+    search path follows whichever tied vertex it puts first.
+    """
+    ind = sorted(range(len(fs)), key=fs.__getitem__)
+    s = [fs[i] for i in ind]
+    if all(map(lt, s, s[1:])):
+        return ind, True
+    return np.array(fs).argsort().tolist(), False
+
+
+def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
+    """Minimize f from x0 by Nelder-Mead; returns (x, fval).
+
+    The iterates of scipy's `minimize(method="Nelder-Mead")` (1.17) with the
+    options maxfev, xatol, fatol and adaptive, bit for bit: the same initial
+    simplex, coefficients, centroid `np.add.reduce(sim[:-1], 0) / N` and
+    vertex order (`_nm_order`); a call past maxfev ends the search in the
+    middle of its iteration, a shrink included.  f gets each point as a list
+    of plain floats.  The simplex stays a float64 array, so the centroid is
+    one numpy reduction; the trial points are formed on plain floats, one
+    IEEE operation per scipy array operation, so each element is the same.
+    While the f-values are pairwise distinct, a new vertex is inserted at
+    its place in the order instead of sorting the simplex again.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    if adaptive:
+        dim = float(N)
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    # scipy's trial points as a * xbar - b * worst: reflection, expansion,
+    # outside and inside contraction; scipy forms the last one as
+    # (1 - psi) * xbar + psi * worst, the same bits, as x - (-y) is x + y
+    reflect, expand = (1 + rho, rho), (1 + rho * chi, rho * chi)
+    outside, inside = (1 + psi * rho, psi * rho), (1 - psi, -psi)
+    sim = np.empty((N + 1, N))
+    sim[:] = x0
+    sim[range(1, N + 1), range(N)] = [(1 + 0.05) * v if v != 0 else 0.00025
+                                       for v in x0.tolist()]
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return float(f(x))
+
+    def trial(coef):
+        a, b = coef
+        return [a * c - b * w for c, w in zip(xbar, worst)]
+
+    fs = [math.inf] * (N + 1)
+    try:
+        for k, x in enumerate(sim.tolist()):
+            fs[k] = call(x)
+    except _MaxFev:
+        pass
+    for _ in range(2):  # scipy sorts the first simplex twice
+        ind, unique = _nm_order(fs)
+        sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
+
+    while nfev < maxfev:
+        f0 = fs[0]
+        if all(abs(f0 - v) <= fatol for v in fs[1:]):
+            best = sim[0].tolist()
+            if all(abs(a - b) <= xatol
+                   for row in sim[1:].tolist() for a, b in zip(row, best)):
+                break
+        xbar = (np.add.reduce(sim[:-1], 0) / N).tolist()
+        worst = sim[-1].tolist()
+        new = None
+        try:
+            xr = trial(reflect)
+            fxr = call(xr)
+            if fxr < f0:
+                xe = trial(expand)
+                fxe = call(xe)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fs[-2]:
+                new = (xr, fxr)
+            elif fxr < fs[-1]:
+                xc = trial(outside)
+                fxc = call(xc)
+                if fxc <= fxr:
+                    new = (xc, fxc)
+            else:
+                xc = trial(inside)
+                fxc = call(xc)
+                if fxc < fs[-1]:
+                    new = (xc, fxc)
+            if new is None:  # shrink towards the best vertex
+                shrunk = (sim[0] + sigma * (sim[1:] - sim[0])).tolist()
+                for j, x in enumerate(shrunk, 1):
+                    sim[j] = x
+                    fs[j] = call(x)
+        except _MaxFev:
+            pass
+        if new is not None:
+            x, fx = new
+            if unique and fx == fx:
+                p = bisect_left(fs, fx, 0, N)
+                if p == N or fs[p] != fx:  # still pairwise distinct
+                    sim[p + 1:] = sim[p:N]
+                    sim[p] = x
+                    fs[p + 1:] = fs[p:N]
+                    fs[p] = fx
+                    continue
+            sim[-1], fs[-1] = new
+        ind, unique = _nm_order(fs)
+        sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
+    return sim[0].copy(), float(np.min(fs))
 
 
 def _dcol(table: DistanceTable, n: int) -> List[float]:
@@ -141,10 +279,11 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
-    A float candidate, whether an ndarray, a tuple or a list, is read as a
-    list of plain floats once per call; the sums run left to right, as they
-    do on numpy float64 scalars, so the value's bits do not depend on the
-    candidate's type.  `Fraction` candidates stay `Fraction`s.
+    A float candidate given as an ndarray or a tuple is read as a list of
+    plain floats once per call; a list is read as it is, so the free search
+    hands over the list `_project_list` returns.  The sums run left to
+    right, as they do on numpy float64 scalars, so the value's bits do not
+    depend on the candidate's type.  `Fraction` candidates stay `Fraction`s.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int):
@@ -193,7 +332,7 @@ class StageEvaluator:
     def _value(self, cand, pair):
         """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k)` for each
         pair without a closed form."""
-        if not self.rational:
+        if not self.rational and type(cand) is not list:
             # plain floats: numpy scalars make the scalar arithmetic slow
             cand = np.asarray(cand, dtype=float).tolist()
         tails = self._tails(cand)
@@ -354,7 +493,7 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
     ev = StageEvaluator(rows, table, n)
 
     def f(x):
-        return ev.surrogate(project_simplex(x))
+        return ev.surrogate(_project_list(x))
 
     starts = []
     best, best_val = None, math.inf
@@ -369,19 +508,13 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
         starts.append(rng.dirichlet(np.ones(n + 1)))
     budget = max(200, cfg.max_evals // max(1, len(starts)))
     for x0 in starts:
-        res = minimize(f, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-12,
-                                "fatol": 1e-14, "adaptive": n > 6})
-        x = project_simplex(res.x)
+        x = project_simplex(_nelder_mead(f, x0, budget, 1e-12, 1e-14, n > 6)[0])
         val = ev.exact(x)
         if val < best_val:
             best, best_val = x, val
     # re-search from the incumbent on the tightened surrogate until stable
     for _ in range(6):
-        res = minimize(f, best, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-12,
-                                "fatol": 1e-14, "adaptive": n > 6})
-        x = project_simplex(res.x)
+        x = project_simplex(_nelder_mead(f, best, budget, 1e-12, 1e-14, n > 6)[0])
         val = ev.exact(x)
         if val < best_val - 1e-13:
             best, best_val = x, val
@@ -471,11 +604,9 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
     best_x, best_val = None, math.inf
     budget = max(400, cfg.max_evals // max(1, len(starts)))
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-11, "fatol": 1e-13,
-                                "adaptive": N > 3})
-        if res.fun < best_val:
-            best_x, best_val = res.x, res.fun
+        x, val = _nelder_mead(objective, x0, budget, 1e-11, 1e-13, N > 3)
+        if val < best_val:
+            best_x, best_val = x, val
 
     # coordinate-descent polish: re-optimize one row at a time
     rows = unpack(best_x)
@@ -488,11 +619,10 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
                 table, _ = build_distance_table(TriangularArray(trial))
                 return float(table.residuals[N])
 
-            res = minimize(stage_obj, np.asarray(rows[stage]), method="Nelder-Mead",
-                           options={"maxfev": 2000, "xatol": 1e-12, "fatol": 1e-15})
-            if res.fun < best_val - 1e-14:
-                rows[stage] = tuple(project_simplex(res.x))
-                best_val = res.fun
+            x, val = _nelder_mead(stage_obj, rows[stage], 2000, 1e-12, 1e-15)
+            if val < best_val - 1e-14:
+                rows[stage] = tuple(project_simplex(x))
+                best_val = val
                 improved = True
         if not improved:
             break
@@ -540,9 +670,8 @@ def _grid_then_nm(f, dim: int, size: int, **nm_options):
                                     repeat=dim))
     vals = [f(p) for p in points]
     best = int(np.argmin(vals))
-    res = minimize(lambda p: f(tuple(p.tolist())), np.array(points[best]),
-                   method="Nelder-Mead", options=nm_options)
-    p = tuple(np.clip(res.x, 0.0, 1.0).tolist())
+    x, _ = _nelder_mead(lambda p: f(tuple(p)), points[best], **nm_options)
+    p = tuple(np.clip(x, 0.0, 1.0).tolist())
     return points[best] if f(p) > vals[best] else p
 
 

@@ -2,7 +2,9 @@
 
 Invariants raise real exceptions: `python -O` strips `assert` statements,
 so the package source must hold none.  Nor may a module keep an import it
-never reads, nor the package a private function nobody calls."""
+never reads, nor the package a private function nobody calls.  Nelder-Mead
+has one implementation, `optimize._nelder_mead`: scipy's `minimize` serves
+SLSQP only."""
 
 import ast
 from pathlib import Path
@@ -80,4 +82,17 @@ def test_package_has_no_unreferenced_private_functions():
                                  for t in trees.values()))
             if node.name not in used:
                 found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
+
+
+def test_minimize_is_called_for_slsqp_only():
+    calls = [(path.name, node)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "minimize"]
+    assert calls
+    found = [f"{name}:{node.lineno}" for name, node in calls
+             if not any(kw.arg == "method" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value == "SLSQP" for kw in node.keywords)]
     assert found == []

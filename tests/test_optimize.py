@@ -15,7 +15,7 @@ from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
                                 StageEvaluator, _exact_qp, _freeze_stage,
-                                _gauss_solve, _stage_quadratic,
+                                _gauss_solve, _nelder_mead, _stage_quadratic,
                                 fit_slope, optimize_fixed_horizon, optimize_scheme,
                                 optimize_sequential, project_simplex)
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
@@ -202,6 +202,72 @@ def test_project_simplex_matches_numpy_form_bit_for_bit():
             got = project_simplex(arg)
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.tobytes() == want
+
+
+def _nm_objectives(d):
+    """Test objectives on R^d, each reading its point as a float64 array."""
+    weights = np.arange(1.0, d + 1)
+    pull = np.linspace(0.1, 0.4, d)
+
+    def quad(x):
+        return float(((x - pull) ** 2) @ weights)
+
+    def rosen(x):
+        return float(((1 - x) ** 2).sum() + 100 * ((x[1:] - x[:-1] ** 2) ** 2).sum())
+
+    def rounded(x):  # ties between vertices
+        return float(np.round(quad(x), 2))
+
+    def projected(x):  # flat wherever the projection onto the simplex is
+        return float(np.round(project_simplex(x) @ weights, 3))
+
+    def off_cube(x):  # inf off the unit cube, like the grid objective
+        return math.inf if ((x < 0) | (x > 1)).any() else quad(x)
+
+    def nan_lobe(x):
+        return math.nan if x[0] > 0.8 else quad(x)
+
+    return [quad, rosen, rounded, projected, off_cube, nan_lobe]
+
+
+def _nm_cases(gen):
+    for d in list(range(1, 9)) + [31]:
+        for g in _nm_objectives(d):
+            for adaptive in (False, True):
+                x0 = gen.uniform(-0.5, 1.0, size=d)
+                x0[gen.random(d) < 0.3] = 0.0
+                x0[gen.random(d) < 0.3] = -0.0
+                # from a budget spent on the first simplex up to a full search
+                for maxfev in (int(gen.integers(1, d + 2)),
+                               int(gen.integers(d + 2, 12 * d + 12)), 600):
+                    yield g, x0, maxfev, adaptive
+
+
+def test_nelder_mead_matches_scipy_bit_for_bit():
+    # the in-house search follows scipy's iterates exactly: every point it
+    # evaluates, its result and its value are scipy's to the bit
+    from scipy.optimize import minimize
+
+    for g, x0, maxfev, adaptive in _nm_cases(np.random.default_rng(7)):
+        seen = {"scipy": [], "ours": []}
+
+        def recorder(side):
+            def f(x):
+                x = np.asarray(x, dtype=float)
+                seen[side].append(x.tobytes())
+                return g(x)
+            return f
+
+        with np.errstate(invalid="ignore"):  # scipy's inf - inf in its test
+            want = minimize(recorder("scipy"), x0, method="Nelder-Mead",
+                            options={"maxfev": maxfev, "xatol": 1e-10,
+                                     "fatol": 1e-12, "adaptive": adaptive})
+        x, fval = _nelder_mead(recorder("ours"), x0, maxfev, 1e-10, 1e-12,
+                               adaptive)
+        assert seen["ours"] == seen["scipy"]
+        assert x.dtype == np.float64
+        assert x.tobytes() == want.x.tobytes()
+        assert np.float64(fval).tobytes() == np.float64(want.fun).tobytes()
 
 
 def _freeze_all(rows, exact=False):
