@@ -30,9 +30,8 @@ Every scheme kind, and each Ishikawa block, is searched the same way: the
 best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.  The float
 search does its per-candidate work on plain Python floats: the free search
 projects Nelder-Mead's list of floats with `_project_list`, a Python sort
-and running sum, and hands the stage value that list; the stage value turns
-any other candidate into a list of floats once, and the grid search hands
-its objective tuples of floats.  Every sum runs left to right, the order
+and running sum; the stage value turns each candidate into a list of floats
+once, and the grid search hands its objective tuples of floats.  Every sum runs left to right, the order
 numpy float64 scalars and `cumsum` take, so each value equals its numpy
 float64 form to the bit; only the cut evaluation stays a numpy
 matrix-vector product.
@@ -54,10 +53,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, lt, mul
+from operator import gt, mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -124,35 +122,19 @@ class _MaxFev(Exception):
     """A Nelder-Mead call would pass the evaluation budget."""
 
 
-def _nm_order(fs: List[float]):
-    """The vertex order `np.argsort(fs)` gives, and whether it is the only
-    sorted order.
-
-    When the values are pairwise distinct and none is NaN, that order is the
-    only sorted one and a Python sort finds it.  Otherwise numpy's own sort
-    decides: its SIMD quicksort does not keep ties in input order, and the
-    search path follows whichever tied vertex it puts first.
-    """
-    ind = sorted(range(len(fs)), key=fs.__getitem__)
-    s = [fs[i] for i in ind]
-    if all(map(lt, s, s[1:])):
-        return ind, True
-    return np.array(fs).argsort().tolist(), False
-
-
 def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
     """Minimize f from x0 by Nelder-Mead; returns (x, fval).
 
     The iterates of scipy's `minimize(method="Nelder-Mead")` (1.17) with the
     options maxfev, xatol, fatol and adaptive, bit for bit: the same initial
     simplex, coefficients, centroid `np.add.reduce(sim[:-1], 0) / N` and
-    vertex order (`_nm_order`); a call past maxfev ends the search in the
-    middle of its iteration, a shrink included.  f gets each point as a list
-    of plain floats.  The simplex stays a float64 array, so the centroid is
-    one numpy reduction; the trial points are formed on plain floats, one
-    IEEE operation per scipy array operation, so each element is the same.
-    While the f-values are pairwise distinct, a new vertex is inserted at
-    its place in the order instead of sorting the simplex again.
+    vertex order `np.argsort` of the f-values; a call past maxfev ends the
+    search in the middle of its iteration, a shrink included.  f gets each
+    point as a list of plain floats.  The simplex stays a float64 array, so
+    the centroid is one numpy reduction; the trial points are formed on plain
+    floats, one IEEE operation per scipy array operation, so each element is
+    the same.  numpy's SIMD sort does not keep tied values in input order,
+    so the order is `np.argsort`'s own, not a stable sort's.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     N = len(x0)
@@ -190,7 +172,7 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
     except _MaxFev:
         pass
     for _ in range(2):  # scipy sorts the first simplex twice
-        ind, unique = _nm_order(fs)
+        ind = np.array(fs).argsort().tolist()
         sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
 
     while nfev < maxfev:
@@ -230,17 +212,8 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
         except _MaxFev:
             pass
         if new is not None:
-            x, fx = new
-            if unique and fx == fx:
-                p = bisect_left(fs, fx, 0, N)
-                if p == N or fs[p] != fx:  # still pairwise distinct
-                    sim[p + 1:] = sim[p:N]
-                    sim[p] = x
-                    fs[p + 1:] = fs[p:N]
-                    fs[p] = fx
-                    continue
             sim[-1], fs[-1] = new
-        ind, unique = _nm_order(fs)
+        ind = np.array(fs).argsort().tolist()
         sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
     return sim[0].copy(), float(np.min(fs))
 
@@ -279,11 +252,10 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
-    A float candidate given as an ndarray or a tuple is read as a list of
-    plain floats once per call; a list is read as it is, so the free search
-    hands over the list `_project_list` returns.  The sums run left to
-    right, as they do on numpy float64 scalars, so the value's bits do not
-    depend on the candidate's type.  `Fraction` candidates stay `Fraction`s.
+    A float candidate is read as a list of plain floats once per call.  The
+    sums run left to right, as they do on numpy float64 scalars, so the
+    value's bits do not depend on the candidate's type.  `Fraction`
+    candidates stay `Fraction`s.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int):
@@ -332,7 +304,7 @@ class StageEvaluator:
     def _value(self, cand, pair):
         """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k)` for each
         pair without a closed form."""
-        if not self.rational and type(cand) is not list:
+        if not self.rational:
             # plain floats: numpy scalars make the scalar arithmetic slow
             cand = np.asarray(cand, dtype=float).tolist()
         tails = self._tails(cand)

@@ -119,8 +119,8 @@ def _require_rational(values, what):
 
 
 def _check_inputs(source, target, costs, exact):
-    """Valid margins and a matching cost shape; each solver checks that the
-    cost entries it reads are rational."""
+    if exact:
+        _require_rational(chain(*costs.entries), "costs")
     source.validate(exact)
     target.validate(exact)
     M, N = len(source.weights), len(target.weights)
@@ -292,7 +292,6 @@ def solve_transport(source: Distribution, target: Distribution, costs: CostMatri
     """
     _check_inputs(source, target, costs, exact)
     if exact:
-        _require_rational(chain(*costs.entries), "costs")
         (a, b), D = _common_denominator((source.weights, target.weights))
         c, E = _common_denominator(costs.entries)
         return _rational(_solve(a, b, c, 0), D, E)
@@ -348,8 +347,8 @@ def greedy_monotone_transport(source: Distribution, target: Distribution,
     satisfy the quadrangle inequality (caller-checked).  Raises
     MonotonePreconditionError when the margin conditions fail.  Exact
     problems are scaled to integers as in `solve_transport`; of the costs,
-    only the entries the plan reads are checked to be rational and scaled,
-    once the margin conditions hold.
+    only the entries the plan reads are scaled, once the margin conditions
+    hold.
     """
     _check_inputs(source, target, costs, exact)
     if exact:
@@ -393,9 +392,7 @@ def _nested_costs(c):
     m = M - 1
     cells = [(i, i) for i in range(m)] + [(i, N - 1) for i in range(m)]
     cells += [(m, j) for j in range(N)]
-    read = [c[i][j] for i, j in cells]
-    _require_rational(read, "costs")
-    (scaled,), E = _common_denominator((read,))
+    (scaled,), E = _common_denominator(([c[i][j] for i, j in cells],))
     rows = [[0] * N for _ in range(M)]
     for (i, j), x in zip(cells, scaled):
         rows[i][j] = x
