@@ -126,6 +126,15 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
+def _write(args, name, header, rows, **extra):
+    """Write the CSV `name` under --out and its sidecar, the parsed flags
+    and `extra`; returns the CSV's path."""
+    path = _outpath(args, name)
+    write_csv(path, header, rows)
+    write_sidecar(path, _config(args, **extra))
+    return path
+
+
 def cmd_bounds(args):
     if args.array:
         pi = _load_array(args.array, args.N, args.exact)
@@ -141,14 +150,11 @@ def cmd_bounds(args):
         build_worst_case_witness(pi, table=table, plans=plans)
         certified = True
     cert = "witness-verified" if certified else "unverified"
-    path = _outpath(args, "bounds.csv")
-    write_csv(path, ["n", "R", "inv_R", "certificate"],
-              [[n, r, 1.0 / float(r) if r else float("inf"), cert]
-               for n, r in enumerate(table.residuals)])
-    write_sidecar(path, _config(args, command="bounds"))
-    dpath = _outpath(args, "distance-table.csv")
-    write_csv(dpath, ["m", "n", "d"], list(table.csv_rows()))
-    write_sidecar(dpath, _config(args, command="bounds"))
+    path = _write(args, "bounds.csv", ["n", "R", "inv_R", "certificate"],
+                  [[n, r, 1.0 / float(r) if r else float("inf"), cert]
+                   for n, r in enumerate(table.residuals)], command="bounds")
+    dpath = _write(args, "distance-table.csv", ["m", "n", "d"],
+                   list(table.csv_rows()), command="bounds")
     print(f"wrote {path} and {dpath} (R_{table.horizon} = {float(table.residuals[-1]):.12g})")
     return EXIT_OK
 
@@ -174,7 +180,6 @@ def cmd_optimize(args):
         build_worst_case_witness(res.array)
         certified = True
     cert = "witness-verified" if certified else "unverified"
-    path = _outpath(args, f"optimize-{mode}.csv")
     rows = []
     for n, r in enumerate(res.values):
         rec = [n, r, 1.0 / float(r) if r else float("inf"), cert]
@@ -183,9 +188,8 @@ def cmd_optimize(args):
             rec.append(seq[n] if n < len(seq) else "")
         rows.append(rec)
     header = ["n", "R", "inv_R", "certificate"] + sorted(res.coefficients)
-    write_csv(path, header, rows)
-    write_sidecar(path, _config(args, command="optimize",
-                                wall_time=res.wall_time))
+    path = _write(args, f"optimize-{mode}.csv", header, rows,
+                  command="optimize", wall_time=res.wall_time)
     apath = _outpath(args, f"optimize-{mode}-array.json")
     with open(apath, "w") as fh:
         json.dump({"rows": [[float(w) for w in r] for r in res.array.rows]},
@@ -211,12 +215,12 @@ def _reproduce_fig3(args):
                      s.values[n], 1.0 / s.values[n],
                      fh_vals[n] if n < len(fh_vals) else "",
                      1.0 / fh_vals[n] if n < len(fh_vals) else ""])
-    path = _outpath(args, "fig3.csv")
-    write_csv(path, ["n", "R_ms", "inv_R_ms", "R_s", "inv_R_s", "R_fh", "inv_R_fh"], rows)
-    write_sidecar(path, _config(args, command="reproduce", target="fig3",
-                                slope_ms=fit_slope(range(20, N + 1),
-                                                   [1 / v for v in ms.values[20:]])
-                                if N >= 25 else None))
+    path = _write(args, "fig3.csv",
+                  ["n", "R_ms", "inv_R_ms", "R_s", "inv_R_s", "R_fh", "inv_R_fh"],
+                  rows, command="reproduce", target="fig3",
+                  slope_ms=fit_slope(range(20, N + 1),
+                                     [1 / v for v in ms.values[20:]])
+                  if N >= 25 else None)
     print(f"wrote {path}")
 
 
@@ -228,9 +232,8 @@ def _reproduce_fig4(args):
                  "km-halpern", "extra-km", "ishikawa"):
         series[kind] = optimize_scheme(kind, N, cfg).values
     rows = [[n] + [series[k][n] for k in series] for n in range(N + 1)]
-    path = _outpath(args, "fig4.csv")
-    write_csv(path, ["n"] + [f"R_{k}" for k in series], rows)
-    write_sidecar(path, _config(args, command="reproduce", target="fig4"))
+    path = _write(args, "fig4.csv", ["n"] + [f"R_{k}" for k in series], rows,
+                  command="reproduce", target="fig4")
     print(f"wrote {path}")
 
 
@@ -242,9 +245,8 @@ def _reproduce_fig5(args):
     for n in stages:
         for i, w in enumerate(res.array.rows[n]):
             rows.append([n, i, w])
-    path = _outpath(args, "fig5.csv")
-    write_csv(path, ["n", "i", "pi"], rows)
-    write_sidecar(path, _config(args, command="reproduce", target="fig5"))
+    path = _write(args, "fig5.csv", ["n", "i", "pi"], rows,
+                  command="reproduce", target="fig5")
     print(f"wrote {path}")
 
 
@@ -255,10 +257,9 @@ def _reproduce_remarks(args):
     _, opt = optimal_recursion(N)
     rows = [[n, harmonic[n], float(harmonic_bound(n)), opt[n],
              harmonic[n] / opt[n]] for n in range(N + 1)]
-    path = _outpath(args, "remarks-table.csv")
-    write_csv(path, ["n", "R_harmonic", "closed_form", "R_opt", "ratio"], rows)
-    write_sidecar(path, _config(args, command="reproduce",
-                                target="remarks-table"))
+    path = _write(args, "remarks-table.csv",
+                  ["n", "R_harmonic", "closed_form", "R_opt", "ratio"], rows,
+                  command="reproduce", target="remarks-table")
     print(f"wrote {path}")
 
 
@@ -272,11 +273,9 @@ def _reproduce_lower_bounds(args):
     l1 = km_l1_residuals(alphas)
     rows = [[n, linf[n], 1.0 / (n + 1), l1[n], 1.0 / (n + 1) ** 0.5,
              float(inf_f(n)) if n >= 1 else ""] for n in range(N + 1)]
-    path = _outpath(args, "lower-bounds.csv")
-    write_csv(path, ["n", "shift_linf", "floor_linf", "km_l1", "floor_l1",
-                     "inf_f"], rows)
-    write_sidecar(path, _config(args, command="reproduce",
-                                target="lower-bounds"))
+    path = _write(args, "lower-bounds.csv",
+                  ["n", "shift_linf", "floor_linf", "km_l1", "floor_l1",
+                   "inf_f"], rows, command="reproduce", target="lower-bounds")
     print(f"wrote {path}")
 
 

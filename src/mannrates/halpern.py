@@ -100,6 +100,10 @@ def affine_theta(betas: Sequence):
 
     Theta_n(beta) = 1 - beta_n + prod_1^n beta
                     + sum_k |(2 - beta_{k-1}) beta_k - 1| prod_{k+1}^n beta.
+
+    Theta_n is in units of ||x^0 - x*||: the rotation and shift examples in
+    `operators` start at distance 1 from their fixed point 0.  The tight
+    bounds R_n of `distances` are in another unit, the table's d(-1, n) = 1.
     """
     if not betas or betas[0] != 0:
         raise ValueError("beta_0 must be 0")
@@ -113,7 +117,12 @@ def affine_theta(betas: Sequence):
 
 
 def affine_optimal(N: int, exact: bool = False):
-    """Minimizer beta*_k = k/(k+1) of Theta_N, with value 2/(N+1)."""
+    """Minimizer beta*_k = k/(k+1) of Theta_N, with value 2/(N+1).
+
+    The value is in units of ||x^0 - x*||, the bound 2 ||x^0 - x*|| / (N+1)
+    that `operators.kim_vs_halpern` checks; R_N is in units of the table's
+    d(-1, N) = 1.
+    """
     if exact:
         betas = [Fraction(k, k + 1) for k in range(N + 1)]
         value = affine_theta(betas)

@@ -78,10 +78,6 @@ def shift_linf_residuals(pi: TriangularArray) -> List[float]:
     return out
 
 
-def shift_linf_residual(pi: TriangularArray, n: int) -> float:
-    return shift_linf_residuals(pi)[n]
-
-
 # ---------------------------------------------------------------------------
 # averaged iterations of the shift on summable sequences
 
@@ -121,7 +117,6 @@ def km_l1_residuals(alphas: Sequence[float]) -> List[float]:
         if abs(r - direct) > 1e-12 * max(1.0, direct):
             raise ArithmeticError(f"2 max_k p_k = {r} differs from the direct norm {direct}")
         out.append(r)
-    n = len(alphas) - 1
     for k, rk in enumerate(out):
         if rk < 1.0 / math.sqrt(k + 1) - 1e-12:
             raise ArithmeticError(f"l1 residual {rk} at n={k} is below 1/sqrt(n+1)")

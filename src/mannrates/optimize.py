@@ -8,13 +8,16 @@ A per-scheme variant optimizes only the 1-2 stepsize parameters of a named
 iteration family at each stage; its rows come from `schemes.scheme_step`,
 the step `schemes.build_rows` unrolls.
 
-Every stagewise optimizer (MS, S, scheme, Ishikawa and exact) uses one
-stage model.  `StageEvaluator.exact` is the stage value: row n scored by
-the nested transport costs d(k, n) against the frozen rows and table.
-`_freeze_stage` then freezes the accepted row by the table rule: the
-two-point closed form, else `pair_distance` with the greedy plan gated on
-row monotonicity, as in `build_distance_table`.  Each stage certificate,
-|stage value - R_n of the frozen table|, cross-checks the two rules.
+Every stagewise optimizer (MS, S, scheme, Ishikawa and exact) runs one
+stage loop, `_stagewise`, and uses one stage model.  Each optimizer
+supplies only its stage: row n and its stage value.  `StageEvaluator.exact`
+is the stage value: row n scored by the nested transport costs d(k, n)
+against the frozen rows and table.  The loop then freezes the accepted row
+with `_freeze_stage`, by the table rule: the two-point closed form, else
+`pair_distance` with the greedy plan gated on row monotonicity, as in
+`build_distance_table`.  Each stage certificate,
+|stage value - R_n of the frozen table|, cross-checks the two rules; in
+exact mode the loop raises unless they agree exactly.
 The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
 copy.
@@ -371,6 +374,40 @@ def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
     table.residuals.append(residual_from_table(table, rows[n], n))
 
 
+def _stagewise(N: int, one, stage, exact=False) -> OptimizationResult:
+    """The stage loop of every stagewise optimizer: rows 0..N, one at a time.
+
+    Row 0 is the Dirac mass `one` (1.0, or Fraction(1) with `exact`), and
+    R_0 = one.  At stage n, `stage(rows, table, n)` returns row n and its
+    stage value against the frozen rows 0..n-1 and their table; the row is
+    frozen in the arithmetic of `one`, and the stage certificate is
+    |stage value - R_n|.  With `exact` the run raises ArithmeticError unless
+    the stage value, `StageEvaluator.exact(row)` and R_n are all equal.
+    """
+    t0 = time.perf_counter()
+    cast = type(one)
+    rows: List[tuple] = [(one,)]
+    table = empty_table(N)
+    table.residuals.append(one)
+    stage_values = []
+    certificates = []
+    for n in range(1, N + 1):
+        row, val = stage(rows, table, n)
+        if exact:
+            obj = StageEvaluator(rows, table, n).exact(row)
+        _freeze_stage(rows, table, map(cast, row), n, exact=exact)
+        R = cast(table.residuals[n])
+        if exact and not val == obj == R:
+            raise ArithmeticError(
+                f"stage {n}: optimum {val}, stage value {obj} and the frozen "
+                f"table's R_n {R} differ")
+        stage_values.append(val)
+        certificates.append(abs(val - R))
+    return OptimizationResult(TriangularArray(rows), list(table.residuals),
+                              stage_values, {}, certificates,
+                              time.perf_counter() - t0, table)
+
+
 def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of ys against xs."""
     x = np.asarray(xs, dtype=float)
@@ -460,22 +497,18 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 # free (non-monotone) stage via projected Nelder-Mead
 
 def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
-             rng: np.random.Generator, warm: Optional[np.ndarray]):
-    """Best free row found and its stage value."""
+             rng: np.random.Generator, warm: np.ndarray):
+    """Best free row found from the warm start and its stage value."""
     ev = StageEvaluator(rows, table, n)
 
     def f(x):
         return ev.surrogate(_project_list(x))
 
-    starts = []
-    best, best_val = None, math.inf
-    if warm is not None:
-        # the warm start is itself a feasible candidate; keep it as the
-        # incumbent so the search can only improve on it
-        w = project_simplex(warm)
-        starts.append(w)
-        best, best_val = w, ev.exact(w)
-    starts.append(np.full(n + 1, 1.0 / (n + 1)))
+    # the warm start is itself a feasible candidate; keep it as the
+    # incumbent so the search can only improve on it
+    best = project_simplex(warm)
+    best_val = ev.exact(best)
+    starts = [best, np.full(n + 1, 1.0 / (n + 1))]
     for _ in range(max(0, cfg.restarts - len(starts))):
         starts.append(rng.dirichlet(np.ones(n + 1)))
     budget = max(200, cfg.max_evals // max(1, len(starts)))
@@ -502,29 +535,18 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
     cfg = cfg or OptimizerConfig()
     if exact:
         return _exact_sequential(N, monotone)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    rows: List[tuple] = [(1.0,)]
-    table = empty_table(N)
-    table.residuals.append(1.0)
-    stage_values = []
-    certificates = []
-    for n in range(1, N + 1):
+
+    def stage(rows, table, n):
+        x = _ms_stage(rows, table, n, cfg, rng)
         if monotone:
-            x = _ms_stage(rows, table, n, cfg, rng)
-            obj = StageEvaluator(rows, table, n).exact(x)
-        else:
-            # the restricted quadratic stage is exact under monotone rows and
-            # still a strong heuristic start otherwise; the free search only
-            # accepts exact-evaluated improvements over it
-            warm = _ms_stage(rows, table, n, cfg, rng)
-            x, obj = _s_stage(rows, table, n, cfg, rng, warm)
-        _freeze_stage(rows, table, tuple(float(v) for v in x), n)
-        stage_values.append(obj)
-        certificates.append(abs(obj - float(table.residuals[n])))
-    arr = TriangularArray(rows)
-    return OptimizationResult(arr, list(table.residuals), stage_values, {},
-                              certificates, time.perf_counter() - t0, table)
+            return x, StageEvaluator(rows, table, n).exact(x)
+        # the restricted quadratic stage is exact under monotone rows and
+        # still a strong heuristic start otherwise; the free search only
+        # accepts exact-evaluated improvements over it
+        return _s_stage(rows, table, n, cfg, rng, x)
+
+    return _stagewise(N, 1.0, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +584,8 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
             rows.append(tuple(seg))
         return rows
 
-    def objective(x):
-        arr = TriangularArray(unpack(x))
-        table, _ = build_distance_table(arr)
+    def residual(rows):
+        table, _ = build_distance_table(TriangularArray(rows))
         return float(table.residuals[N])
 
     starts = []
@@ -576,7 +597,8 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
     best_x, best_val = None, math.inf
     budget = max(400, cfg.max_evals // max(1, len(starts)))
     for x0 in starts:
-        x, val = _nelder_mead(objective, x0, budget, 1e-11, 1e-13, N > 3)
+        x, val = _nelder_mead(lambda x: residual(unpack(x)), x0, budget,
+                              1e-11, 1e-13, N > 3)
         if val < best_val:
             best_x, best_val = x, val
 
@@ -588,8 +610,7 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
             def stage_obj(seg, stage=stage):
                 trial = list(rows)
                 trial[stage] = tuple(project_simplex(seg))
-                table, _ = build_distance_table(TriangularArray(trial))
-                return float(table.residuals[N])
+                return residual(trial)
 
             x, val = _nelder_mead(stage_obj, rows[stage], 2000, 1e-12, 1e-15)
             if val < best_val - 1e-14:
@@ -662,27 +683,19 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
     Each stage takes the best point of a grid on the surrogate (65 points
     for 1-parameter families, 17^2 for 2-parameter ones) and refines it by
     Nelder-Mead; Ishikawa optimizes its (alpha, beta) pair over each 2-stage
-    block the same way.  The search is deterministic: `cfg` is accepted for
-    a uniform optimizer signature.
+    block the same way (`_ishikawa_stage`).  The search is deterministic:
+    `cfg` is accepted for a uniform optimizer signature.
     """
     if kind not in SCHEME_PARAMS:
         raise OptimizeInputError(f"unknown scheme kind {kind!r}")
-    t0 = time.perf_counter()
-    if kind == "ishikawa":
-        return _optimize_ishikawa(N, t0)
-    rows: List[tuple] = [(1.0,)]
-    table = empty_table(N)
-    table.residuals.append(1.0)
-    stage_values = []
     coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
-    certificates = []
     dim = SCHEME_PARAMS[kind]
     keys = ("beta",) if kind == "halpern" else ("alpha", "beta")[:dim]
 
-    for n in range(1, N + 1):
+    def stage(rows, table, n):
         ev = StageEvaluator(rows, table, n)
 
-        def obj(params, n=n):
+        def obj(params):
             row = _scheme_row(kind, n, rows, params)
             return math.inf if row is None else ev.surrogate(row)
 
@@ -704,68 +717,57 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
                 best_params, best_exact = params, val
             if abs(val - sur) <= 1e-9:
                 break
-        params, val = best_params, best_exact
-        row = _scheme_row(kind, n, rows, params)
-        _freeze_stage(rows, table, tuple(float(v) for v in row), n)
-        stage_values.append(val)
-        certificates.append(abs(val - float(table.residuals[n])))
-        for key, p in zip(keys, params):
+        for key, p in zip(keys, best_params):
             coeffs[key].append(p)
-    arr = TriangularArray(rows)
-    return OptimizationResult(arr, list(table.residuals), stage_values, coeffs,
-                              certificates, time.perf_counter() - t0, table)
+        return _scheme_row(kind, n, rows, best_params), best_exact
+
+    res = _stagewise(N, 1.0, _ishikawa_stage(N, coeffs)
+                     if kind == "ishikawa" else stage)
+    res.coefficients = coeffs
+    return res
 
 
-def _optimize_ishikawa(N: int, t0: float) -> OptimizationResult:
-    """Blockwise (alpha_k, beta_k) search with 0 <= alpha <= beta <= 1.
+def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
+    """The stage function of blockwise (alpha_k, beta_k) search with
+    0 <= alpha <= beta <= 1.
 
     Odd rows use extra-KM parameters (beta, 1 - beta); even rows (alpha, 0).
+    An odd stage n searches the block's pair over rows n and n + 1 (row n
+    alone when n = N); the even stage after it reuses the block's alpha.
+    Coefficients are per row, as for the other kinds: both rows of a block
+    carry its (alpha, beta).
     """
-    rows: List[tuple] = [(1.0,)]
-    table = empty_table(N)
-    table.residuals.append(1.0)
-    stage_values = []
-    coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
-    certificates = []
+    pair = None  # the block's (beta, alpha)
 
-    n = 1
-    while n <= N:
-        last = min(n + 1, N)
+    def stage(rows, table, n):
+        nonlocal pair
+        if n % 2:
+            last = min(n + 1, N)
 
-        def block_obj(p, n=n, last=last):
-            b, a = p
-            if not (0 <= a <= b <= 1):
-                return math.inf
-            # stage n is frozen into copies to score stage n + 1
-            trial_rows, trial = list(rows), table.copy()
-            for stage, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
-                row = _scheme_row("extra-km", stage, trial_rows, prm)
-                if row is None:
+            def block_obj(p):
+                b, a = p
+                if not (0 <= a <= b <= 1):
                     return math.inf
-                val = StageEvaluator(trial_rows, trial, stage).exact(row)
-                if stage == last:
-                    return val
-                _freeze_stage(trial_rows, trial, row, stage)
+                # stage n is frozen into copies to score stage n + 1
+                trial_rows, trial = list(rows), table.copy()
+                for s, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
+                    row = _scheme_row("extra-km", s, trial_rows, prm)
+                    if row is None:
+                        return math.inf
+                    val = StageEvaluator(trial_rows, trial, s).exact(row)
+                    if s == last:
+                        return val
+                    _freeze_stage(trial_rows, trial, row, s)
 
-        p = _grid_then_nm(block_obj, 2, 13,
-                          maxfev=1500, xatol=1e-10, fatol=1e-13)
-        b, a = p
-        for stage, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
-            if stage > last:
-                break
-            row = _scheme_row("extra-km", stage, rows, prm)
-            val = StageEvaluator(rows, table, stage).exact(row)
-            _freeze_stage(rows, table, row, stage)
-            stage_values.append(val)
-            certificates.append(abs(val - float(table.residuals[stage])))
-            # coefficients are per row, as for the other kinds: both rows of
-            # a block carry its (alpha, beta)
-            coeffs["alpha"].append(a)
-            coeffs["beta"].append(b)
-        n += 2
-    arr = TriangularArray(rows)
-    return OptimizationResult(arr, list(table.residuals), stage_values, coeffs,
-                              certificates, time.perf_counter() - t0, table)
+            pair = _grid_then_nm(block_obj, 2, 13,
+                                 maxfev=1500, xatol=1e-10, fatol=1e-13)
+        b, a = pair
+        row = _scheme_row("extra-km", n, rows, (b, 1 - b) if n % 2 else (a, 0.0))
+        coeffs["alpha"].append(a)
+        coeffs["beta"].append(b)
+        return row, StageEvaluator(rows, table, n).exact(row)
+
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -1045,25 +1047,10 @@ def _exact_sequential(N: int, monotone: bool) -> OptimizationResult:
     if N > limit:
         raise OptimizeInputError(
             f"exact mode supports N <= {limit} for this strategy")
-    t0 = time.perf_counter()
-    rows: List[tuple] = [(Fraction(1),)]
-    table = empty_table(N)
-    table.residuals.append(Fraction(1))
-    stage_values = []
-    certificates = []
-    for n in range(1, N + 1):
-        if monotone:
-            val, x = _exact_ms_stage(rows, table, n)
-        else:
-            val, x = _exact_s_stage(rows, table, n)
-        obj = StageEvaluator(rows, table, n).exact(x)
-        _freeze_stage(rows, table, tuple(x), n, exact=True)
-        stage_values.append(val)
-        certificates.append(abs(obj - table.residuals[n]))
-        if val != table.residuals[n]:
-            raise ArithmeticError(
-                f"stage {n}: optimum {val} differs from the frozen table's R_n "
-                f"{table.residuals[n]}")
-    arr = TriangularArray(rows)
-    return OptimizationResult(arr, list(table.residuals), stage_values, {},
-                              certificates, time.perf_counter() - t0, table)
+
+    def stage(rows, table, n):
+        # looked up at each call, so the module globals can be patched
+        val, x = (_exact_ms_stage if monotone else _exact_s_stage)(rows, table, n)
+        return x, val
+
+    return _stagewise(N, Fraction(1), stage, exact=True)

@@ -41,9 +41,6 @@ class TriangularArray:
     def horizon(self) -> int:
         return len(self.rows) - 1
 
-    def row(self, n: int):
-        return self.rows[n]
-
     def validate(self, exact: bool = False) -> None:
         """Row 0 the Dirac mass, row n nonnegative on 0..n and summing to 1:
         exactly when `exact`, else within 1e-12."""

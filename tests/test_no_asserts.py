@@ -4,7 +4,9 @@ Invariants raise real exceptions: `python -O` strips `assert` statements,
 so the package source must hold none.  Nor may a module keep an import it
 never reads, nor the package a private function nobody calls.  Nelder-Mead
 has one implementation, `optimize._nelder_mead`: scipy's `minimize` serves
-SLSQP only."""
+SLSQP only.  The stagewise optimizers have one stage loop,
+`optimize._stagewise`: besides it, only the joint fixed-horizon search
+builds an `OptimizationResult`."""
 
 import ast
 from pathlib import Path
@@ -96,3 +98,14 @@ def test_minimize_is_called_for_slsqp_only():
              if not any(kw.arg == "method" and isinstance(kw.value, ast.Constant)
                         and kw.value.value == "SLSQP" for kw in node.keywords)]
     assert found == []
+
+
+def test_optimization_results_come_from_one_stage_loop():
+    # the top-level definition around each OptimizationResult(...) call
+    tree = ast.parse((PACKAGE / "optimize.py").read_text())
+    found = {getattr(top, "name", None)
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "OptimizationResult"}
+    assert found == {"_stagewise", "optimize_fixed_horizon"}

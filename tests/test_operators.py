@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mannrates.distances import halpern_residuals
 from mannrates.halpern import affine_optimal, affine_theta
 from mannrates.operators import (affine_shift_halpern_residual,
                                  binomial_floor_function,
@@ -120,6 +121,14 @@ def test_affine_shift_attains_theta(tail):
         affine_theta(betas), abs=1e-12)
 
 
+def test_affine_bound_within_twice_the_tight_bound():
+    # Theta_N is in units of ||x^0 - x*||, R_N in units of the table's
+    # d(-1, N) = 1; the largest ratio Theta_N / (2 R_N) is 2/3, at N = 1
+    for N in range(1, 41):
+        betas = [Fraction(k, k + 1) for k in range(N + 1)]
+        assert affine_theta(betas) <= 2 * halpern_residuals(betas)[N]
+
+
 def test_rotation_residual_optimal_betas():
     for n in range(1, 60):
         assert rotation_halpern_residual(n) == pytest.approx(2 / (n + 1),
@@ -181,6 +190,9 @@ def test_kim_iterates_start():
     ("mannrates.optimize._exact_ms_stage",
      lambda rows, table, n: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
      lambda: optimize_sequential(1, exact=True)),
+    ("mannrates.optimize._exact_s_stage",
+     lambda rows, table, n: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
+     lambda: optimize_sequential(1, monotone=False, exact=True)),
 ])
 def test_invariant_violations_raise(monkeypatch, target, fake, call):
     monkeypatch.setattr(target, fake)
