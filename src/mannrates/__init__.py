@@ -22,8 +22,8 @@ from .optimize import (OptimizationResult, OptimizerConfig,
                        optimize_sequential)
 from .schemes import (SchemeSpec, TriangularArray, build_rows, check_monotone,
                       scheme_from_json)
-from .transport import (CostMatrix, Distribution, TransportPlan,
-                        greedy_monotone_transport, solve_transport)
+from .transport import (TransportPlan, greedy_monotone_transport,
+                        solve_transport)
 from .witness import build_worst_case_witness, witness_json
 
 __version__ = "0.1.0"

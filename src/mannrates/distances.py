@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .schemes import TriangularArray, check_monotone
-from .transport import (CostMatrix, Distribution, MonotonePreconditionError,
-                        TransportPlan, greedy_monotone_transport, solve_transport)
+from .transport import (MonotonePreconditionError, TransportPlan,
+                        greedy_monotone_transport, solve_transport)
 
 
 @dataclass
@@ -26,6 +26,12 @@ class DistanceTable:
 
     def d(self, m: int, n: int):
         return self._d[m + 1][n + 1]
+
+    def costs(self, m: int, n: int) -> List[List[object]]:
+        """The transport costs c[i][j] = d(i-1, j-1) between rows m and n,
+        0 <= i <= m, 0 <= j <= n: the (m+1) x (n+1) block of the table's
+        own storage."""
+        return [r[:n + 1] for r in self._d[:m + 1]]
 
     def set_d(self, m: int, n: int, value) -> None:
         self._d[m + 1][n + 1] = value
@@ -51,24 +57,16 @@ def empty_table(N: int) -> DistanceTable:
     return t
 
 
-def cost_matrix(table: DistanceTable, m: int, n: int) -> CostMatrix:
-    """Costs c[i][j] = d(i-1, j-1) for a transport between rows m and n."""
-    return CostMatrix(tuple(tuple(table.d(i - 1, j - 1) for j in range(n + 1))
-                            for i in range(m + 1)))
-
-
 def pair_distance(table: DistanceTable, rows, m: int, n: int,
                   exact: bool = False, allow_greedy: bool = True) -> TransportPlan:
     """Transport plan realizing d(m, n); greedy fast path when valid."""
-    src = Distribution(rows[m])
-    tgt = Distribution(rows[n])
-    costs = cost_matrix(table, m, n)
+    costs = table.costs(m, n)
     if allow_greedy:
         try:
-            return greedy_monotone_transport(src, tgt, costs, exact=exact)
+            return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact)
         except MonotonePreconditionError:
             pass
-    return solve_transport(src, tgt, costs, exact=exact)
+    return solve_transport(rows[m], rows[n], costs, exact=exact)
 
 
 def build_distance_table(pi: TriangularArray, exact: bool = False,

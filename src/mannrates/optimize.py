@@ -255,10 +255,10 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
-    A float candidate is read as a list of plain floats once per call.  The
-    sums run left to right, as they do on numpy float64 scalars, so the
-    value's bits do not depend on the candidate's type.  `Fraction`
-    candidates stay `Fraction`s.
+    A float candidate is read once per call, as a list of plain floats for
+    the sums and as one ndarray for the cuts.  The sums run left to right,
+    as they do on numpy float64 scalars, so the value's bits do not depend
+    on the candidate's type.  `Fraction` candidates stay `Fraction`s.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int):
@@ -305,17 +305,20 @@ class StageEvaluator:
         return out
 
     def _value(self, cand, pair):
-        """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k)` for each
-        pair without a closed form."""
+        """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k, x)` for
+        each pair without a closed form, where x is a float candidate as one
+        ndarray (None for `Fraction` rows)."""
+        x = None
         if not self.rational:
             # plain floats: numpy scalars make the scalar arithmetic slow
-            cand = np.asarray(cand, dtype=float).tolist()
+            x = np.asarray(cand, dtype=float)
+            cand = x.tolist()
         tails = self._tails(cand)
         cb = _two_point_beta(cand)
         total = cand[0]
         for k in range(1, self.n + 1):
             d = self._pair_fast(cand, cb, k, tails[k - 1])
-            total += cand[k] * (pair(cand, k) if d is None else d)
+            total += cand[k] * (pair(cand, k, x) if d is None else d)
         return total
 
     def surrogate(self, cand) -> float:
@@ -328,18 +331,18 @@ class StageEvaluator:
         total = self._value(cand, self._solve_pair)
         return total if self.rational else float(total)
 
-    def _cut(self, cand, k):
+    def _cut(self, cand, k, x):
         """The best harvested cut at the candidate, or a transport solve
         before the pair has one."""
         m = k - 1
         if self.pool_U[m] is None:
             return self._solve_pair(cand, k)
-        return float((self.pool_U[m] @ np.asarray(cand, dtype=float)
-                      + self.pool_c[m]).max())
+        return float((self.pool_U[m] @ x + self.pool_c[m]).max())
 
-    def _solve_pair(self, cand, k):
+    def _solve_pair(self, cand, k, x=None):
         """Exact d(k-1, n) at the candidate by the transport kernel; its duals
-        go to the pool as the cut u.cand - v.pi^m."""
+        go to the pool as the cut u.cand - v.pi^m.  The kernel reads the
+        candidate as a sequence, so the array x goes unused."""
         m = k - 1
         plan = pair_distance(self.table, self.rows + [tuple(cand)], m, self.n,
                              exact=self.rational, allow_greedy=False)
@@ -999,7 +1002,7 @@ def _exact_s_stage(rows, table, n):
     lin0 = [Fraction(0)] * d
     Q0 = [[Fraction(0)] * d for _ in range(d)]
     lin0[0] = Fraction(1)
-    c0 = [table.d(-1, j - 1) for j in range(d)]
+    c0 = table.costs(0, n)[0]  # d(-1, j-1)
     if n >= 1:
         for j in range(d):
             Q0[1][j] += Fraction(c0[j])
@@ -1008,7 +1011,7 @@ def _exact_s_stage(rows, table, n):
     for k in range(2, n + 1):
         m = k - 1
         M, N_ = m + 1, d
-        costs = [[table.d(i - 1, j - 1) for j in range(d)] for i in range(M)]
+        costs = table.costs(m, n)
         choices = []
         for combo in _spanning_cells(M, N_):
             flows = _tree_flows_affine(combo, rows[m], M, N_, d)

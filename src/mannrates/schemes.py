@@ -43,16 +43,18 @@ class TriangularArray:
 
     def validate(self, exact: bool = False) -> None:
         """Row 0 the Dirac mass, row n nonnegative on 0..n and summing to 1:
-        exactly when `exact`, else within 1e-12."""
+        exactly when `exact`, else within 1e-12.  The row-0 and sum tests
+        pass only on a true comparison, so a NaN weight, which compares
+        false with everything, fails them."""
         tol = 0 if exact else 1e-12
-        if not self.rows or len(self.rows[0]) != 1 or abs(self.rows[0][0] - 1) > tol:
+        if not self.rows or len(self.rows[0]) != 1 or not abs(self.rows[0][0] - 1) <= tol:
             raise SchemeError("row 0 must be the Dirac mass at index 0")
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise SchemeError(f"row {n} has support size {len(row)}, expected {n + 1}")
             if any(w < -tol for w in row):
                 raise SchemeError(f"row {n} has a negative weight")
-            if (sum(row) != 1) if exact else abs(sum(row) - 1) > 1e-12:
+            if not abs(sum(row) - 1) <= tol:
                 raise SchemeError(f"row {n} does not sum to 1")
 
 

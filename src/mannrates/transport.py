@@ -1,12 +1,16 @@
 """Exact solvers for the small transportation problems between coefficient rows.
 
-Two routes are provided.  `solve_transport` returns an optimal plan with
-dual multipliers: it keeps the mass two rows share on the diagonal, solves
-the remaining excess-to-deficit problem with a transportation simplex
-(Dantzig pricing, Bland's rule against cycling, an array-based basis tree),
-and certifies the result with a single dual potential, solving the full
-problem instead when the certificate fails.  `greedy_monotone_transport` is
-a closed-form construction valid under the monotone-row preconditions.
+Both solvers take plain sequences: margins a (the source row, M weights)
+and b (the target row, N weights), each nonnegative and summing to 1, and
+costs c with c[i][j] the cost of moving mass from i to j, M rows of N
+entries.  `solve_transport(a, b, c)` returns an optimal plan with dual
+multipliers: it keeps the mass two rows share on the diagonal, solves the
+remaining excess-to-deficit problem with a transportation simplex (Dantzig
+pricing, Bland's rule against cycling, an array-based basis tree), and
+certifies the result with a single dual potential, solving the full problem
+instead when the certificate fails.  `greedy_monotone_transport(a, b, c)` is
+a closed-form construction valid under the monotone-row preconditions.  A
+malformed problem raises `TransportInputError` before either solver runs.
 
 Both work over floats and, with ``exact=True``, over `int` and
 `fractions.Fraction` entries.  An exact problem is scaled to integers before
@@ -25,6 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from operator import sub
+from typing import Sequence
 
 FEAS_TOL = 1e-10
 DUAL_TOL = 1e-9
@@ -50,52 +55,6 @@ class MonotonePreconditionError(TransportError):
 
 
 @dataclass(frozen=True)
-class Distribution:
-    """Probability weights on support indices 0..n."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = tuple(self.weights)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1
-
-    def validate(self, exact: bool = False) -> None:
-        """Nonnegative weights summing to 1: exactly when `exact`, so that
-        the scaled margins of an exact solve balance, else within 1e-12."""
-        if len(self.weights) == 0:
-            raise TransportInputError("empty distribution")
-        if exact:  # summed as integers: a Fraction sum pays a gcd per term
-            _require_rational(self.weights, "weights")
-            (w,), D = _common_denominator((self.weights,))
-            negative, off = min(w) < 0, sum(w) != D
-        else:
-            negative = any(w < -1e-12 for w in self.weights)
-            off = abs(sum(self.weights) - 1) > 1e-12
-        if negative:
-            raise TransportInputError("negative weight in distribution")
-        if off:
-            raise TransportInputError(f"weights sum to {sum(self.weights)}, expected 1")
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Cost entries c[i][j] = d(i-1, j-1) between two rows' support points."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]))
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Optimal plan with dual multipliers (normalized so min dual is 0)."""
 
@@ -118,16 +77,33 @@ def _require_rational(values, what):
                 f"exact arithmetic needs int or Fraction {what}, got {x!r}")
 
 
-def _check_inputs(source, target, costs, exact):
+def _check_inputs(a, b, c, exact):
+    """The margins a and b as lists, and their unit D, once the problem
+    checks out: rational entries under `exact`, each margin nonempty,
+    nonnegative and summing to 1 (exactly under `exact`, else within
+    1e-12), and an M x N cost block.  Exact margins come back as numerators
+    over their least common denominator D, the integers the solve uses;
+    float margins as they are, with D = 1.  A NaN weight fails the sum check.
+    """
     if exact:
-        _require_rational(chain(*costs.entries), "costs")
-    source.validate(exact)
-    target.validate(exact)
-    M, N = len(source.weights), len(target.weights)
-    if costs.shape != (M, N):
+        _require_rational(chain(*c), "costs")
+        _require_rational(chain(a, b), "weights")
+        (a, b), D = _common_denominator((a, b))
+    else:
+        a, b, D = list(a), list(b), 1
+    tol = 0 if exact else 1e-12
+    for w in (a, b):
+        if not w:
+            raise TransportInputError("empty distribution")
+        if min(w) < -tol:
+            raise TransportInputError("negative weight in distribution")
+        if not abs(sum(w) - D) <= tol:
+            raise TransportInputError(f"weights sum to {sum(w) / D}, expected 1")
+    M, N = len(a), len(b)
+    if len(c) != M or any(len(r) != N for r in c):
         raise TransportInputError(
-            f"cost matrix shape {costs.shape} does not match margins ({M}, {N})"
-        )
+            f"cost rows of lengths {[len(r) for r in c]} do not match margins ({M}, {N})")
+    return a, b, D
 
 
 def _arc(q, parent, M):
@@ -276,9 +252,10 @@ def _certify(a, b, c, plan, sources, v, tol):
     return replace(plan, dual_u=tuple(p), dual_v=tuple(p[:M]))
 
 
-def solve_transport(source: Distribution, target: Distribution, costs: CostMatrix,
+def solve_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
                     exact: bool = False) -> TransportPlan:
-    """Minimum-cost transport plan between two rows, with optimal duals.
+    """Minimum-cost transport plan from margins a to margins b under costs
+    c[i][j], with optimal duals.
 
     The shared mass min(a_k, b_k) stays on the diagonal, so flow(k, k) is
     exactly that, and `_simplex` solves only the excess-to-deficit problem
@@ -290,12 +267,11 @@ def solve_transport(source: Distribution, target: Distribution, costs: CostMatri
     them, shifted to minimum 0.  Exact problems are solved on their integer
     scaling: margins over their least common denominator, costs over theirs.
     """
-    _check_inputs(source, target, costs, exact)
+    a, b, D = _check_inputs(a, b, c, exact)
     if exact:
-        (a, b), D = _common_denominator((source.weights, target.weights))
-        c, E = _common_denominator(costs.entries)
+        c, E = _common_denominator(c)
         return _rational(_solve(a, b, c, 0), D, E)
-    return _solve(list(source.weights), list(target.weights), costs.entries, FEAS_TOL)
+    return _solve(a, b, c, FEAS_TOL)
 
 
 def _solve(a, b, c, tol):
@@ -338,26 +314,25 @@ def _rational(plan, D, E):
                          tuple(Fraction(x, E) for x in plan.dual_v))
 
 
-def greedy_monotone_transport(source: Distribution, target: Distribution,
-                              costs: CostMatrix, exact: bool = False) -> TransportPlan:
-    """Closed-form nested plan for monotone rows (source row m, target row n).
+def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
+                              exact: bool = False) -> TransportPlan:
+    """Closed-form nested plan for monotone rows (source row a = pi^m, target
+    row b = pi^n, costs c[i][j]).
 
-    Requires target_i <= source_i for i <= m and the tail condition
-    source_m >= sum_{j=m}^{n-1} target_j; the cost table must additionally
+    Requires b_i <= a_i for i <= m and the tail condition
+    a_m >= sum_{j=m}^{n-1} b_j; the cost table must additionally
     satisfy the quadrangle inequality (caller-checked).  Raises
     MonotonePreconditionError when the margin conditions fail.  Exact
     problems are scaled to integers as in `solve_transport`; of the costs,
     only the entries the plan reads are scaled, once the margin conditions
     hold.
     """
-    _check_inputs(source, target, costs, exact)
+    a, b, D = _check_inputs(a, b, c, exact)
     if exact:
-        (a, b), D = _common_denominator((source.weights, target.weights))
         flow = _nested_flow(a, b, 0)
-        c, E = _nested_costs(costs.entries)
+        c, E = _nested_costs(c)
         return _rational(_nested_plan(flow, c, 0, E), D, E)
-    flow = _nested_flow(list(source.weights), list(target.weights), FEAS_TOL)
-    return _nested_plan(flow, costs.entries, FEAS_TOL, 1)
+    return _nested_plan(_nested_flow(a, b, FEAS_TOL), c, FEAS_TOL, 1)
 
 
 def _nested_flow(a, b, tol):

@@ -84,7 +84,7 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
 
     pairs: List[Tuple[int, int]] = [(m, n) for m in range(-1, N + 1)
                                     for n in range(m, N + 1)]
-    D = [[table.d(i - 1, j - 1) for j in range(N + 2)] for i in range(N + 2)]
+    D = table.costs(N + 1, N + 1)
     P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows[: N + 1])]
     U = {p: plans[p].dual_u for p in pairs if p[0] >= 0}
     R = [table.residuals[: N + 1]]

@@ -69,10 +69,15 @@ def test_bad_array_file_is_input_error(tmp_path, capsys):
     apath2.write_text(json.dumps({"rows": [[1.0], [0.9, 0.9]]}))
     assert run(["bounds", "--array", str(apath2), "--N", "1", "--out", str(tmp_path)]) == 1
     assert "does not sum to 1" in capsys.readouterr().err
-    # a JSON scalar, and files with fewer than N+1 rows
-    for i, (doc, N, msg) in enumerate(((3, 1, "expected a 'rows' key"),
-                                       ({"rows": [[1.0], [0.5, 0.5]]}, 5, "needs rows 0..5"),
-                                       ([[1.0], [0.5, 0.5]], 5, "needs rows 0..5"))):
+    # a JSON scalar, files with fewer than N+1 rows, and NaN weights, which
+    # fail every comparison and so must fail the row checks
+    nan = float("nan")
+    for i, (doc, N, msg) in enumerate((
+            (3, 1, "expected a 'rows' key"),
+            ({"rows": [[1.0], [0.5, 0.5]]}, 5, "needs rows 0..5"),
+            ([[1.0], [0.5, 0.5]], 5, "needs rows 0..5"),
+            ({"rows": [[1.0], [nan, 0.5], [0.2, 0.3, 0.5]]}, 2, "row 1 does not sum to 1"),
+            ({"rows": [[nan], [0.5, 0.5]]}, 1, "row 0 must be the Dirac mass"))):
         apath = tmp_path / f"shape{i}.json"
         apath.write_text(json.dumps(doc))
         out = tmp_path / f"o{i}"

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from mannrates import distances
 from mannrates.distances import (build_distance_table,
                                  halpern_distance_recursion, halpern_residuals,
-                                 residual_from_table, validate_metric,
-                                 validate_quadrangle)
+                                 pair_distance, residual_from_table,
+                                 validate_metric, validate_quadrangle)
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
 
 from conftest import random_array, random_monotone_array
@@ -147,3 +148,58 @@ def test_exact_tables_are_pinned(name, pi):
     table, _ = build_distance_table(pi, exact=True)
     assert [str(d) for _, _, d in table.csv_rows()] == want["d"]
     assert [str(r) for r in table.residuals] == want["R"]
+
+
+def _float_km_rows(N, seed):
+    rng = random.Random(seed)
+    alphas = (0.0,) + tuple(rng.uniform(0.05, 0.95) for _ in range(N))
+    return build_rows(SchemeSpec("km", alphas=alphas), N)
+
+
+@pytest.mark.parametrize("pi, exact", [(_float_km_rows(9, 9), False),
+                                       (_rational_km_rows(9, 9), True),
+                                       (_random_rational_rows(7, 7), True)])
+def test_cost_block_is_the_table(pi, exact):
+    # c[i][j] = d(i-1, j-1) for every block up to the witness's (N+1, N+1)
+    table, _ = build_distance_table(pi, exact=exact)
+    N = pi.horizon
+    for m in range(N + 2):
+        for n in range(N + 2):
+            want = [[table.d(i - 1, j - 1) for j in range(n + 1)] for i in range(m + 1)]
+            assert table.costs(m, n) == want
+    block = table.costs(N + 1, N + 1)
+    block[1][2] = -1  # a cut of the storage, not a view into it
+    assert table.d(0, 1) != -1
+
+
+@pytest.mark.parametrize("allow_greedy", [False, True])
+@pytest.mark.parametrize("pi, exact", [(_float_km_rows(6, 6), False),
+                                       (_rational_km_rows(6, 6), True)])
+def test_pair_distance_hands_the_kernels_the_table_block(monkeypatch, pi, exact,
+                                                         allow_greedy):
+    table, _ = build_distance_table(pi, exact=exact)
+    seen = []
+
+    def recording(kernel):
+        def run(a, b, c, exact=False):
+            seen.append((kernel.__name__, a, b, c, exact))
+            return kernel(a, b, c, exact=exact)
+        return run
+
+    for name in ("solve_transport", "greedy_monotone_transport"):
+        monkeypatch.setattr(distances, name, recording(getattr(distances, name)))
+    for n in range(pi.horizon + 1):
+        for m in range(n):
+            seen.clear()
+            plan = pair_distance(table, pi.rows, m, n, exact=exact,
+                                 allow_greedy=allow_greedy)
+            assert seen[0][0] == ("greedy_monotone_transport" if allow_greedy
+                                  else "solve_transport")
+            for _, a, b, c, ex in seen:
+                assert (a, b, ex) == (pi.rows[m], pi.rows[n], exact)
+                assert c == [[table.d(i - 1, j - 1) for j in range(n + 1)]
+                             for i in range(m + 1)]
+            if exact or allow_greedy:  # the rule the table was built by
+                assert plan.objective == table.d(m, n)
+            else:
+                assert plan.objective == pytest.approx(table.d(m, n), abs=1e-12)

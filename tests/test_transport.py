@@ -16,8 +16,7 @@ from hypothesis import example, given, strategies as st
 from mannrates import transport
 from mannrates.distances import build_distance_table
 from mannrates.schemes import TriangularArray
-from mannrates.transport import (CostMatrix, Distribution,
-                                 MonotonePreconditionError, TransportInputError,
+from mannrates.transport import (MonotonePreconditionError, TransportInputError,
                                  greedy_monotone_transport, solve_transport)
 from mannrates.witness import build_worst_case_witness
 
@@ -72,18 +71,17 @@ def _basis_enumeration_oracle(a, b, c):
 
 
 def test_singleton_margins():
-    plan = solve_transport(Distribution((1,)), Distribution((1,)),
-                           CostMatrix(((0,),)), exact=True)
+    plan = solve_transport((1,), (1,), ((0,),), exact=True)
     assert plan.objective == 0
     assert plan.mass(0, 0) == 1
 
 
 def test_identical_margins_cost_zero():
-    a = Distribution((0.3, 0.5, 0.2))
-    c = CostMatrix(((0, 1, 1), (1, 0, 0.5), (1, 0.5, 0)))
+    a = (0.3, 0.5, 0.2)
+    c = ((0, 1, 1), (1, 0, 0.5), (1, 0.5, 0))
     plan = solve_transport(a, a, c)
     assert plan.objective == pytest.approx(0.0, abs=1e-12)
-    for i, w in enumerate(a.weights):
+    for i, w in enumerate(a):
         assert plan.mass(i, i) == pytest.approx(w, abs=1e-12)
 
 
@@ -96,8 +94,7 @@ _C2 = ((Fraction(0), Fraction(1), Fraction(1)),
 
 
 def test_known_2x3_exact_value():
-    plan = solve_transport(Distribution(_A2), Distribution(_B2),
-                           CostMatrix(_C2), exact=True)
+    plan = solve_transport(_A2, _B2, _C2, exact=True)
     assert plan.objective == Fraction(5, 14)
 
 
@@ -110,8 +107,7 @@ def test_known_2x3_against_linprog():
 
 
 def test_duality_on_known_instance():
-    plan = solve_transport(Distribution(_A2), Distribution(_B2),
-                           CostMatrix(_C2), exact=True)
+    plan = solve_transport(_A2, _B2, _C2, exact=True)
     primal = plan.objective
     dual = (sum(w * u for w, u in zip(_B2, plan.dual_u))
             - sum(w * v for w, v in zip(_A2, plan.dual_v)))
@@ -139,14 +135,14 @@ def _instances(draw):
 @given(_instances())
 def test_matches_linprog_on_random_instances(inst):
     a, b, c = inst
-    plan = solve_transport(Distribution(a), Distribution(b), CostMatrix(c))
+    plan = solve_transport(a, b, c)
     assert float(plan.objective) == pytest.approx(_linprog_oracle(a, b, c), abs=1e-8)
 
 
 @given(_instances())
 def test_plan_margins_and_duality(inst):
     a, b, c = inst
-    plan = solve_transport(Distribution(a), Distribution(b), CostMatrix(c))
+    plan = solve_transport(a, b, c)
     flows = plan.flow_dict()
     for i, w in enumerate(a):
         assert sum(z for (ii, _), z in flows.items() if ii == i) == pytest.approx(w, abs=1e-9)
@@ -177,16 +173,12 @@ def test_diagonal_saturation_on_metric_costs(rng):
         d = _metric_cost(n, rng)
         a = random_simplex(rng, n + 1)
         b = random_simplex(rng, n + 1)
-        c = CostMatrix(tuple(tuple(r) for r in d))
-        plan = solve_transport(Distribution(a), Distribution(b), c)
+        plan = solve_transport(a, b, d)
         for i in range(n + 1):
             assert plan.mass(i, i) == pytest.approx(min(a[i], b[i]), abs=1e-9)
 
 
 def test_greedy_matches_simplex_on_monotone_rows(rng):
-    from mannrates.distances import build_distance_table, cost_matrix
-    from mannrates.schemes import TriangularArray
-
     from conftest import random_monotone_array
 
     for _ in range(5):
@@ -195,75 +187,101 @@ def test_greedy_matches_simplex_on_monotone_rows(rng):
         table, _ = build_distance_table(pi)
         for m in range(1, 6):
             for n in range(m + 1, 7):
-                src, tgt = Distribution(rows[m]), Distribution(rows[n])
-                costs = cost_matrix(table, m, n)
+                costs = table.costs(m, n)
                 try:
-                    g = greedy_monotone_transport(src, tgt, costs)
+                    g = greedy_monotone_transport(rows[m], rows[n], costs)
                 except MonotonePreconditionError:
                     continue
-                s = solve_transport(src, tgt, costs)
+                s = solve_transport(rows[m], rows[n], costs)
                 assert float(g.objective) == pytest.approx(float(s.objective), abs=1e-9)
 
 
 def test_greedy_rejects_non_nested_margins():
-    src = Distribution((0.2, 0.8))
-    tgt = Distribution((0.5, 0.2, 0.3))
-    costs = CostMatrix(((0, 1, 1), (1, 0, 1)))
     with pytest.raises(MonotonePreconditionError):
-        greedy_monotone_transport(src, tgt, costs)
+        greedy_monotone_transport((0.2, 0.8), (0.5, 0.2, 0.3),
+                                  ((0, 1, 1), (1, 0, 1)))
 
 
 def test_exact_mode_returns_fractions():
-    a = Distribution((Fraction(1, 3), Fraction(2, 3)))
-    b = Distribution((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    c = CostMatrix(((Fraction(0), Fraction(1), Fraction(1)),
-                    (Fraction(1), Fraction(0), Fraction(1, 2))))
+    a = (Fraction(1, 3), Fraction(2, 3))
+    b = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    c = ((Fraction(0), Fraction(1), Fraction(1)),
+         (Fraction(1), Fraction(0), Fraction(1, 2)))
     plan = solve_transport(a, b, c, exact=True)
     assert isinstance(plan.objective, Fraction)
-    assert float(plan.objective) == pytest.approx(
-        _linprog_oracle(a.weights, b.weights, c.entries), abs=1e-9)
+    assert float(plan.objective) == pytest.approx(_linprog_oracle(a, b, c), abs=1e-9)
 
 
 def test_input_validation():
     with pytest.raises(TransportInputError):
-        solve_transport(Distribution((0.5, 0.6)), Distribution((1.0,)),
-                        CostMatrix(((0,), (1,))))
+        solve_transport((0.5, 0.6), (1.0,), ((0,), (1,)))
     with pytest.raises(TransportInputError):
-        solve_transport(Distribution((1.0,)), Distribution((1.0,)),
-                        CostMatrix(((0, 1),)))
-    with pytest.raises(TransportInputError):
-        Distribution((-0.1, 1.1)).validate()
+        solve_transport((1.0,), (1.0,), ((0, 1),))
+    for solver in (solve_transport, greedy_monotone_transport):
+        with pytest.raises(TransportInputError, match="negative"):
+            solver((-0.1, 1.1), (0.5, 0.5), ((0, 1), (1, 0)))
+        with pytest.raises(TransportInputError, match="empty"):
+            solver((), (1.0,), ())
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("solver", [solve_transport, greedy_monotone_transport])
+@pytest.mark.parametrize("a, b, c", [
+    ((1, 0), (1, 0), ((0, 1), (1,))),      # a short last row
+    ((1, 0), (1, 0), ((0,), (1, 0))),      # a short first row
+    ((1, 0), (1, 0), ((0, 1), (1, 0), (1, 1))),  # a row too many
+    ((1,), (1,), ()),                      # no rows at all
+    ((1,), (1,), ((),)),                   # an empty row
+])
+def test_malformed_cost_blocks_are_input_errors(a, b, c, solver, exact):
+    # every row of the block is checked, not the first one only
+    with pytest.raises(TransportInputError, match="cost rows"):
+        solver(a, b, c, exact=exact)
+
+
+@pytest.mark.parametrize("solver", [solve_transport, greedy_monotone_transport])
+def test_nan_weights_are_input_errors(solver):
+    # every comparison with NaN is false, so the checks must pass on truth
+    nan, c = float("nan"), ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    for a, b in (((nan, 0.5, 0.5), (0.2, 0.3, 0.5)),
+                 ((0.2, 0.3, 0.5), (0.5, nan, 0.5)),
+                 ((0.5, 0.5, nan), (0.5, 0.5, 0.0)),
+                 ((1.0, 0.0, float("inf")), (0.2, 0.3, 0.5))):
+        with pytest.raises(TransportInputError, match="sum"):
+            solver(a, b, c)
 
 
 @pytest.mark.parametrize("solver", [solve_transport, greedy_monotone_transport])
 @pytest.mark.parametrize("where", ["weight", "cost"])
 def test_exact_mode_refuses_non_rational_entries(solver, where):
     # the integer scaling needs numerators and denominators
-    a = Distribution((Fraction(1, 2), Fraction(1, 2)))
-    b = Distribution((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    a = (Fraction(1, 2), Fraction(1, 2))
+    b = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     c = [[Fraction(0), Fraction(1, 3), Fraction(1)], [Fraction(1, 3), 0, 1]]
     if where == "weight":
-        a = Distribution((0.5, Fraction(1, 2)))
+        a = (0.5, Fraction(1, 2))
     else:
         c[1][2] = 1.0
     with pytest.raises(TransportInputError, match="int or Fraction"):
-        solver(a, b, CostMatrix(c), exact=True)
+        solver(a, b, c, exact=True)
     if where == "cost":  # the same problem with rational entries solves
         c[1][2] = 1
-        assert solver(a, b, CostMatrix(c), exact=True).objective == Fraction(1, 2)
+        assert solver(a, b, c, exact=True).objective == Fraction(1, 2)
 
 
 def test_exact_validation_needs_a_unit_sum():
-    off = Distribution((Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**13)))
-    off.validate()  # within the float tolerance
+    off = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**13))
+    swap = ((0, 1), (1, 0))
+    assert solve_transport(off, off, swap).objective == 0  # within the float tolerance
     with pytest.raises(TransportInputError, match="sum"):
-        off.validate(exact=True)
+        greedy_monotone_transport(off, off, swap, exact=True)
     with pytest.raises(TransportInputError, match="sum"):
-        solve_transport(off, Distribution((Fraction(1),) + (0,)),
-                        CostMatrix(((0, 1), (1, 0))), exact=True)
-    Distribution((Fraction(1, 3), Fraction(2, 3), 0)).validate(exact=True)
+        solve_transport(off, (Fraction(1),) + (0,), swap, exact=True)
+    thirds = (Fraction(1, 3), Fraction(2, 3), 0)
+    assert solve_transport(thirds, thirds, ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+                           exact=True).objective == 0
     with pytest.raises(TransportInputError, match="int or Fraction"):
-        Distribution((0.5, 0.5)).validate(exact=True)
+        greedy_monotone_transport((0.5, 0.5), off, swap, exact=True)
 
 
 # -- the reduced kernel: shared mass on the diagonal, certified duals --------
@@ -317,11 +335,6 @@ def _floats(a, b, c):
             [[float(x) for x in r] for r in c])
 
 
-def _solve(a, b, c, exact=False):
-    return solve_transport(Distribution(tuple(a)), Distribution(tuple(b)),
-                           CostMatrix(c), exact=exact)
-
-
 def _assert_certified(plan, a, b, c, tol):
     for i in range(len(a)):
         for j in range(len(b)):
@@ -335,7 +348,7 @@ def _assert_certified(plan, a, b, c, tol):
 def test_reduced_kernel_on_metric_costs(inst):
     a, b, c = _floats(*inst)
     with _simplex_sizes() as sizes:
-        plan = _solve(a, b, c)
+        plan = solve_transport(a, b, c)
     # one solve, of the excess-to-deficit problem only
     assert sizes == [(sum(x > y for x, y in zip(a, b)),
                       sum(y > (a[k] if k < len(a) else 0) for k, y in enumerate(b)))]
@@ -347,8 +360,8 @@ def test_reduced_kernel_on_metric_costs(inst):
 
 @given(_metric_instances())
 def test_exact_and_float_solves_agree(inst):
-    ex = _solve(*inst, exact=True)
-    fl = _solve(*_floats(*inst))
+    ex = solve_transport(*inst, exact=True)
+    fl = solve_transport(*_floats(*inst))
     assert isinstance(ex.objective, Fraction)
     assert abs(float(ex.objective) - fl.objective) <= 1e-12
     _assert_certified(ex, *inst, 0)
@@ -357,7 +370,7 @@ def test_exact_and_float_solves_agree(inst):
 @given(_metric_instances())
 def test_exact_plans_are_rational_balanced_and_certified(inst):
     a, b, c = inst
-    plan = _solve(a, b, c, exact=True)
+    plan = solve_transport(a, b, c, exact=True)
     values = [z for *_, z in plan.flows] + [plan.objective, *plan.dual_u, *plan.dual_v]
     assert all(type(x) is Fraction for x in values)
     out, into = [0] * len(a), [0] * len(b)
@@ -382,7 +395,7 @@ def test_non_metric_costs_fall_back_to_full_problem(inst):
     c = tuple(tuple(5.0 if i == j else x for j, x in enumerate(r))
               for i, r in enumerate(c))
     with _simplex_sizes() as sizes:
-        plan = _solve(a, b, c)
+        plan = solve_transport(a, b, c)
     assert len(sizes) == 2 and sizes[1] == (M, N)
     assert plan.objective == pytest.approx(_linprog_oracle(a, b, c), abs=1e-9)
     _assert_certified(plan, a, b, c, 1e-9)
@@ -401,7 +414,7 @@ def test_degenerate_instances_terminate(monkeypatch, costs, bland_from_start):
         c = [[1 - Fraction(abs(i - j), n) for j in range(n)] for i in range(n)]
     for exact in (True, False):
         inst = (a, a, c) if exact else _floats(a, a, c)
-        plan = _solve(*inst, exact=exact)
+        plan = solve_transport(*inst, exact=exact)
         assert float(plan.objective) == pytest.approx(
             _linprog_oracle(*_floats(a, a, c)), abs=1e-9)
         _assert_certified(plan, *inst, 0 if exact else 1e-9)
