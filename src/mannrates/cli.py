@@ -28,7 +28,7 @@ from .operators import inf_f, km_l1_residuals, shift_linf_residuals
 from .optimize import (OptimizerConfig, fit_slope, optimize_fixed_horizon,
                        optimize_scheme, optimize_sequential)
 from .reporting import write_csv, write_sidecar
-from .schemes import (SCHEME_KINDS, SchemeError, SchemeSpec, TriangularArray,
+from .schemes import (SCHEME_PARAMS, SchemeError, SchemeSpec, TriangularArray,
                       build_rows, scheme_from_json)
 from .witness import CertificationError, build_worst_case_witness
 
@@ -65,7 +65,7 @@ def _json_numbers(exact):
     return {"parse_float": Fraction, "parse_constant": _no_rational} if exact else {}
 
 
-def _parse_steps(text, N, exact):
+def _parse_steps(text, exact):
     """A stepsize flag: formula name, 'constant:c', comma list, or @file.
 
     With `exact` every value and formula is a Fraction.
@@ -109,8 +109,8 @@ def _load_array(path, N, exact):
 
 def _scheme_array(args):
     doc = {"kind": args.scheme,
-           "alpha": _parse_steps(args.alpha, args.N, args.exact),
-           "beta": _parse_steps(args.beta, args.N, args.exact)}
+           "alpha": _parse_steps(args.alpha, args.exact),
+           "beta": _parse_steps(args.beta, args.exact)}
     spec = scheme_from_json(doc, args.N, args.exact)
     return build_rows(spec, args.N)
 
@@ -289,6 +289,17 @@ def cmd_reproduce(args):
     return EXIT_OK
 
 
+def _horizon(text):
+    """--N: an integer N >= 0."""
+    try:
+        N = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if N < 0:
+        raise argparse.ArgumentTypeError(f"N must be >= 0, got {N}")
+    return N
+
+
 def make_parser():
     p = argparse.ArgumentParser(prog="mannrates",
                                 description="Worst-case residual bounds for "
@@ -296,7 +307,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--N", type=int, default=20)
+        sp.add_argument("--N", type=_horizon, default=20)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--restarts", type=int, default=32)
         sp.add_argument("--out", default=".", help="output directory")
@@ -306,7 +317,7 @@ def make_parser():
                         help="build and verify the worst-case witness")
 
     b = sub.add_parser("bounds", help="distance table and residual series")
-    b.add_argument("--scheme", choices=SCHEME_KINDS)
+    b.add_argument("--scheme", choices=SCHEME_PARAMS)
     b.add_argument("--alpha")
     b.add_argument("--beta")
     b.add_argument("--array", help="JSON file with explicit rows")
@@ -317,7 +328,7 @@ def make_parser():
     o.add_argument("--mode", required=True,
                    help="fh | s | ms | scheme; scheme mode searches a fixed "
                         "grid and reads neither --restarts nor --seed")
-    o.add_argument("--kind", choices=[k for k in SCHEME_KINDS if k != "general"])
+    o.add_argument("--kind", choices=SCHEME_PARAMS)
     common(o)
     o.set_defaults(func=cmd_optimize)
 
@@ -331,7 +342,10 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except CertificationError as e:

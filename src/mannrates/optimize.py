@@ -5,8 +5,11 @@ horizon (all rows jointly, small n only), sequential (row n with earlier
 rows frozen), and monotone sequential (sequential plus the monotone-row
 constraints, which turn the stage objective into an explicit quadratic).
 A per-scheme variant optimizes only the 1-2 stepsize parameters of a named
-iteration family at each stage; its rows come from `schemes.scheme_step`,
-the step `schemes.build_rows` unrolls.
+iteration family at each stage.  The family rules live in `schemes`: which
+stepsizes a kind reads (`SCHEME_PARAMS`), their feasible range, Ishikawa's
+blocks and the row itself all come from `schemes.scheme_step`, the rule
+`schemes.build_rows` unrolls.  The search only searches: a point the rule
+rejects scores inf.
 
 Every stagewise optimizer (MS, S, scheme, Ishikawa and exact) runs one
 stage loop, `_stagewise`, and uses one stage model.  Each optimizer
@@ -66,7 +69,8 @@ from scipy.optimize import minimize
 
 from .distances import (DistanceTable, build_distance_table, empty_table,
                         pair_distance, residual_from_table, two_point_distance)
-from .schemes import TriangularArray, check_monotone, scheme_step
+from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
+                      scheme_step)
 
 
 class OptimizeInputError(ValueError):
@@ -567,6 +571,8 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
     upper bound on the optimal value, not a global-optimality claim.
     """
     cfg = cfg or OptimizerConfig()
+    if N < 1:
+        raise OptimizeInputError(f"fixed-horizon mode needs N >= 1, got {N}")
     if N > FH_LIMIT:
         raise OptimizeInputError(
             f"fixed-horizon mode is limited to N <= {FH_LIMIT}; "
@@ -634,34 +640,18 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
 # ---------------------------------------------------------------------------
 # scheme-constrained stage search
 
-SCHEME_PARAMS = {
-    "halpern": 1,
-    "km": 1,
-    "inertial-halpern": 2,
-    "inertial-km": 2,
-    "km-halpern": 2,
-    "extra-km": 2,
-    "ishikawa": 2,
-}
+def _grid_then_nm(objective, dim: int, size: int, **nm_options):
+    """Minimize the objective over [0, 1]^dim: the best point of a size^dim
+    grid, refined by Nelder-Mead and clipped to the cube.  The refinement is
+    kept only if it is no worse than the grid point.  The objective takes a
+    tuple of plain floats; where it raises SchemeError, at stepsizes the
+    scheme rule rejects, its value is inf."""
+    def f(p):
+        try:
+            return objective(p)
+        except SchemeError:
+            return math.inf
 
-
-def _scheme_row(kind: str, n: int, rows, params) -> Optional[tuple]:
-    """Row n of the scheme given frozen earlier rows; None if infeasible."""
-    if len(params) == 1:
-        a = b = params[0]  # halpern reads only b, km only a
-    else:
-        a, b = params
-        if a < 0 or b < 0 or a + b > 1:
-            return None
-    row = scheme_step(kind, n, rows, a, b)
-    return None if any(w < 0 for w in row) else row
-
-
-def _grid_then_nm(f, dim: int, size: int, **nm_options):
-    """Minimize f over [0, 1]^dim: the best point of a size^dim grid, refined
-    by Nelder-Mead and clipped to the cube.  The refinement is kept only if
-    it is no worse than the grid point.  f takes a tuple of plain floats and
-    returns inf off its feasible set."""
     points = list(itertools.product(np.linspace(0.0, 1.0, size).tolist(),
                                     repeat=dim))
     vals = [f(p) for p in points]
@@ -692,28 +682,25 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
     if kind not in SCHEME_PARAMS:
         raise OptimizeInputError(f"unknown scheme kind {kind!r}")
     coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
-    dim = SCHEME_PARAMS[kind]
-    keys = ("beta",) if kind == "halpern" else ("alpha", "beta")[:dim]
+    keys = SCHEME_PARAMS[kind]
+    dim = len(keys)
 
     def stage(rows, table, n):
         ev = StageEvaluator(rows, table, n)
 
         def obj(params):
-            row = _scheme_row(kind, n, rows, params)
-            return math.inf if row is None else ev.surrogate(row)
+            return ev.surrogate(scheme_step(kind, n, rows, params))
 
         best_params, best_exact = None, math.inf
         carry = _CARRY_PARAMS.get(kind)
         if carry is not None:
             # parameters reproducing the previous row (padded); guarantees
             # the accepted stage value never exceeds R_{n-1}
-            crow = _scheme_row(kind, n, rows, carry)
-            if crow is not None:
-                best_params, best_exact = carry, ev.exact(crow)
+            best_params, best_exact = carry, ev.exact(scheme_step(kind, n, rows, carry))
         for _ in range(3):  # repeat search while exact solves tighten the pools
             params = _grid_then_nm(obj, dim, 65 if dim == 1 else 17,
                                    maxfev=2000, xatol=1e-11, fatol=1e-14)
-            row = _scheme_row(kind, n, rows, params)
+            row = scheme_step(kind, n, rows, params)
             sur = ev.surrogate(row)  # before harvesting, to detect a stale model
             val = ev.exact(row)
             if val < best_exact:
@@ -722,7 +709,7 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
                 break
         for key, p in zip(keys, best_params):
             coeffs[key].append(p)
-        return _scheme_row(kind, n, rows, best_params), best_exact
+        return scheme_step(kind, n, rows, best_params), best_exact
 
     res = _stagewise(N, 1.0, _ishikawa_stage(N, coeffs)
                      if kind == "ishikawa" else stage)
@@ -731,12 +718,11 @@ def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> Optimizat
 
 
 def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
-    """The stage function of blockwise (alpha_k, beta_k) search with
-    0 <= alpha <= beta <= 1.
+    """The stage function of blockwise (alpha_k, beta_k) search.
 
-    Odd rows use extra-KM parameters (beta, 1 - beta); even rows (alpha, 0).
     An odd stage n searches the block's pair over rows n and n + 1 (row n
-    alone when n = N); the even stage after it reuses the block's alpha.
+    alone when n = N); the even stage after it reuses the block.  The scheme
+    rule (`schemes.scheme_step`) turns the block into both rows.
     Coefficients are per row, as for the other kinds: both rows of a block
     carry its (alpha, beta).
     """
@@ -749,23 +735,19 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
 
             def block_obj(p):
                 b, a = p
-                if not (0 <= a <= b <= 1):
-                    return math.inf
-                # stage n is frozen into copies to score stage n + 1
-                trial_rows, trial = list(rows), table.copy()
-                for s, prm in ((n, (b, 1 - b)), (n + 1, (a, 0.0))):
-                    row = _scheme_row("extra-km", s, trial_rows, prm)
-                    if row is None:
-                        return math.inf
-                    val = StageEvaluator(trial_rows, trial, s).exact(row)
+                trial_rows, trial = rows, table
+                for s in range(n, last + 1):
+                    row = scheme_step("ishikawa", s, trial_rows, (a, b))
                     if s == last:
-                        return val
+                        return StageEvaluator(trial_rows, trial, s).exact(row)
+                    # stage n is frozen into copies to score stage n + 1
+                    trial_rows, trial = list(rows), table.copy()
                     _freeze_stage(trial_rows, trial, row, s)
 
             pair = _grid_then_nm(block_obj, 2, 13,
                                  maxfev=1500, xatol=1e-10, fatol=1e-13)
         b, a = pair
-        row = _scheme_row("extra-km", n, rows, (b, 1 - b) if n % 2 else (a, 0.0))
+        row = scheme_step("ishikawa", n, rows, (a, b))
         coeffs["alpha"].append(a)
         coeffs["beta"].append(b)
         return row, StageEvaluator(rows, table, n).exact(row)

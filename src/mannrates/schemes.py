@@ -1,9 +1,15 @@
-"""Coefficient-row builders for the named iteration families.
+"""The named iteration families and their one scheme rule.
 
 Each scheme maps stepsize sequences (alpha_n, beta_n) to rows of the
 triangular averaging array.  Row 0 is always the Dirac mass at index 0
 (the convention that places all initial mass on the starting point), and
 stepsizes start acting at n = 1.
+
+`SCHEME_PARAMS` names the stepsizes each kind reads, and `scheme_step` is
+the one rule that turns them into row n: it checks their feasible range,
+maps an Ishikawa block to its two extra-KM rows, and rejects any negative
+weight.  `build_rows` unrolls the rule over a spec; the optimizer's scheme
+searches call it on each candidate.
 """
 
 from __future__ import annotations
@@ -11,18 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-SCHEME_KINDS = (
-    "halpern",
-    "km",
-    "inertial-halpern",
-    "inertial-km",
-    "km-halpern",
-    "extra-km",
-    "ishikawa",
-    "general",
-)
+# the stepsizes each kind reads, in the order `scheme_step` takes them
+SCHEME_PARAMS = {
+    "halpern": ("beta",),
+    "km": ("alpha",),
+    "inertial-halpern": ("alpha", "beta"),
+    "inertial-km": ("alpha", "beta"),
+    "km-halpern": ("alpha", "beta"),
+    "extra-km": ("alpha", "beta"),
+    "ishikawa": ("alpha", "beta"),
+}
+SCHEME_KINDS = tuple(SCHEME_PARAMS) + ("general",)
 
 class SchemeError(ValueError):
     pass
@@ -85,27 +92,44 @@ class SchemeSpec:
                 object.__setattr__(self, name, tuple(v))
 
 
-def _step(seq, n, what):
-    if seq is None or len(seq) <= n:
-        raise SchemeError(f"missing {what}[{n}]")
-    s = seq[n]
-    if not (0 <= s <= 1):
-        raise SchemeError(f"{what}[{n}] = {s} outside [0, 1]")
-    return s
-
-
 def _pad(prev, length, zero):
     return tuple(prev) + (zero,) * (length - len(prev))
 
 
-def scheme_step(kind: str, n: int, rows, a, b) -> tuple:
-    """Row n of a scheme from its earlier rows and the stage-n stepsizes
-    a = alpha_n, b = beta_n.
+def _index(kind, n):
+    """The stepsize index of row n: Ishikawa's block (n - 1) // 2, else n."""
+    return (n - 1) // 2 if kind == "ishikawa" else n
 
-    Halpern reads only b and KM only a.  The zeros of the row take the
-    arithmetic of the Dirac row's one, rows[0][0].  No range checks: the
-    callers validate the stepsizes.
+
+def scheme_step(kind: str, n: int, rows, params) -> tuple:
+    """Row n of the scheme `kind` from its earlier rows and the stepsizes
+    `params`, named in order by SCHEME_PARAMS[kind].
+
+    The one scheme rule: each stepsize lies in [0, 1] and alpha + beta <= 1.
+    An Ishikawa block (alpha_k, beta_k) needs alpha_k <= beta_k; its odd row
+    is the extra-KM row (beta_k, 1 - beta_k), its even row (alpha_k, 0).  A
+    row with a negative weight is rejected.  SchemeError names the violated
+    condition.  The zeros of the row take the arithmetic of the Dirac row's
+    one, rows[0][0].
     """
+    names = SCHEME_PARAMS.get(kind)
+    if names is None:
+        raise SchemeError(f"scheme kind {kind!r} has no row step")
+    for name, s in zip(names, params):
+        if not 0 <= s <= 1:
+            raise SchemeError(f"{name}[{_index(kind, n)}] = {s} outside [0, 1]")
+    if len(names) == 1:
+        a = b = params[0]  # halpern reads only b, km only a
+    else:
+        a, b = params
+        if kind == "ishikawa":
+            if a > b:
+                k = _index(kind, n)
+                raise SchemeError(f"ishikawa requires alpha[{k}] <= beta[{k}]")
+            kind, a, b = ("extra-km", b, 1 - b) if n % 2 else ("extra-km", a, 0)
+        elif a + b > 1:
+            raise SchemeError(f"alpha[{n}] + beta[{n}] = {a + b} > 1 "
+                              "gives a negative weight")
     one = rows[0][0]
     zero = 0 * one
     prev = _pad(rows[n - 1], n + 1, zero)
@@ -126,42 +150,39 @@ def scheme_step(kind: str, n: int, rows, a, b) -> tuple:
         row = [b * w for w in prev]
         row[0] += one - a - b
         row[n] += a
-    elif kind == "extra-km":
+    else:  # extra-km
         base = _pad(rows[n - 2], n + 1, zero) if n >= 2 else prev
         row = [(one - a - b) * w for w in base]
         for i, w in enumerate(rows[n - 1]):
             row[i] += b * w
         row[n] += a
-    else:
-        raise SchemeError(f"scheme kind {kind!r} has no row step")
+    if min(row) < 0:
+        raise SchemeError(f"row {n} has a negative weight")
     return tuple(row)
 
 
 def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
-    """Unroll the scheme recursions into an explicit triangular array."""
+    """Unroll the scheme rule into an explicit triangular array, reading
+    row n's stepsizes by name from the spec at index `_index(kind, n)`."""
     if spec.kind == "general":
         if spec.rows is None:
             raise SchemeError("kind 'general' requires explicit rows")
         arr = TriangularArray(spec.rows[: N + 1])
         arr.validate()
         return arr
-    if spec.kind == "ishikawa":
-        return _ishikawa_rows(spec, N)
+    seqs = [(name, getattr(spec, name + "s")) for name in SCHEME_PARAMS[spec.kind]]
     rows = [(_one_like(spec),)]
     for n in range(1, N + 1):
-        a = _step(spec.alphas, n, "alpha") if spec.kind != "halpern" else None
-        b = _step(spec.betas, n, "beta") if spec.kind != "km" else None
-        if a is not None and b is not None:
-            _check_pair(a, b, n)
-        rows.append(scheme_step(spec.kind, n, rows, a, b))
+        i = _index(spec.kind, n)
+        params = []
+        for name, seq in seqs:
+            if seq is None or len(seq) <= i:
+                raise SchemeError(f"missing {name}[{i}]")
+            params.append(seq[i])
+        rows.append(scheme_step(spec.kind, n, rows, params))
     arr = TriangularArray(rows)
     arr.validate()
     return arr
-
-
-def _check_pair(a, b, n):
-    if a + b > 1:
-        raise SchemeError(f"alpha[{n}] + beta[{n}] = {a + b} > 1 gives a negative weight")
 
 
 def _one_like(spec):
@@ -171,29 +192,6 @@ def _one_like(spec):
                 if isinstance(s, Fraction):
                     return Fraction(1)
     return 1
-
-
-def _ishikawa_rows(spec: SchemeSpec, N: int) -> TriangularArray:
-    """Ishikawa as the stated extra-KM special case.
-
-    Odd rows use extra-KM parameters (beta_k, 1 - beta_k); even rows use
-    (alpha_k, 0).  Requires 0 <= alpha_k <= beta_k <= 1 blockwise.
-    """
-    alphas: list = [0]
-    betas: list = [0]
-    for n in range(1, N + 1):
-        k = (n - 1) // 2
-        a = _step(spec.alphas, k, "alpha")
-        b = _step(spec.betas, k, "beta")
-        if a > b:
-            raise SchemeError(f"ishikawa requires alpha[{k}] <= beta[{k}]")
-        if n % 2 == 1:
-            alphas.append(b)
-            betas.append(1 - b)
-        else:
-            alphas.append(a)
-            betas.append(0)
-    return build_rows(SchemeSpec("extra-km", alphas=alphas, betas=betas), N)
 
 
 def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
@@ -210,12 +208,12 @@ def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
     return MonotoneReport(first is None, first)
 
 
-def stepsize_formula(name: str, value=None, values: Sequence = None,
+def stepsize_formula(name: str, value=None,
                      exact: bool = False) -> Callable[[int], object]:
     """Resolve a stepsize formula name to a function of the iteration index.
 
-    With `exact` the named formulas give Fractions; "constant" and
-    "explicit-list" return their values as given.
+    With `exact` the named formulas give Fractions; "constant" returns its
+    value as given.
     """
     div = Fraction if exact else truediv
     if name == "constant":
@@ -242,11 +240,6 @@ def stepsize_formula(name: str, value=None, values: Sequence = None,
             return _cache["betas"][n]
 
         return beta
-    if name == "explicit-list":
-        if values is None:
-            raise SchemeError("formula 'explicit-list' needs values")
-        vals = tuple(values)
-        return lambda n: vals[n]
     raise SchemeError(f"unknown stepsize formula {name!r}")
 
 
@@ -256,7 +249,7 @@ def _expand_steps(v, horizon: int, exact: bool) -> Optional[tuple]:
     if isinstance(v, (list, tuple)):
         return tuple(v)
     if isinstance(v, dict):
-        fn = stepsize_formula(v["formula"], v.get("value"), v.get("values"), exact)
+        fn = stepsize_formula(v["formula"], v.get("value"), exact)
     else:
         fn = stepsize_formula(str(v), exact=exact)
     return tuple(fn(n) for n in range(horizon + 1))

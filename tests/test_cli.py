@@ -1,5 +1,6 @@
 """CLI contract: outputs, sidecars, reproducibility, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from mannrates import cli
 from mannrates.distances import build_distance_table
-from mannrates.schemes import SchemeSpec, build_rows
+from mannrates.schemes import SCHEME_PARAMS, SchemeSpec, build_rows
 
 
 def _read_csv(path):
@@ -167,6 +168,49 @@ def test_unsupported_flags_are_input_errors(tmp_path, argv):
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--scheme", "foo"],
+    ["bounds", "--N", "abc", "--scheme", "km"],
+    ["bounds", "--scheme", "general"],  # rows come from --array
+    ["optimize", "--N", "3"],
+    ["reproduce", "--target", "nope"],
+    [],
+])
+def test_usage_errors_are_input_errors(tmp_path, argv):
+    # exit 2 is reserved for a failed certification
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["bounds", "--help"]):
+        assert run(argv) == 0
+    assert "--scheme" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--mode", "ms", "--N", "-2"],
+    ["bounds", "--scheme", "km", "--alpha", "0.5", "--N", "-1"],
+    ["optimize", "--mode", "fh", "--N", "0"],
+])
+def test_horizon_out_of_range_is_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "concatenate" not in capsys.readouterr().err
+
+
+def test_scheme_choices_are_the_scheme_kinds():
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = {(cmd, a.dest): a.choices for cmd, p in sub.choices.items()
+               for a in p._actions if a.dest in ("scheme", "kind")}
+    assert set(choices) == {("bounds", "scheme"), ("optimize", "kind")}
+    for c in choices.values():
+        assert list(c) == list(SCHEME_PARAMS)
 
 
 def test_optimize_unknown_mode(tmp_path):

@@ -1,12 +1,14 @@
 """Row builders for the named iteration families."""
 
+import re
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from mannrates.schemes import (SchemeError, SchemeSpec, TriangularArray,
-                               build_rows, check_monotone, scheme_from_json,
-                               stepsize_formula)
+from mannrates.schemes import (SCHEME_PARAMS, SchemeError, SchemeSpec,
+                               TriangularArray, build_rows, check_monotone,
+                               scheme_from_json, scheme_step, stepsize_formula)
 
 
 def test_km_constant_half_rows():
@@ -98,6 +100,19 @@ def test_stepsize_bounds_enforced():
         build_rows(SchemeSpec("halpern", betas=(0,)), 1)  # missing beta_1
 
 
+@pytest.mark.parametrize("kind, alphas, betas, message", [
+    ("km", (0, 1.5), None, "alpha[1] = 1.5 outside [0, 1]"),
+    ("halpern", None, (0, 0.5), "missing beta[2]"),
+    ("inertial-km", (0, 0.75), (0, 0.5), "alpha[1] + beta[1] = 1.25 > 1"),
+    ("ishikawa", (0.25, 0.75), (0.5, 0.5), "ishikawa requires alpha[1] <= beta[1]"),
+    ("ishikawa", (0.25, -0.5), (0.5, 0.5), "alpha[1] = -0.5 outside [0, 1]"),
+])
+def test_scheme_rule_messages(kind, alphas, betas, message):
+    # Ishikawa's stepsizes are indexed by block, the others by row
+    with pytest.raises(SchemeError, match=re.escape(message)):
+        build_rows(SchemeSpec(kind, alphas=alphas, betas=betas), 3)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SchemeError):
         SchemeSpec("midpoint")
@@ -169,3 +184,51 @@ def test_triangular_array_validation():
         TriangularArray(((1,), (0.4, 0.4))).validate()
     with pytest.raises(SchemeError):
         TriangularArray(((1,), (-0.1, 1.1))).validate()
+
+
+_stepsizes = st.one_of(st.floats(0, 1), st.floats(-0.5, 1.5),
+                       st.fractions(-1, 2, max_denominator=12),
+                       st.sampled_from([0, 1, 0.5]))
+
+
+def _bits(rows):
+    return [[w if isinstance(w, Fraction) else float(w).hex() for w in r]
+            for r in rows]
+
+
+@given(st.sampled_from(sorted(SCHEME_PARAMS)), st.integers(1, 6),
+       _stepsizes, _stepsizes)
+def test_build_rows_and_the_search_apply_one_rule(kind, N, a, b):
+    # constant stepsizes: the scheme search calls the rule stage by stage
+    # from its own Dirac row, build_rows reads them from a spec
+    names = SCHEME_PARAMS[kind]
+    params = tuple({"alpha": a, "beta": b}[name] for name in names)
+    rows = [(Fraction(1) if Fraction in (type(a), type(b)) else 1.0,)]
+    try:
+        for n in range(1, N + 1):
+            rows.append(scheme_step(kind, n, rows, params))
+    except SchemeError:
+        rows = None
+    try:
+        built = build_rows(SchemeSpec(kind, alphas=(a,) * (N + 1),
+                                      betas=(b,) * (N + 1)), N).rows
+    except SchemeError:
+        built = None
+    assert (built is None) == (rows is None)
+    if rows is not None:
+        assert _bits(built[1:]) == _bits(rows[1:])
+    # the rule's conditions; a float alpha + beta that rounds down to 1 is
+    # decided by the sign of the weights
+    in_range = all(0 <= s <= 1 for s in params)
+    if kind == "ishikawa":
+        feasible = in_range and a <= b
+        infeasible = not feasible
+    elif len(names) == 2:
+        feasible = in_range and Fraction(a) + Fraction(b) <= 1
+        infeasible = not in_range or a + b > 1
+    else:
+        feasible, infeasible = in_range, not in_range
+    if feasible:
+        assert rows is not None
+    if infeasible:
+        assert rows is None
