@@ -101,16 +101,19 @@ def _index(kind, n):
     return (n - 1) // 2 if kind == "ishikawa" else n
 
 
-def scheme_step(kind: str, n: int, rows, params) -> tuple:
+def scheme_step(kind: str, n: int, rows, params, tol=0) -> tuple:
     """Row n of the scheme `kind` from its earlier rows and the stepsizes
     `params`, named in order by SCHEME_PARAMS[kind].
 
     The one scheme rule: each stepsize lies in [0, 1] and alpha + beta <= 1.
     An Ishikawa block (alpha_k, beta_k) needs alpha_k <= beta_k; its odd row
     is the extra-KM row (beta_k, 1 - beta_k), its even row (alpha_k, 0).  A
-    row with a negative weight is rejected.  SchemeError names the violated
-    condition.  The zeros of the row take the arithmetic of the Dirac row's
-    one, rows[0][0].
+    row with a weight below -tol is rejected.  The scheme searches keep
+    tol = 0, since their rows go straight to the transport kernel;
+    `build_rows` passes the 1e-12 of `TriangularArray.validate`, so that a
+    float row rounded below 0 (1 - 0.9 - 0.1 is -2.8e-17) passes.
+    SchemeError names the violated condition.  The zeros of the row take
+    the arithmetic of the Dirac row's one, rows[0][0].
     """
     names = SCHEME_PARAMS.get(kind)
     if names is None:
@@ -156,7 +159,7 @@ def scheme_step(kind: str, n: int, rows, params) -> tuple:
         for i, w in enumerate(rows[n - 1]):
             row[i] += b * w
         row[n] += a
-    if min(row) < 0:
+    if min(row) < -tol:
         raise SchemeError(f"row {n} has a negative weight")
     return tuple(row)
 
@@ -179,7 +182,7 @@ def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
             if seq is None or len(seq) <= i:
                 raise SchemeError(f"missing {name}[{i}]")
             params.append(seq[i])
-        rows.append(scheme_step(spec.kind, n, rows, params))
+        rows.append(scheme_step(spec.kind, n, rows, params, tol=1e-12))
     arr = TriangularArray(rows)
     arr.validate()
     return arr

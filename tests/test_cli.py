@@ -203,6 +203,15 @@ def test_horizon_out_of_range_is_input_error(tmp_path, capsys, argv):
     assert "concatenate" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["inertial-halpern", "inertial-km"])
+@pytest.mark.parametrize("a, b", [("0.9", "0.1"), ("0.8", "0.2")])
+def test_bounds_float_pair_summing_to_one(tmp_path, kind, a, b):
+    # alpha + beta == 1.0 in float though 1 - alpha - beta rounds below 0
+    assert run(["bounds", "--scheme", kind, "--alpha", a, "--beta", b,
+                "--N", "2", "--out", str(tmp_path)]) == 0
+    assert len(_read_csv(tmp_path / "bounds.csv")) == 4
+
+
 def test_scheme_choices_are_the_scheme_kinds():
     sub = next(a for a in cli.make_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

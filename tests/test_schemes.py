@@ -196,39 +196,65 @@ def _bits(rows):
             for r in rows]
 
 
+def _unroll(kind, N, params, one, tol):
+    rows = [(one,)]
+    try:
+        for n in range(1, N + 1):
+            rows.append(scheme_step(kind, n, rows, params, tol=tol))
+    except SchemeError:
+        return None
+    return rows
+
+
 @given(st.sampled_from(sorted(SCHEME_PARAMS)), st.integers(1, 6),
        _stepsizes, _stepsizes)
 def test_build_rows_and_the_search_apply_one_rule(kind, N, a, b):
     # constant stepsizes: the scheme search calls the rule stage by stage
-    # from its own Dirac row, build_rows reads them from a spec
+    # from its own Dirac row with tol = 0, build_rows reads them from a spec
+    # and allows validate's 1e-12
     names = SCHEME_PARAMS[kind]
     params = tuple({"alpha": a, "beta": b}[name] for name in names)
-    rows = [(Fraction(1) if Fraction in (type(a), type(b)) else 1.0,)]
-    try:
-        for n in range(1, N + 1):
-            rows.append(scheme_step(kind, n, rows, params))
-    except SchemeError:
-        rows = None
+    one = Fraction(1) if Fraction in (type(a), type(b)) else 1.0
+    loose = _unroll(kind, N, params, one, 1e-12)
+    rows = _unroll(kind, N, params, one, 0)
     try:
         built = build_rows(SchemeSpec(kind, alphas=(a,) * (N + 1),
                                       betas=(b,) * (N + 1)), N).rows
     except SchemeError:
         built = None
-    assert (built is None) == (rows is None)
+    assert (built is None) == (loose is None)
+    if loose is not None:
+        assert _bits(built[1:]) == _bits(loose[1:])
+    # the search's rows are build_rows' rows; it only also rejects a
+    # weight that rounds below 0
     if rows is not None:
-        assert _bits(built[1:]) == _bits(rows[1:])
-    # the rule's conditions; a float alpha + beta that rounds down to 1 is
-    # decided by the sign of the weights
+        assert _bits(rows[1:]) == _bits(loose[1:])
     in_range = all(0 <= s <= 1 for s in params)
     if kind == "ishikawa":
-        feasible = in_range and a <= b
-        infeasible = not feasible
+        feasible = exactly = in_range and a <= b
     elif len(names) == 2:
-        feasible = in_range and Fraction(a) + Fraction(b) <= 1
-        infeasible = not in_range or a + b > 1
+        feasible = in_range and not a + b > 1
+        exactly = in_range and Fraction(a) + Fraction(b) <= 1
     else:
-        feasible, infeasible = in_range, not in_range
-    if feasible:
+        feasible = exactly = in_range
+    assert (loose is not None) == feasible
+    if exactly:
         assert rows is not None
-    if infeasible:
-        assert rows is None
+
+
+@pytest.mark.parametrize("kind", ["inertial-halpern", "inertial-km"])
+@pytest.mark.parametrize("a, b", [(0.9, 0.1), (0.8, 0.2)])
+def test_float_pair_summing_to_one_builds(kind, a, b):
+    # 1 - 0.9 - 0.1 rounds to -2.8e-17: within validate's tolerance
+    arr = build_rows(SchemeSpec(kind, alphas=(0, a, a), betas=(0, b, b)), 2)
+    assert arr.horizon == 2
+    assert -1e-16 < min(arr.rows[2]) < 0
+
+
+def test_search_rule_rejects_a_weight_rounded_below_zero():
+    rows = [(1.0,)]
+    rows.append(scheme_step("inertial-halpern", 1, rows, (0.9, 0.1)))
+    row = scheme_step("inertial-halpern", 2, rows, (0.9, 0.1), tol=1e-12)
+    assert row[0] < 0
+    with pytest.raises(SchemeError, match="row 2 has a negative weight"):
+        scheme_step("inertial-halpern", 2, rows, (0.9, 0.1))
