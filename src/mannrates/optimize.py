@@ -46,7 +46,9 @@ loop that takes the same iterates bit for bit but forms its trial points on
 plain floats and hands them to the objective as lists.  Vertices that tie in
 value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort does not
 keep ties in input order, so a stable sort would change the search path and
-the outputs.  scipy's `minimize` serves SLSQP only.
+the outputs.  The MS stage's SLSQP runs `minimize`, an in-house copy of
+scipy's SLSQP loop on scipy's compiled kernel with the same iterates bit
+for bit, so no search goes through `scipy.optimize.minimize`.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -65,7 +67,7 @@ from operator import gt, mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp
 
 from .distances import (DistanceTable, build_distance_table, empty_table,
                         pair_distance, residual_from_table, two_point_distance)
@@ -390,7 +392,10 @@ def _stagewise(N: int, one, stage, exact=False) -> OptimizationResult:
     frozen in the arithmetic of `one`, and the stage certificate is
     |stage value - R_n|.  With `exact` the run raises ArithmeticError unless
     the stage value, `StageEvaluator.exact(row)` and R_n are all equal.
+    A negative horizon raises OptimizeInputError.
     """
+    if N < 0:
+        raise OptimizeInputError(f"horizon must be >= 0, got {N}")
     t0 = time.perf_counter()
     cast = type(one)
     rows: List[tuple] = [(one,)]
@@ -465,6 +470,72 @@ def _repair_monotone(x: np.ndarray, prev, n: int) -> np.ndarray:
     return out
 
 
+def minimize(fun, x0, *, method, jac, lb, ub, maxiter, ftol):
+    """Minimize fun over the box [lb, ub] subject to sum(x) = 1 by SLSQP;
+    returns (x, nit), the solution and the iteration count.
+
+    The loop of scipy's `minimize(method="SLSQP")` (1.17) on its compiled
+    kernel `scipy.optimize._slsqplib.slsqp`, specialised to the MS stage:
+    finite bounds, the one equality sum(x) = 1, and callable fun and jac
+    (jac returns a float64 array).  As scipy does, it clips x0 into the box,
+    sizes the kernel's state, workspace, index and multiplier arrays for one
+    equality and no inequality, and calls the kernel until its mode is
+    neither 1 (evaluate f and the constraint) nor -1 (evaluate the
+    gradients).  fun and jac run only when the mode asks, memoised on x as
+    scipy's `ScalarFunction` memoises them: a point that equals the last
+    one elementwise (never one holding a NaN) reuses what was evaluated
+    there.  They get the memo's copy of x and must not modify it.  So every
+    evaluated point, the result and the iteration count are scipy's, bit
+    for bit, without scipy's per-call wrapping.
+
+    The name `minimize` and the `method` keyword stay for perfbench's
+    tracer, which patches this module's `minimize` and labels its span by
+    `method`, until solver counters (ROADMAP item 5) replace that
+    monkeypatching; a method other than "SLSQP" raises.
+    """
+    if method != "SLSQP":
+        raise OptimizeInputError(f"minimize runs SLSQP only, not {method!r}")
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    n = len(x)
+    state = {"acc": ftol, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0,
+             "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0,
+             "tol": 10.0 * ftol, "exact": 0, "inconsistent": 0, "reset": 0,
+             "iter": 0, "itermax": int(maxiter), "line": 0, "m": 1, "meq": 1,
+             "mode": 0, "n": n}
+    # scipy's workspace formula at m = meq = 1, topped up by 2n(n + 1) as
+    # scipy does when there is no inequality
+    buffer = np.zeros(n * (n + 1) // 2 + 8 * n * n + 33 * n + 30 + 2 * n * (n + 1))
+    indices = np.zeros(2 * n + 3, dtype=np.int32)
+    mult = np.zeros(2 * n + 3)
+    C = np.ones((1, n), order="F")  # the constraint's normal, constant
+    d = np.array([x.sum() - 1.0])
+    # the memo: the last point asked for (an array and its list), and f and
+    # the gradient there once evaluated
+    xm = x.copy()
+    key = xm.tolist()
+    fx = fm = fun(xm)
+    g = gm = jac(xm)
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, lb, ub, buffer, indices)
+        mode = state["mode"]
+        if mode != 1 and mode != -1:
+            return x, state["iter"]
+        point = x.tolist()
+        if point != key:
+            xm, key, fm, gm = x.copy(), point, None, None
+        if mode == 1:
+            if fm is None:
+                fm = fun(xm)
+            fx = fm
+            d[0] = x.sum() - 1.0
+        else:
+            if gm is None:
+                gm = jac(xm)
+            g = gm
+
+
 def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
               rng: np.random.Generator) -> np.ndarray:
     lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
@@ -479,9 +550,8 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 
     # every inequality of the stage is a coordinate bound: the cap
     # x_k <= prev_k and the floor x_n >= 1/2; only the mass is a constraint
-    cons = [{"type": "eq", "fun": lambda x: x.sum() - 1.0,
-             "jac": lambda x: np.ones_like(x)}]
-    bounds = [(0.0, float(prev[k])) for k in range(n)] + [(0.5, 1.0)]
+    lb = [0.0] * n + [0.5]
+    ub = list(prev[:n]) + [1.0]
 
     starts = [_repair_monotone(np.array(prev[:n] + (0.0,)) * 0.5, prev, n)]
     nstarts = max(2, min(cfg.restarts, 8 if n > 20 else cfg.restarts))
@@ -490,10 +560,9 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
         starts.append(_repair_monotone(cand, prev, n))
     best, best_val = None, math.inf
     for x0 in starts:
-        res = minimize(f, x0, jac=grad, method="SLSQP", bounds=bounds,
-                       constraints=cons,
-                       options={"maxiter": 300, "ftol": 1e-14})
-        x = _repair_monotone(res.x, prev, n)
+        x, _ = minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
+                        maxiter=300, ftol=1e-14)
+        x = _repair_monotone(x, prev, n)
         val = f(x)
         if val < best_val - 1e-15 or (best is None):
             best, best_val = x, val

@@ -166,7 +166,10 @@ def scheme_step(kind: str, n: int, rows, params, tol=0) -> tuple:
 
 def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
     """Unroll the scheme rule into an explicit triangular array, reading
-    row n's stepsizes by name from the spec at index `_index(kind, n)`."""
+    row n's stepsizes by name from the spec at index `_index(kind, n)`.
+    A negative horizon raises SchemeError."""
+    if N < 0:
+        raise SchemeError(f"horizon must be >= 0, got {N}")
     if spec.kind == "general":
         if spec.rows is None:
             raise SchemeError("kind 'general' requires explicit rows")

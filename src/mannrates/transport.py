@@ -83,7 +83,9 @@ def _check_inputs(a, b, c, exact):
     nonnegative and summing to 1 (exactly under `exact`, else within
     1e-12), and an M x N cost block.  Exact margins come back as numerators
     over their least common denominator D, the integers the solve uses;
-    float margins as they are, with D = 1.  A NaN weight fails the sum check.
+    float margins with D = 1, each weight in [-1e-12, 0) (rounding) clipped
+    to 0.0 once the checks pass; -0.0 stays.  A NaN weight fails the sum
+    check.
     """
     if exact:
         _require_rational(chain(*c), "costs")
@@ -95,10 +97,13 @@ def _check_inputs(a, b, c, exact):
     for w in (a, b):
         if not w:
             raise TransportInputError("empty distribution")
-        if min(w) < -tol:
+        low = min(w)
+        if low < -tol:
             raise TransportInputError("negative weight in distribution")
         if not abs(sum(w) - D) <= tol:
             raise TransportInputError(f"weights sum to {sum(w) / D}, expected 1")
+        if low < 0:
+            w[:] = [0.0 if x < 0 else x for x in w]
     M, N = len(a), len(b)
     if len(c) != M or any(len(r) != N for r in c):
         raise TransportInputError(

@@ -3,8 +3,10 @@
 Invariants raise real exceptions: `python -O` strips `assert` statements,
 so the package source must hold none.  Nor may a module keep an import it
 never reads, nor the package a private function nobody calls.  Nelder-Mead
-has one implementation, `optimize._nelder_mead`: scipy's `minimize` serves
-SLSQP only.  The stagewise optimizers have one stage loop,
+has one implementation, `optimize._nelder_mead`, and SLSQP one,
+`optimize.minimize`, an in-house loop on scipy's kernel: the package
+imports no `minimize` from scipy, and every `minimize` call names
+method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
 builds an `OptimizationResult`."""
 
@@ -80,9 +82,11 @@ def test_package_has_no_unreferenced_private_functions():
 
 
 def test_minimize_is_called_for_slsqp_only():
-    calls = [(path.name, node)
-             for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    calls = [(name, node)
+             for name, tree in trees
+             for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "minimize"]
     assert calls
@@ -90,6 +94,17 @@ def test_minimize_is_called_for_slsqp_only():
              if not any(kw.arg == "method" and isinstance(kw.value, ast.Constant)
                         and kw.value.value == "SLSQP" for kw in node.keywords)]
     assert found == []
+    # the calls reach the in-house loop: nothing imports scipy's minimize,
+    # by name or by a star import, and no call reads it as an attribute
+    scipy_imports = [f"{name}:{node.lineno}"
+                     for name, tree in trees
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "scipy"
+                     and any(alias.name in ("minimize", "*") for alias in node.names)]
+    assert scipy_imports == []
+    assert [f"{name}:{node.lineno}" for name, node in calls
+            if not isinstance(node.func, ast.Name)] == []
 
 
 def test_optimization_results_come_from_one_stage_loop():

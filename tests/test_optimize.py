@@ -15,8 +15,9 @@ from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
                                 StageEvaluator, _exact_qp, _freeze_stage,
-                                _gauss_solve, _nelder_mead, _stage_quadratic,
-                                fit_slope, optimize_fixed_horizon, optimize_scheme,
+                                _gauss_solve, _nelder_mead, _repair_monotone,
+                                _stage_quadratic, fit_slope, minimize,
+                                optimize_fixed_horizon, optimize_scheme,
                                 optimize_sequential, project_simplex)
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
 from mannrates.witness import build_worst_case_witness
@@ -69,6 +70,22 @@ def test_fixed_horizon_needs_one_stage(N):
     for exact in (False, True):
         with pytest.raises(OptimizeInputError, match="N >= 1"):
             optimize_fixed_horizon(N, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sequential_refuses_a_negative_horizon(exact):
+    # N = 0 is the Dirac row alone; a negative N is an input error
+    assert optimize_sequential(0, exact=exact).values == [1]
+    for N in (-1, -2):
+        with pytest.raises(OptimizeInputError, match="horizon"):
+            optimize_sequential(N, exact=exact)
+
+
+def test_scheme_search_refuses_a_negative_horizon():
+    assert optimize_scheme("km", 0).values == [1.0]
+    for kind in ("km", "ishikawa"):
+        with pytest.raises(OptimizeInputError, match="horizon"):
+            optimize_scheme(kind, -1)
 
 
 def test_scheme_halpern_matches_recursion():
@@ -275,6 +292,71 @@ def test_nelder_mead_matches_scipy_bit_for_bit():
         assert x.dtype == np.float64
         assert x.tobytes() == want.x.tobytes()
         assert np.float64(fval).tobytes() == np.float64(want.fun).tobytes()
+
+
+def _ms_stage_problems(rng, gen, N=31):
+    """MS stage quadratics (lin, Q), their caps and starts.
+
+    The quadratics come from the tables of a monotone and of an unstructured
+    array (n = 1..N), and at random for n = 1..8, where an indefinite Q
+    makes the kernel ask again at a point it has evaluated.  About one cap
+    in five is 0, a variable the box fixes.  Starts are repaired random
+    points, as `_ms_stage` draws them."""
+    problems = []
+    for rows in (random_monotone_array(rng, N), random_array(rng, N)):
+        table, _ = build_distance_table(TriangularArray(rows))
+        problems += [(*(np.array(v, dtype=float)
+                        for v in _stage_quadratic(rows, table, n)), rows[n - 1])
+                     for n in range(1, N + 1)]
+    problems += [(gen.normal(size=n + 1), gen.normal(size=(n + 1, n + 1)),
+                  gen.dirichlet(np.ones(n))) for n in range(1, 9) for _ in range(6)]
+    for lin, Q, prev in problems:
+        n = len(prev)
+        caps = tuple(0.0 if gen.random() < 0.2 else float(p) for p in prev)
+        for maxiter in (300, 3):  # to convergence, and to the iteration limit
+            x0 = _repair_monotone(gen.dirichlet(np.ones(n + 1)), caps, n)
+            yield lin, Q, caps, x0, maxiter
+
+
+def test_slsqp_loop_matches_scipy_bit_for_bit(rng):
+    # the in-house SLSQP loop runs scipy's kernel on scipy's inputs: every
+    # point where it evaluates f or the gradient, its result and its
+    # iteration count are scipy's to the bit
+    from scipy.optimize import minimize as scipy_minimize
+
+    cons = [{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+             "jac": lambda x: np.ones_like(x)}]
+    for lin, Q, caps, x0, maxiter in _ms_stage_problems(rng, np.random.default_rng(3)):
+        n = len(caps)
+        lb, ub = [0.0] * n + [0.5], list(caps) + [1.0]
+        seen = {"scipy": [], "ours": []}
+
+        def recorder(side):
+            def f(x):
+                seen[side].append(("f", x.tobytes()))
+                return float(lin @ x + x @ Q @ x)
+
+            def grad(x):
+                seen[side].append(("g", x.tobytes()))
+                return lin + (Q + Q.T) @ x
+            return f, grad
+
+        f, grad = recorder("scipy")
+        want = scipy_minimize(f, x0, jac=grad, method="SLSQP",
+                              bounds=list(zip(lb, ub)), constraints=cons,
+                              options={"maxiter": maxiter, "ftol": 1e-14})
+        f, grad = recorder("ours")
+        x, nit = minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
+                          maxiter=maxiter, ftol=1e-14)
+        assert seen["ours"] == seen["scipy"]
+        assert x.tobytes() == want.x.tobytes()
+        assert nit == want.nit
+
+
+def test_slsqp_loop_runs_slsqp_only():
+    with pytest.raises(OptimizeInputError, match="SLSQP only"):
+        minimize(lambda x: 0.0, [1.0], method="Nelder-Mead",
+                 jac=lambda x: np.zeros(1), lb=[0.5], ub=[1.0], maxiter=3, ftol=1e-14)
 
 
 def _freeze_all(rows, exact=False):

@@ -89,6 +89,14 @@ def test_general_kind_passthrough():
         build_rows(SchemeSpec("general", rows=((1,), (0.4, 0.7))), 1)
 
 
+def test_build_rows_refuses_a_negative_horizon():
+    spec = SchemeSpec("km", alphas=(0, 0.5))
+    assert build_rows(spec, 0).rows == ((1,),)
+    for s in (spec, SchemeSpec("general", rows=((1,), (0.4, 0.6)))):
+        with pytest.raises(SchemeError, match="horizon"):
+            build_rows(s, -1)
+
+
 def test_stepsize_bounds_enforced():
     with pytest.raises(SchemeError):
         build_rows(SchemeSpec("halpern", betas=(0, 1.2)), 1)

@@ -284,6 +284,18 @@ def test_exact_validation_needs_a_unit_sum():
         greedy_monotone_transport((0.5, 0.5), off, swap, exact=True)
 
 
+@pytest.mark.parametrize("b", [(0.3, 0.7 + 1.1e-16, -1.1e-16),
+                               (1 + 2.2e-16, -1.1e-16, 0.0)])
+def test_weights_rounded_below_zero_are_clipped(b):
+    # a float weight may round below zero within the sum tolerance; the
+    # kernel must see 0.0 there, or its basis and flows go wrong
+    a, c = (0.5, 0.5), ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))
+    plan = solve_transport(a, b, c)
+    assert all(z >= 0 for _, _, z in plan.flows)
+    _assert_certified(plan, a, b, c, 1e-12)
+    assert plan.objective == pytest.approx(_linprog_oracle(a, b, c), abs=1e-12)
+
+
 # -- the reduced kernel: shared mass on the diagonal, certified duals --------
 
 @contextmanager
