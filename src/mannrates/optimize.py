@@ -48,7 +48,11 @@ value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort does not
 keep ties in input order, so a stable sort would change the search path and
 the outputs.  The MS stage's SLSQP runs `minimize`, an in-house copy of
 scipy's SLSQP loop on scipy's compiled kernel with the same iterates bit
-for bit, so no search goes through `scipy.optimize.minimize`.
+for bit, so no search goes through `scipy.optimize.minimize`.  From stage
+`_WORKER_MIN_N` on, a forked worker (`_StartsWorker`) solves the trailing
+half of each MS stage's starts while this process solves the leading half;
+the kernel holds the GIL, so a thread could not.  The best start is chosen
+in start order either way, so the rows do not depend on the worker.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -536,32 +541,177 @@ def minimize(fun, x0, *, method, jac, lb, ub, maxiter, ftol):
             g = gm
 
 
-def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
-              rng: np.random.Generator) -> np.ndarray:
-    lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
-    H = Q + Q.T
-    prev = rows[n - 1]
-
+def _stage_functions(lin, Q, H):
+    """The MS stage objective f(x) = lin . x + x^T Q x and its gradient
+    lin + H x, with H = Q + Q^T."""
     def f(x):
         return float(lin @ x + x @ Q @ x)
 
     def grad(x):
         return lin + H @ x
 
+    return f, grad
+
+
+def _slsqp_starts(stage, starts) -> List[np.ndarray]:
+    """SLSQP from each start on the MS stage `stage` = (lin, Q, H, lb, ub);
+    the raw solutions, in start order.  Both this process and the starts
+    worker run their share of a stage's starts through it."""
+    lin, Q, H, lb, ub = stage
+    f, grad = _stage_functions(lin, Q, H)
+    return [minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
+                     maxiter=300, ftol=1e-14)[0] for x0 in starts]
+
+
+# Stages with n below this run all their starts in this process.  Forking
+# the worker, one round trip and the join cost about 5 ms, once per run.
+# The worker's half of eight starts saves about 3.3 ms at n = 10 and 4.5 ms
+# at n = 11 (0.8 and 1.1 ms a start, on a 2-core Xeon), so a run to N = 11
+# has won the fork back; below n = 10 a stage saves under 3 ms.
+_WORKER_MIN_N = 10
+
+
+class _StartsWorker:
+    """A forked process that runs the trailing half of an MS stage's SLSQP
+    starts while this process runs the leading half.
+
+    It forks at the first `submit`, and only where a second process can
+    help and a fork is safe (`can_fork`): at least two CPUs in this
+    process's affinity set, the "fork" start method, a non-daemonic current
+    process (a daemonic one may not have children) and no other Python
+    thread (the child would inherit the locks that thread holds, held).
+    Otherwise, when the fork fails, and after the worker has died, every
+    start runs here.  The worker runs `_slsqp_starts`, this process's own
+    loop, on the same arrays, so its solutions are the ones this process
+    would compute, bit for bit.  A fork starts it in milliseconds; a
+    spawned worker would import numpy and scipy afresh, about 0.5 s, longer
+    than a whole N = 30 run.  An exception the worker raises comes back and
+    is raised here.  `close` ends the worker: an idle one reads the end
+    of its pipe and exits, one with a job outstanding is killed; either is
+    joined.
+    """
+
+    def __init__(self):
+        self.proc = self.conn = None
+        self.tried = False
+        self.pending = False
+
+    @staticmethod
+    def can_fork() -> bool:
+        import multiprocessing
+        import threading
+
+        affinity = getattr(os, "sched_getaffinity", None)
+        return (affinity is not None and len(affinity(0)) >= 2
+                and "fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon
+                and threading.active_count() == 1)
+
+    @staticmethod
+    def _serve(conn, parent_end):
+        """The worker's loop: solve each job until the pipe closes."""
+        import signal
+
+        parent_end.close()
+        # Ctrl-C is the parent's to handle, and the parent then closes us
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        while True:
+            try:
+                stage, starts = conn.recv()
+            except EOFError:
+                return
+            try:
+                reply = True, _slsqp_starts(stage, starts)
+            except Exception as e:
+                reply = False, e
+            conn.send(reply)
+
+    def _fork(self):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        conn, child_end = ctx.Pipe()
+        proc = ctx.Process(target=self._serve, args=(child_end, conn), daemon=True)
+        try:
+            proc.start()
+        except OSError:  # no process to be had
+            conn.close()
+            return
+        finally:
+            child_end.close()
+        self.proc, self.conn = proc, conn
+
+    def submit(self, stage, starts) -> bool:
+        """Hand the worker `starts` on `stage`; False if it cannot take them."""
+        if not self.tried:
+            self.tried = True
+            if self.can_fork():
+                self._fork()
+        if self.conn is None:
+            return False
+        try:
+            self.conn.send((stage, starts))
+        except OSError:  # the worker has died
+            self.close()
+            return False
+        self.pending = True
+        return True
+
+    def collect(self) -> Optional[List[np.ndarray]]:
+        """The worker's solutions of the submitted starts; None if it died."""
+        try:
+            ok, reply = self.conn.recv()
+        except (EOFError, OSError):  # the worker has died
+            self.close()
+            return None
+        self.pending = False
+        if not ok:
+            raise reply
+        return reply
+
+    def close(self):
+        """End the worker, if there is one, and join it."""
+        if self.conn is None:
+            return
+        if self.pending:
+            self.proc.kill()
+        self.conn.close()
+        self.proc.join()
+        self.proc = self.conn = None
+        self.pending = False
+
+
+def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
+              rng: np.random.Generator, worker: _StartsWorker) -> np.ndarray:
+    """Row n of the monotone stage: the best of SLSQP from several starts.
+
+    The starts are the halved previous row and random repaired points, all
+    drawn here.  From n = `_WORKER_MIN_N` on, `worker` solves the trailing
+    half of them while this process solves the leading half; the solutions
+    are then repaired, scored and compared in start order, the first strict
+    improvement by more than 1e-15 winning, so the row does not depend on
+    where each start ran.
+    """
+    lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
+    prev = rows[n - 1]
     # every inequality of the stage is a coordinate bound: the cap
     # x_k <= prev_k and the floor x_n >= 1/2; only the mass is a constraint
-    lb = [0.0] * n + [0.5]
-    ub = list(prev[:n]) + [1.0]
+    stage = (lin, Q, Q + Q.T, [0.0] * n + [0.5], list(prev[:n]) + [1.0])
+    f, _ = _stage_functions(*stage[:3])
 
     starts = [_repair_monotone(np.array(prev[:n] + (0.0,)) * 0.5, prev, n)]
     nstarts = max(2, min(cfg.restarts, 8 if n > 20 else cfg.restarts))
     for _ in range(nstarts - 1):
         cand = rng.dirichlet(np.ones(n + 1))
         starts.append(_repair_monotone(cand, prev, n))
+    half = (nstarts + 1) // 2
+    shared = n >= _WORKER_MIN_N and worker.submit(stage, starts[half:])
+    xs = _slsqp_starts(stage, starts[:half] if shared else starts)
+    if shared:
+        rest = worker.collect()
+        xs += _slsqp_starts(stage, starts[half:]) if rest is None else rest
     best, best_val = None, math.inf
-    for x0 in starts:
-        x, _ = minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
-                        maxiter=300, ftol=1e-14)
+    for x in xs:
         x = _repair_monotone(x, prev, n)
         val = f(x)
         if val < best_val - 1e-15 or (best is None):
@@ -607,14 +757,22 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = True,
                         exact: bool = False) -> OptimizationResult:
     """Stagewise optimization of the rows; `monotone` picks the restricted
-    quadratic stages, otherwise the free transport-backed search."""
+    quadratic stages, otherwise the free transport-backed search.
+
+    In float mode every stage starts with the monotone stage (`_ms_stage`).
+    From stage `_WORKER_MIN_N` on, where this process may fork and has a
+    second CPU, one forked worker solves half of each stage's SLSQP starts;
+    the worker is joined before this call returns or raises.  The rows and
+    R_n are the same, bit for bit, with or without it.
+    """
     cfg = cfg or OptimizerConfig()
     if exact:
         return _exact_sequential(N, monotone)
     rng = np.random.default_rng(cfg.seed)
+    worker = _StartsWorker()
 
     def stage(rows, table, n):
-        x = _ms_stage(rows, table, n, cfg, rng)
+        x = _ms_stage(rows, table, n, cfg, rng, worker)
         if monotone:
             return x, StageEvaluator(rows, table, n).exact(x)
         # the restricted quadratic stage is exact under monotone rows and
@@ -622,7 +780,10 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
         # accepts exact-evaluated improvements over it
         return _s_stage(rows, table, n, cfg, rng, x)
 
-    return _stagewise(N, 1.0, stage)
+    try:
+        return _stagewise(N, 1.0, stage)
+    finally:
+        worker.close()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ has one implementation, `optimize._nelder_mead`, and SLSQP one,
 imports no `minimize` from scipy, and every `minimize` call names
 method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
-builds an `OptimizationResult`."""
+builds an `OptimizationResult`.  The package starts child processes in one
+place, the MS stage's `optimize._StartsWorker`."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,43 @@ def test_optimization_results_come_from_one_stage_loop():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "OptimizationResult"}
     assert found == {"_stagewise", "optimize_fixed_horizon"}
+
+
+
+def _process_lines(tree):
+    """Lines that import or name `multiprocessing` or `subprocess`, or that
+    reach `os.fork` (or `os.forkpty`)."""
+    modules = {"multiprocessing", "subprocess"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] in modules for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            root = (node.module or "").split(".")[0]
+            hit = root in modules or (root == "os" and any(
+                alias.name.startswith("fork") for alias in node.names))
+        elif isinstance(node, ast.Name):
+            hit = node.id in modules
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr.startswith("fork")
+                   and getattr(node.value, "id", None) == "os")
+        else:
+            hit = False
+        if hit:
+            yield node.lineno
+
+
+def test_processes_start_only_in_the_starts_worker():
+    # the MS stage's worker is the package's one child process
+    workers = []
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "_StartsWorker":
+                workers.append(path.name)
+                inside = set(range(node.lineno, node.end_lineno + 1))
+        found += [f"{path.name}:{line}" for line in _process_lines(tree)
+                  if line not in inside]
+    assert workers == ["optimize.py"]
+    assert found == []
