@@ -8,9 +8,16 @@ multipliers: it keeps the mass two rows share on the diagonal, solves the
 remaining excess-to-deficit problem with a transportation simplex (Dantzig
 pricing, Bland's rule against cycling, an array-based basis tree), and
 certifies the result with a single dual potential, solving the full problem
-instead when the certificate fails.  `greedy_monotone_transport(a, b, c)` is
-a closed-form construction valid under the monotone-row preconditions.  A
-malformed problem raises `TransportInputError` before either solver runs.
+instead when the certificate fails.  When every excess row lies below every
+deficit column (a separated pair) the simplex starts from the northeast
+staircase: excess rows in increasing order against deficit columns in
+decreasing order.  Under the quadrangle inequality, which monotone distance
+tables satisfy, that plan is optimal (Hoffman's Monge argument with the
+deficit columns reversed), so such a pair solves with no pivot; otherwise
+the simplex pivots from it as from any start.
+`greedy_monotone_transport(a, b, c)` is a closed-form construction valid
+under the monotone-row preconditions.  A malformed problem raises
+`TransportInputError` before either solver runs.
 
 Both work over floats and, with ``exact=True``, over `int` and
 `fractions.Fraction` entries.  An exact problem is scaled to integers before
@@ -117,13 +124,15 @@ def _arc(q, parent, M):
 
 
 def _simplex(a, b, c, tol):
-    """Transportation simplex from the northwest-corner basis.
+    """Transportation simplex from the northwest corner of the given order.
 
-    Returns ({(i, j): flow} on the M+N-1 basic cells, u, v) with
-    u_j - v_i = c_ij on the basis and v_0 = 0.  The basis is a spanning tree
-    on nodes 0..M-1 (sources) and M..M+N-1 (targets), rooted at source 0 and
-    kept as parent/depth/children arrays: a pivot finds the entering cycle by
-    walking up to the common ancestor and shifts the duals of the subtree the
+    The start fills sources 0, 1, ... against targets 0, 1, ... in the order
+    the margins come; a caller picks the start by ordering them.  Returns
+    ({(i, j): flow} on the M+N-1 basic cells, u, v) with u_j - v_i = c_ij on
+    the basis and v_0 = 0.  The basis is a spanning tree on nodes 0..M-1
+    (sources) and M..M+N-1 (targets), rooted at source 0 and kept as
+    parent/depth/children arrays: a pivot finds the entering cycle by walking
+    up to the common ancestor and shifts the duals of the subtree the
     leaving cell cuts off only.  Pricing takes the largest reduced cost
     (Dantzig); after _DEGENERATE_RUN pivots in a row that move no mass it
     takes the first eligible cell (Bland) until mass moves again, so the
@@ -243,13 +252,13 @@ def _certify(a, b, c, plan, sources, v, tol):
     M, N = len(a), len(b)
     if M > N:
         return None
-    p = [min((vi + c[i][j] for i, vi in zip(sources, v)), default=0) for j in range(N)]
+    cols = [[vi + x for x in c[i]] for i, vi in zip(sources, v)]
+    p = list(map(min, zip(*cols))) if cols else [0] * N
     lo = min(p)
     p = [x - lo for x in p]
     slack = DUAL_TOL if tol else 0
     for i in range(M):
-        pi = p[i] + slack
-        if any(pj - cij > pi for pj, cij in zip(p, c[i])):
+        if max(map(sub, p, c[i])) > p[i] + slack:
             return None
     dual = sum(x * y for x, y in zip(b, p)) - sum(x * y for x, y in zip(a, p))
     if abs(dual - plan.objective) > slack:
@@ -264,7 +273,8 @@ def solve_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
 
     The shared mass min(a_k, b_k) stays on the diagonal, so flow(k, k) is
     exactly that, and `_simplex` solves only the excess-to-deficit problem
-    from I = {k: a_k > b_k} to J = {k: b_k > a_k}.  This is optimal when the
+    from I = {k: a_k > b_k} to J = {k: b_k > a_k}, starting from the
+    northeast staircase when I lies below J.  This is optimal when the
     costs are a metric, which is not assumed but certified (`_certify`).
     If the certificate fails (costs that are not a metric), or the source
     row is the longer one, the full problem is solved instead; its duals are
@@ -286,6 +296,8 @@ def _solve(a, b, c, tol):
         excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
         I = [k for k in range(N) if excess[k] > 0]
         J = [k for k in range(N) if excess[k] < 0]
+        if I and J and I[-1] < J[0]:
+            J.reverse()  # separated: start from the northeast staircase
         reduced, _, v = _simplex([excess[i] for i in I], [-excess[j] for j in J],
                                  [[c[i][j] for j in J] for i in I], tol)
         flow = {(k, k): min(a[k], b[k]) for k in range(M)}

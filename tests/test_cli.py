@@ -4,7 +4,10 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +252,39 @@ def test_byte_identical_reruns(tmp_path):
     a1 = open(os.path.join(out1, "optimize-ms-array.json"), "rb").read()
     a2 = open(os.path.join(out2, "optimize-ms-array.json"), "rb").read()
     assert a1 == a2
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(args, threads):
+    """Run a fresh interpreter on this checkout with the thread variables
+    set as in the dict `threads` and the others removed."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path):
+    # the float MS optimum depends on the BLAS thread count; without the
+    # variables the CLI must write what a one-thread run writes
+    argv = ["-m", "mannrates.cli", "optimize", "--mode", "ms", "--N", "30",
+            "--restarts", "8"]
+    for name, threads in (("unset", {}), ("pinned", dict.fromkeys(_THREAD_VARS, "1"))):
+        proc = _python(argv + ["--out", str(tmp_path / name)], threads)
+        assert proc.returncode == 0, proc.stderr
+    for f in ("optimize-ms.csv", "optimize-ms-array.json"):
+        assert (tmp_path / "unset" / f).read_bytes() == (tmp_path / "pinned" / f).read_bytes()
+    # a count the user sets is left alone
+    code = ("import os, mannrates; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+    proc = _python(["-c", code], {"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.stdout.split() == ["2", "1"], proc.stderr
 
 
 def test_sidecars_of_reruns_differ_only_in_wall_time(tmp_path):

@@ -203,3 +203,28 @@ def test_pair_distance_hands_the_kernels_the_table_block(monkeypatch, pi, exact,
                 assert plan.objective == table.d(m, n)
             else:
                 assert plan.objective == pytest.approx(table.d(m, n), abs=1e-12)
+
+
+def _binary_replay(rows):
+    """The float rows as exact rationals: each weight its binary value, the
+    last one 1 minus the sum of the others."""
+    out = []
+    for r in rows:
+        head = [Fraction(x) for x in r[:-1]]
+        out.append(tuple(head + [1 - sum(head)]))
+    return TriangularArray(out)
+
+
+# seeds 30 and 132 hold pairs where a simplex that pivots from the northwest
+# corner stops within its pricing tolerance of the optimum, 1.1e-11 and
+# 1.7e-11 away; the northeast start of their separated pairs is optimal
+@pytest.mark.parametrize("seed", [0, 30, 132])
+def test_monotone_float_table_matches_its_exact_replay(seed):
+    rows = random_monotone_array(random.Random(seed), 22)
+    flt, _ = build_distance_table(TriangularArray(rows))
+    ex, _ = build_distance_table(_binary_replay(rows), exact=True)
+    for (m, n, de), (_, _, df) in zip(ex.csv_rows(), flt.csv_rows()):
+        assert isinstance(de, (int, Fraction))
+        assert abs(de - Fraction(df)) <= 1e-14, (m, n)
+    for re, rf in zip(ex.residuals, flt.residuals):
+        assert abs(re - Fraction(rf)) <= 1e-14

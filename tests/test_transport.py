@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from mannrates import transport
 from mannrates.distances import build_distance_table
-from mannrates.schemes import TriangularArray
+from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
 from mannrates.transport import (MonotonePreconditionError, TransportInputError,
                                  greedy_monotone_transport, solve_transport)
 from mannrates.witness import build_worst_case_witness
@@ -454,3 +454,105 @@ def test_exact_and_float_tables_agree(rng):
                 assert abs(float(re) - rf) <= 1e-12
             build_worst_case_witness(exact, table=te, plans=pe)
             build_worst_case_witness(flt, table=tf, plans=pf)
+
+
+# -- separated pairs: every excess row below every deficit column ------------
+
+@st.composite
+def _separated_instances(draw):
+    """A cost block d(i-1, j-1) of an exact monotone (KM) table and of its
+    float twin, with rational margins whose excess rows all lie below a split
+    s and whose deficit columns all lie at or above it."""
+    H = draw(st.integers(1, 6))
+    alphas = [Fraction(draw(st.integers(1, 9)), 10) for _ in range(H)]
+    pi = build_rows(SchemeSpec("km", alphas=(Fraction(0), *alphas)), H)
+    n = draw(st.integers(1, H))
+    m = draw(st.integers(0, n))
+    M, N = m + 1, n + 1
+    s = draw(st.integers(1, min(M, N - 1)))
+    w = st.integers(0, 4)
+    a = [draw(w) for _ in range(M)]
+    b = [x - draw(st.integers(0, x)) if k < s else x + draw(w) for k, x in enumerate(a)]
+    b += [draw(w) for _ in range(N - M)]
+    excess = sum(a[k] - b[k] for k in range(s))
+    deficit = sum(b[k] - (a[k] if k < M else 0) for k in range(s, N))
+    if excess == deficit == 0:
+        a[0] += 1
+        b[-1] += 1
+    elif excess < deficit:
+        a[0] += deficit - excess
+    else:
+        b[-1] += excess - deficit
+    total = sum(a)
+    exact, _ = build_distance_table(pi, exact=True)
+    flt, _ = build_distance_table(TriangularArray(
+        [tuple(float(x) for x in r) for r in pi.rows]))
+    return ([Fraction(x, total) for x in a], [Fraction(x, total) for x in b],
+            exact.costs(m, n), flt.costs(m, n))
+
+
+def _northeast_staircase(a, b):
+    """Off-diagonal flows of the greedy that fills the excess rows in
+    increasing order against the deficit columns in decreasing order."""
+    excess = [(a[k] if k < len(a) else 0) - b[k] for k in range(len(b))]
+    rows = [[k, x] for k, x in enumerate(excess) if x > 0]
+    cols = [[k, -x] for k, x in reversed(list(enumerate(excess))) if x < 0]
+    flows = {}
+    while rows and cols:
+        (i, x), (j, y) = rows[0], cols[0]
+        t = min(x, y)
+        flows[(i, j)] = t
+        rows[0][1] -= t
+        cols[0][1] -= t
+        if not rows[0][1]:
+            rows.pop(0)
+        if not cols[0][1]:
+            cols.pop(0)
+    return flows
+
+
+@given(_separated_instances())
+def test_separated_pairs_solve_to_the_northeast_staircase(inst):
+    a, b, c, cf = inst
+    want = _northeast_staircase(a, b)
+    ex = solve_transport(a, b, c, exact=True)
+    assert {(i, j): z for i, j, z in ex.flows if i != j} == want
+    af, bf = [float(x) for x in a], [float(x) for x in b]
+    fl = solve_transport(af, bf, cf)
+    got = {(i, j): z for i, j, z in fl.flows if i != j}
+    assert set(got) == set(want)
+    assert all(abs(z - want[k]) <= 1e-15 for k, z in got.items())
+    assert fl.objective == pytest.approx(_linprog_oracle(af, bf, cf), abs=1e-9)
+    assert abs(Fraction(fl.objective) - ex.objective) <= 1e-14
+
+
+# -- the certificate at its tolerance ----------------------------------------
+
+def _certify_one_violation(excess, off, exact):
+    """`_certify` on a 2x3 problem whose potential, built from source 0
+    alone, breaks p_2 - p_1 <= c[1][2] by `excess`, and whose plan cost is
+    the dual objective plus `off`."""
+    one = Fraction(1) if exact else 1.0
+    x, z = one / 4, one / 2 + excess
+    c = [[0, x, z], [x, 0, x]]
+    plan = transport.TransportPlan(((0, 2, one),), z + off, (), ())
+    return transport._certify([one, 0], [0, 0, one], c, plan, [0], [0],
+                              0 if exact else transport.FEAS_TOL)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2, False)])
+def test_float_certificate_allows_dual_tol(factor, accepted):
+    tol = transport.DUAL_TOL
+    cell = _certify_one_violation(factor * tol, 0.0, exact=False)
+    cost = _certify_one_violation(0.0, factor * tol, exact=False)
+    assert (cell is not None) is accepted
+    assert (cost is not None) is accepted
+    if accepted:
+        assert cell.dual_u == (0.0, 0.25, 0.5 + factor * tol)
+
+
+def test_exact_certificate_rejects_any_violation():
+    tiny = Fraction(1, 10**30)
+    assert _certify_one_violation(0, 0, exact=True) is not None
+    assert _certify_one_violation(tiny, 0, exact=True) is None
+    assert _certify_one_violation(0, tiny, exact=True) is None
