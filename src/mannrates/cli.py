@@ -65,6 +65,11 @@ def _json_numbers(exact):
     return {"parse_float": Fraction, "parse_constant": _no_rational} if exact else {}
 
 
+def _is_number(v):
+    """A JSON number: int, float or Fraction, and not a bool."""
+    return isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
+
+
 def _parse_steps(text, exact):
     """A stepsize flag: formula name, 'constant:c', comma list, or @file.
 
@@ -75,7 +80,10 @@ def _parse_steps(text, exact):
     number = _rational if exact else float
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return tuple(json.load(fh, **_json_numbers(exact)))
+            steps = json.load(fh, **_json_numbers(exact))
+        if not isinstance(steps, list) or not all(map(_is_number, steps)):
+            raise InputError(f"{text[1:]}: expected a JSON list of numbers")
+        return tuple(steps)
     if "," in text:
         return tuple(number(t) for t in text.split(","))
     if text == "optimal":
@@ -101,8 +109,7 @@ def _load_array(path, N, exact):
     if len(rows) < N + 1:
         raise InputError(f"{path}: --N {N} needs rows 0..{N}, the file has {len(rows)}")
     rows = rows[: N + 1]
-    if not all(isinstance(r, list) and all(isinstance(w, (int, float, Fraction)) for w in r)
-               for r in rows):
+    if not all(isinstance(r, list) and all(map(_is_number, r)) for r in rows):
         raise InputError(f"{path}: every row must be a list of numbers")
     return TriangularArray(rows)
 
@@ -172,7 +179,7 @@ def cmd_optimize(args):
             raise InputError("optimize --mode scheme needs --kind")
         if args.exact:
             raise InputError("optimize --mode scheme has no exact mode")
-        res = optimize_scheme(args.kind, args.N, cfg)
+        res = optimize_scheme(args.kind, args.N)
     else:
         raise InputError(f"unknown optimize mode {args.mode!r}")
     certified = False
@@ -226,11 +233,10 @@ def _reproduce_fig3(args):
 
 def _reproduce_fig4(args):
     N = min(args.N, 40)
-    cfg = OptimizerConfig(restarts=8, seed=args.seed)
     series = {}
     for kind in ("halpern", "km", "inertial-halpern", "inertial-km",
                  "km-halpern", "extra-km", "ishikawa"):
-        series[kind] = optimize_scheme(kind, N, cfg).values
+        series[kind] = optimize_scheme(kind, N).values
     rows = [[n] + [series[k][n] for k in series] for n in range(N + 1)]
     path = _write(args, "fig4.csv", ["n"] + [f"R_{k}" for k in series], rows,
                   command="reproduce", target="fig4")

@@ -81,10 +81,9 @@ def build_distance_table(pi: TriangularArray, exact: bool = False,
     N = pi.horizon
     table = empty_table(N)
     plans: Optional[Dict] = {} if keep_plans else None
-    mono = check_monotone(pi, exact=exact)
     # greedy is justified by the quadrangle inequality, itself guaranteed
     # under row monotonicity; otherwise every pair goes to solve_transport
-    allow_greedy = mono.monotone
+    allow_greedy = check_monotone(pi.rows, exact=exact)
     for n in range(N + 1):
         for m in range(n):
             plan = pair_distance(table, pi.rows, m, n, exact=exact,

@@ -20,7 +20,7 @@ with `_freeze_stage`, by the table rule: the two-point closed form, else
 `pair_distance` with the greedy plan gated on row monotonicity, as in
 `build_distance_table`.  Each stage certificate,
 |stage value - R_n of the frozen table|, cross-checks the two rules; in
-exact mode the loop raises unless they agree exactly.
+exact mode (a `Fraction` row 0) the loop raises unless they agree exactly.
 The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
 copy.
@@ -278,8 +278,7 @@ class StageEvaluator:
         self.n = n
         self.rational = isinstance(self.rows[0][0], Fraction)
         self.tol = 0 if self.rational else 1e-12
-        self.monotone = check_monotone(TriangularArray(self.rows),
-                                       exact=self.rational).monotone
+        self.monotone = check_monotone(self.rows, exact=self.rational)
         self.dcol = _dcol(table, n)
         # row k of the stage quadratic is pair k's nested-plan value
         self.lin, self.Q = (_stage_quadratic(self.rows, table, n)
@@ -367,16 +366,18 @@ class StageEvaluator:
         return plan.objective if self.rational else float(plan.objective)
 
 
-def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
+def _freeze_stage(rows, table: DistanceTable, new_row, n: int):
     """Append the accepted row and fill d(k, n) for k < n and R_n.
 
     The table rule: the two-point closed form when both rows are two-point
     rows, else `pair_distance`, whose greedy plan is optimal only under row
-    monotonicity, as in build_distance_table.
+    monotonicity, as in build_distance_table; exactly if rows[0][0] is a
+    `Fraction`.
     """
+    exact = isinstance(rows[0][0], Fraction)
     rows.append(tuple(new_row))
     nb = _two_point_beta(rows[n])
-    allow_greedy = check_monotone(TriangularArray(rows), exact=exact).monotone
+    allow_greedy = check_monotone(rows, exact=exact)
     for k in range(n):
         kb = _two_point_beta(rows[k]) if nb is not None else None
         if kb is not None:
@@ -388,21 +389,22 @@ def _freeze_stage(rows, table: DistanceTable, new_row, n: int, exact=False):
     table.residuals.append(residual_from_table(table, rows[n], n))
 
 
-def _stagewise(N: int, one, stage, exact=False) -> OptimizationResult:
+def _stagewise(N: int, one, stage) -> OptimizationResult:
     """The stage loop of every stagewise optimizer: rows 0..N, one at a time.
 
-    Row 0 is the Dirac mass `one` (1.0, or Fraction(1) with `exact`), and
-    R_0 = one.  At stage n, `stage(rows, table, n)` returns row n and its
-    stage value against the frozen rows 0..n-1 and their table; the row is
-    frozen in the arithmetic of `one`, and the stage certificate is
-    |stage value - R_n|.  With `exact` the run raises ArithmeticError unless
-    the stage value, `StageEvaluator.exact(row)` and R_n are all equal.
+    Row 0 is the Dirac mass `one` (1.0, or Fraction(1) for an exact run),
+    and R_0 = one.  At stage n, `stage(rows, table, n)` returns row n and
+    its stage value against the frozen rows 0..n-1 and their table; the row
+    is frozen in the arithmetic of `one`, and the stage certificate is
+    |stage value - R_n|.  An exact run raises ArithmeticError unless the
+    stage value, `StageEvaluator.exact(row)` and R_n are all equal.
     A negative horizon raises OptimizeInputError.
     """
     if N < 0:
         raise OptimizeInputError(f"horizon must be >= 0, got {N}")
     t0 = time.perf_counter()
     cast = type(one)
+    exact = cast is Fraction
     rows: List[tuple] = [(one,)]
     table = empty_table(N)
     table.residuals.append(one)
@@ -412,7 +414,7 @@ def _stagewise(N: int, one, stage, exact=False) -> OptimizationResult:
         row, val = stage(rows, table, n)
         if exact:
             obj = StageEvaluator(rows, table, n).exact(row)
-        _freeze_stage(rows, table, map(cast, row), n, exact=exact)
+        _freeze_stage(rows, table, map(cast, row), n)
         R = cast(table.residuals[n])
         if exact and not val == obj == R:
             raise ArithmeticError(
@@ -900,14 +902,14 @@ _CARRY_PARAMS = {
 }
 
 
-def optimize_scheme(kind: str, N: int, cfg: OptimizerConfig = None) -> OptimizationResult:
+def optimize_scheme(kind: str, N: int) -> OptimizationResult:
     """Stagewise search over the scheme's stepsize parameters.
 
     Each stage takes the best point of a grid on the surrogate (65 points
     for 1-parameter families, 17^2 for 2-parameter ones) and refines it by
     Nelder-Mead; Ishikawa optimizes its (alpha, beta) pair over each 2-stage
-    block the same way (`_ishikawa_stage`).  The search is deterministic:
-    `cfg` is accepted for a uniform optimizer signature.
+    block the same way (`_ishikawa_stage`).  The search is deterministic, so
+    it takes no restarts and no seed.
     """
     if kind not in SCHEME_PARAMS:
         raise OptimizeInputError(f"unknown scheme kind {kind!r}")
@@ -1108,10 +1110,10 @@ EXACT_S_LIMIT = 2
 def _exact_ms_stage(rows, table, n):
     lin, Q = _stage_quadratic(rows, table, n)
     ineqs = []
-    for i in range(n + 1):
+    for i in range(n):
         a = [Fraction(0)] * (n + 1)
         a[i] = Fraction(-1)
-        ineqs.append((a, Fraction(0)))  # x_i >= 0
+        ineqs.append((a, Fraction(0)))  # x_i >= 0; x_n >= 1/2 bounds x_n
     prev = rows[n - 1]
     for k in range(n):
         a = [Fraction(0)] * (n + 1)
@@ -1200,9 +1202,6 @@ def _exact_s_stage(rows, table, n):
     pair turns the stage into finitely many exact QPs with the plans'
     feasibility inequalities appended.
     """
-    if n > EXACT_S_LIMIT:
-        raise OptimizeInputError(
-            f"exact free-stage mode supports n <= {EXACT_S_LIMIT}")
     d = n + 1
     base_ineqs = []
     for i in range(d):
@@ -1268,4 +1267,4 @@ def _exact_sequential(N: int, monotone: bool) -> OptimizationResult:
         val, x = (_exact_ms_stage if monotone else _exact_s_stage)(rows, table, n)
         return x, val
 
-    return _stagewise(N, Fraction(1), stage, exact=True)
+    return _stagewise(N, Fraction(1), stage)

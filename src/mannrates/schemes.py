@@ -29,7 +29,6 @@ SCHEME_PARAMS = {
     "extra-km": ("alpha", "beta"),
     "ishikawa": ("alpha", "beta"),
 }
-SCHEME_KINDS = tuple(SCHEME_PARAMS) + ("general",)
 
 class SchemeError(ValueError):
     pass
@@ -66,25 +65,15 @@ class TriangularArray:
 
 
 @dataclass(frozen=True)
-class MonotoneReport:
-    monotone: bool
-    first_violation: Optional[tuple]  # (n, i) or None
-
-
-@dataclass(frozen=True)
 class SchemeSpec:
-    """A named iteration family plus its stepsize sequences.
-
-    For kind "general", `rows` carries a user-supplied array directly.
-    """
+    """A named iteration family plus its stepsize sequences."""
 
     kind: str
     alphas: Optional[tuple] = None
     betas: Optional[tuple] = None
-    rows: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEME_PARAMS:
             raise SchemeError(f"unknown scheme kind {self.kind!r}")
         for name in ("alphas", "betas"):
             v = getattr(self, name)
@@ -170,12 +159,6 @@ def build_rows(spec: SchemeSpec, N: int) -> TriangularArray:
     A negative horizon raises SchemeError."""
     if N < 0:
         raise SchemeError(f"horizon must be >= 0, got {N}")
-    if spec.kind == "general":
-        if spec.rows is None:
-            raise SchemeError("kind 'general' requires explicit rows")
-        arr = TriangularArray(spec.rows[: N + 1])
-        arr.validate()
-        return arr
     seqs = [(name, getattr(spec, name + "s")) for name in SCHEME_PARAMS[spec.kind]]
     rows = [(_one_like(spec),)]
     for n in range(1, N + 1):
@@ -200,18 +183,16 @@ def _one_like(spec):
     return 1
 
 
-def check_monotone(pi: TriangularArray, exact: bool = False) -> MonotoneReport:
-    """Row-monotonicity check enabling the greedy transport fast path."""
+def check_monotone(rows, exact: bool = False) -> bool:
+    """Whether the rows are monotone, which enables the greedy transport fast
+    path: pi^n_n > 0 and pi^n_i <= pi^{n-1}_i for i < n, each within 1e-12
+    unless `exact`."""
     tol = 0 if exact else 1e-12
-    first = None
-    for n in range(1, pi.horizon + 1):
-        row, prev = pi.rows[n], pi.rows[n - 1]
-        if row[n] <= tol and first is None:
-            first = (n, n)
-        for i in range(n):
-            if row[i] > prev[i] + tol and first is None:
-                first = (n, i)
-    return MonotoneReport(first is None, first)
+    for n in range(1, len(rows)):
+        row = rows[n]
+        if row[n] <= tol or any(w > p + tol for w, p in zip(row, rows[n - 1])):
+            return False
+    return True
 
 
 def stepsize_formula(name: str, value=None,
@@ -265,18 +246,9 @@ def scheme_from_json(doc: dict, horizon: int, exact: bool = False) -> SchemeSpec
     """Build a SchemeSpec from a JSON/CLI description.
 
     Expected keys: "kind"; optionally "alpha"/"beta", each either an explicit
-    list, a formula name, or {"formula": name, "value": c}; kind "general"
-    takes explicit "rows" instead.  With `exact` the formulas are evaluated
-    as Fractions.
+    list, a formula name, or {"formula": name, "value": c}.  With `exact`
+    the formulas are evaluated as Fractions.
     """
-    kind = doc.get("kind")
-    if kind not in SCHEME_KINDS:
-        raise SchemeError(f"unknown scheme kind {kind!r}")
-    if kind == "general":
-        rows = doc.get("rows")
-        if rows is None:
-            raise SchemeError("kind 'general' requires rows")
-        return SchemeSpec("general", rows=tuple(tuple(r) for r in rows))
-    return SchemeSpec(kind,
+    return SchemeSpec(doc.get("kind"),
                       alphas=_expand_steps(doc.get("alpha"), horizon, exact),
                       betas=_expand_steps(doc.get("beta"), horizon, exact))

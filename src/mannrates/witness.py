@@ -61,18 +61,14 @@ class WorstCaseWitness:
     table: DistanceTable
     report: WitnessReport
 
-    def map_image(self, k: int):
-        """T x^k = y^{k+1} on the iterate set."""
-        return self.ys[k + 1]
-
 
 def build_worst_case_witness(pi: TriangularArray, N: int = None,
-                             table: DistanceTable = None, plans: Dict = None,
-                             tol: float = CERT_TOL) -> WorstCaseWitness:
+                             table: DistanceTable = None,
+                             plans: Dict = None) -> WorstCaseWitness:
     """Construct and verify the witness for the first N rows of the array.
 
     Raises CertificationError (carrying the offending pair) if any of the
-    three invariants fails beyond `tol`.
+    three invariants fails beyond `CERT_TOL`.
     """
     if N is None:
         N = pi.horizon
@@ -139,15 +135,15 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
 
     # the report holds floats: a Fraction has no e-format before Python 3.12
     report = WitnessReport(float(max_dist), float(max_res), float(max_exp))
-    if max_dist > tol:
+    if max_dist > CERT_TOL:
         raise CertificationError(f"distance equality off by "
                                  f"{report.max_distance_error:.3e} at pair {worst_pair}",
                                  worst_pair)
-    if max_res > tol:
+    if max_res > CERT_TOL:
         raise CertificationError(f"residual equality off by "
                                  f"{report.max_residual_error:.3e} at {worst_res}",
                                  worst_res)
-    if max_exp > tol:
+    if max_exp > CERT_TOL:
         raise CertificationError(f"map expands by {report.max_expansion:.3e} "
                                  f"at pair {worst_exp}", worst_exp)
     return WorstCaseWitness(N, tuple(pairs), tuple(map(tuple, (Y * unit).tolist())),

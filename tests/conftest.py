@@ -1,9 +1,6 @@
-import os
-
-# one BLAS/OpenMP thread, set before anything imports numpy: the optimizers'
-# small matrix products only lose time to threading
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+# imported before anything loads numpy: the package pins BLAS/OpenMP to one
+# thread unless the environment chose a count, so the suite runs as the CLI
+import mannrates  # noqa: F401
 
 import random
 

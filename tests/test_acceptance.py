@@ -102,7 +102,7 @@ def test_criterion_4_witness_tightness():
                                   monotone=True).array]
     worst = 0.0
     for pi in arrays:
-        w = build_worst_case_witness(pi, tol=1e-8)
+        w = build_worst_case_witness(pi)
         worst = max(worst, w.report.max_distance_error,
                     w.report.max_residual_error, w.report.max_expansion)
     elapsed = time.perf_counter() - t0
@@ -192,9 +192,8 @@ def test_criterion_8_accelerated_equivalence():
 
 def test_criterion_9_figure_level_slopes(ms100):
     t0 = time.perf_counter()
-    cfg = OptimizerConfig(restarts=8, seed=0)
-    hal = optimize_scheme("halpern", 100, cfg)
-    km = optimize_scheme("km", 60, cfg)
+    hal = optimize_scheme("halpern", 100)
+    km = optimize_scheme("km", 60)
     ns = list(range(20, 101))
     ms_slope = fit_slope(ns, [1.0 / float(ms100.values[n]) for n in ns])
     hal_slope = fit_slope(ns, [1.0 / float(hal.values[n]) for n in ns])
@@ -211,8 +210,8 @@ def test_criterion_9_figure_level_slopes(ms100):
 def test_criterion_10_structural_suites():
     cfg = OptimizerConfig(restarts=4, seed=0, max_evals=4000)
     ms = optimize_sequential(30, cfg, monotone=True)
-    hal = optimize_scheme("halpern", 30, cfg)
-    km = optimize_scheme("km", 30, cfg)
+    hal = optimize_scheme("halpern", 30)
+    km = optimize_scheme("km", 30)
     violations = []
     for res, is_monotone in ((ms, True), (hal, False), (km, True)):
         rep = validate_metric(res.table)

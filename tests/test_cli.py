@@ -91,6 +91,24 @@ def test_bad_array_file_is_input_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, doc", [
+    (["--scheme", "km", "--alpha"], [0, "x", 0.5]),
+    (["--scheme", "km", "--alpha"], [0, None]),
+    (["--scheme", "km", "--alpha"], [0, True, 0.5]),  # not alpha_1 = 1
+    (["--array"], {"rows": [[True], [False, True]]}),  # not R_1 = 1
+])
+def test_json_values_that_are_no_numbers_are_input_errors(tmp_path, capsys,
+                                                          flags, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    arg = str(path) if flags == ["--array"] else f"@{path}"
+    out = tmp_path / "o"
+    assert run(["bounds", *flags, arg, "--N", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "numbers" in err
+    assert not out.exists()
+
+
 def test_optimize_ms_small(tmp_path):
     out = str(tmp_path)
     code = run(["optimize", "--mode", "ms", "--N", "4", "--restarts", "4",

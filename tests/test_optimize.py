@@ -92,7 +92,7 @@ def test_scheme_halpern_matches_recursion():
     # the stage minimum is flat in beta: R_n matches to rounding at N=30,
     # the stepsizes only to the local refinement's resolution
     for N, r_tol, beta_tol in ((12, 1e-8, 1e-6), (30, 1e-15, 1e-8)):
-        res = optimize_scheme("halpern", N, OptimizerConfig(restarts=4))
+        res = optimize_scheme("halpern", N)
         betas, resid = optimal_recursion(N)
         for n in range(N + 1):
             assert res.values[n] == pytest.approx(resid[n], abs=r_tol)
@@ -101,7 +101,7 @@ def test_scheme_halpern_matches_recursion():
 
 
 def test_scheme_km_value_reasonable():
-    res = optimize_scheme("km", 10, OptimizerConfig(restarts=4))
+    res = optimize_scheme("km", 10)
     # optimal km sits strictly between the universal floor and 1/sqrt(n)
     assert 1 / 11 < res.values[10] < 1.0
     assert all(res.values[n + 1] <= res.values[n] + 1e-12 for n in range(10))
@@ -110,9 +110,8 @@ def test_scheme_km_value_reasonable():
 def test_scheme_families_progress():
     # stagewise-greedy searches need not be globally ordered across
     # families, but every series must decrease and beat the lazy scheme
-    cfg = OptimizerConfig(restarts=4)
     for kind in ("extra-km", "inertial-km", "km-halpern"):
-        res = optimize_scheme(kind, 8, cfg)
+        res = optimize_scheme(kind, 8)
         assert all(res.values[n + 1] <= res.values[n] + 1e-12 for n in range(8))
         assert res.values[8] < 0.5
 
@@ -359,12 +358,12 @@ def test_slsqp_loop_runs_slsqp_only():
                  jac=lambda x: np.zeros(1), lb=[0.5], ub=[1.0], maxiter=3, ftol=1e-14)
 
 
-def _freeze_all(rows, exact=False):
+def _freeze_all(rows):
     N = len(rows) - 1
     frozen, table = [rows[0]], empty_table(N)
     table.residuals.append(rows[0][0])
     for n in range(1, N + 1):
-        _freeze_stage(frozen, table, rows[n], n, exact=exact)
+        _freeze_stage(frozen, table, rows[n], n)
     return table
 
 
@@ -386,7 +385,7 @@ def test_frozen_table_matches_rebuild_on_non_monotone_rows(rng):
                                                       for n in range(N + 1)]), N)
     for rows in [_wide_range_array(random.Random(s), N) for s in range(4)] + \
             [list(halpern.rows)]:
-        table = _freeze_all(rows, exact=True)
+        table = _freeze_all(rows)
         ref, _ = build_distance_table(TriangularArray(rows), exact=True)
         assert list(table.csv_rows()) == list(ref.csv_rows())
         assert table.residuals == ref.residuals
@@ -413,7 +412,7 @@ def test_stage_value_matches_rebuild(rng):
         full = TriangularArray(frozen + [cand])
         ref, _ = build_distance_table(full)
         assert ev.exact(cand) == pytest.approx(ref.residuals[n], abs=1e-12)
-        if not check_monotone(full).monotone:
+        if not check_monotone(full.rows):
             non_monotone += 1
             tails = ev._tails(cand)
             nested_beyond_table += sum(
@@ -522,7 +521,7 @@ def _optimizer_outputs():
     yield "s", optimize_sequential(4, cfg, monotone=False)
     yield "fh", optimize_fixed_horizon(3, cfg)
     for kind in SCHEME_PARAMS:
-        yield kind, optimize_scheme(kind, 6, cfg)
+        yield kind, optimize_scheme(kind, 6)
 
 
 def test_optimizer_outputs_rebuild_and_certify():
@@ -539,7 +538,7 @@ def test_optimizer_outputs_rebuild_and_certify():
 
 def test_ishikawa_coefficients_follow_rows():
     for N in (5, 6, 9):
-        res = optimize_scheme("ishikawa", N, OptimizerConfig(restarts=2))
+        res = optimize_scheme("ishikawa", N)
         c = res.coefficients
         assert len(c["alpha"]) == len(c["beta"]) == N + 1
         arr = build_rows(SchemeSpec("ishikawa", alphas=c["alpha"][1::2],
@@ -549,7 +548,7 @@ def test_ishikawa_coefficients_follow_rows():
     for kind in SCHEME_PARAMS:
         if kind == "ishikawa":
             continue
-        res = optimize_scheme(kind, 6, OptimizerConfig(restarts=2))
+        res = optimize_scheme(kind, 6)
         c = res.coefficients
         arr = build_rows(SchemeSpec(kind, alphas=c["alpha"], betas=c["beta"]), 6)
         assert arr.rows == res.array.rows, kind

@@ -31,8 +31,7 @@ def test_halpern_rows_are_two_point():
 
 def test_km_rows_are_monotone():
     arr = build_rows(SchemeSpec("km", alphas=(0, 0.3, 0.7, 0.4, 0.6)), 4)
-    rep = check_monotone(arr)
-    assert rep.monotone
+    assert check_monotone(arr.rows)
 
 
 def test_halpern_rows_not_monotone():
@@ -42,7 +41,42 @@ def test_halpern_rows_not_monotone():
     # rises from 0 is what monotonicity tracks -- here pi^2_1 = 0 <= 0.5
     # and pi^2_0 = 0.3 <= 0.5, so this *is* monotone; push the anchor up
     arr = build_rows(SchemeSpec("halpern", betas=(0, 0.9, 0.2)), 2)
-    assert not check_monotone(arr).monotone
+    assert not check_monotone(arr.rows)
+
+
+def _first_violation(rows, exact):
+    """The first (n, i) that breaks row monotonicity, or None: the scan that
+    `check_monotone` replaced, kept as its oracle."""
+    tol = 0 if exact else 1e-12
+    first = None
+    for n in range(1, len(rows)):
+        row, prev = rows[n], rows[n - 1]
+        if row[n] <= tol and first is None:
+            first = (n, n)
+        for i in range(n):
+            if row[i] > prev[i] + tol and first is None:
+                first = (n, i)
+    return first
+
+
+@st.composite
+def _rows_near_monotone(draw, exact):
+    """Rows whose weights move from the previous row's by 0, by up to 2e-12
+    either way or by 1/4, with a last weight of 0, up to 2e-12 or 1/4."""
+    steps = [Fraction(k, 10 ** 13) for k in (-20, -10, -5, 0, 5, 10, 20)]
+    steps += [Fraction(-1, 4), Fraction(1, 4)]
+    step = st.sampled_from(steps if exact else [float(v) for v in steps])
+    rows = [(Fraction(1) if exact else 1.0,)]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append(tuple([w + draw(step) for w in rows[-1]] + [abs(draw(step))]))
+    return rows
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@given(data=st.data())
+def test_check_monotone_matches_the_first_violation_scan(exact, data):
+    rows = data.draw(_rows_near_monotone(exact))
+    assert check_monotone(rows, exact) == (_first_violation(rows, exact) is None)
 
 
 def test_inertial_halpern_row():
@@ -81,20 +115,19 @@ def test_ishikawa_blocks():
         build_rows(SchemeSpec("ishikawa", alphas=(0.7,), betas=(0.6,)), 2)
 
 
-def test_general_kind_passthrough():
-    rows = ((1,), (0.4, 0.6), (0.1, 0.2, 0.7))
-    arr = build_rows(SchemeSpec("general", rows=rows), 2)
-    assert arr.rows == rows
-    with pytest.raises(SchemeError):
-        build_rows(SchemeSpec("general", rows=((1,), (0.4, 0.7))), 1)
+def test_general_kind_is_rejected():
+    # an explicit array is a TriangularArray, not a scheme kind
+    with pytest.raises(SchemeError, match="unknown scheme kind"):
+        SchemeSpec("general")
+    with pytest.raises(SchemeError, match="unknown scheme kind"):
+        scheme_from_json({"kind": "general", "rows": [[1], [0.4, 0.6]]}, 1)
 
 
 def test_build_rows_refuses_a_negative_horizon():
     spec = SchemeSpec("km", alphas=(0, 0.5))
     assert build_rows(spec, 0).rows == ((1,),)
-    for s in (spec, SchemeSpec("general", rows=((1,), (0.4, 0.6)))):
-        with pytest.raises(SchemeError, match="horizon"):
-            build_rows(s, -1)
+    with pytest.raises(SchemeError, match="horizon"):
+        build_rows(spec, -1)
 
 
 def test_stepsize_bounds_enforced():

@@ -54,7 +54,7 @@ def test_residuals_attained_by_map_images():
     w = build_worst_case_witness(pi)
     for n in range(7):
         x = w.xs[n]
-        tx = w.map_image(n)
+        tx = w.ys[n + 1]  # T x^n = y^{n+1}
         gap = max(abs(a - b) for a, b in zip(x, tx))
         assert gap == pytest.approx(float(w.table.residuals[n]), abs=1e-10)
 
