@@ -20,8 +20,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 del _var
 
-from .distances import (DistanceTable, build_distance_table,
-                        halpern_distance_recursion, halpern_residuals,
+from .distances import (DistanceTable, build_distance_table, halpern_residuals,
                         validate_metric, validate_quadrangle)
 from .halpern import (affine_optimal, affine_theta, check_sufficient,
                       harmonic_bound, optimal_recursion)

@@ -2,8 +2,12 @@
 
 The table is built bottom-up: d(m, n) is the optimal transport cost between
 rows m and n with costs given by previously computed entries d(i-1, j-1).
-Residuals follow as R_n = sum_i pi^n_i d(i-1, n).  A closed-form recursion
-is provided for the two-point (Halpern-structured) rows.
+Residuals follow as R_n = sum_i pi^n_i d(i-1, n).  One rule fills a column:
+`extend_table` takes the two-point (Halpern-structured) closed form when
+both rows are two-point rows, else a transport solve, greedy only while the
+rows so far are monotone.  `build_distance_table` and every optimizer's
+stage freeze call it, so a table built from an array and one frozen row by
+row hold the same values.
 """
 
 from __future__ import annotations
@@ -69,33 +73,60 @@ def pair_distance(table: DistanceTable, rows, m: int, n: int,
     return solve_transport(rows[m], rows[n], costs, exact=exact)
 
 
+def _two_point_beta(row):
+    """beta if the row is (1 - beta, 0, ..., 0, beta), else None."""
+    last = len(row) - 1
+    if last == 0:
+        return 0 * row[0]  # exact zero in the row's arithmetic (float/Fraction)
+    if any(row[1:last]):
+        return None
+    if abs(row[0] + row[last] - 1) > 1e-13:
+        return None
+    return row[last]
+
+
+def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
+                 plans: Optional[Dict] = None) -> None:
+    """Fill d(m, n) for 0 <= m < n and R_n from rows 0..n: the table rule.
+
+    A pair of two-point rows takes the closed form `two_point_distance`;
+    any other pair takes `pair_distance`, whose greedy plan is optimal
+    under the quadrangle inequality, itself guaranteed while rows 0..n are
+    monotone, so it is allowed only then.  With `plans`, each pair's
+    transport plan (and the identity plan of (n, n)) is kept for the
+    witness's duals; the stored d(m, n) is still the rule's.
+    """
+    nb = _two_point_beta(rows[n])
+    allow_greedy = check_monotone(rows[:n + 1], exact=exact)
+    for m in range(n):
+        mb = _two_point_beta(rows[m]) if nb is not None else None
+        if mb is None or plans is not None:
+            plan = pair_distance(table, rows, m, n, exact=exact,
+                                 allow_greedy=allow_greedy)
+            if plans is not None:
+                plans[(m, n)] = plan
+        table.set_d(m, n, plan.objective if mb is None else
+                    two_point_distance(mb, nb, table.d(m - 1, n - 1)))
+    if plans is not None:
+        plans[(n, n)] = TransportPlan(tuple((i, i, w) for i, w in enumerate(rows[n])),
+                                      0, (0,) * (n + 1), (0,) * (n + 1))
+    table.residuals.append(residual_from_table(table, rows[n], n))
+
+
 def build_distance_table(pi: TriangularArray, exact: bool = False,
                          keep_plans: bool = False):
-    """Full table d(m, n) for -1 <= m <= n <= N and residuals R_0..R_N.
+    """Full table d(m, n) for -1 <= m <= n <= N and residuals R_0..R_N, one
+    `extend_table` per n.
 
     Returns (table, plans) where plans maps (m, n) -> TransportPlan for
     0 <= m <= n <= N when keep_plans is set (needed by the worst-case
     witness builder), else plans is None.
     """
     pi.validate(exact)
-    N = pi.horizon
-    table = empty_table(N)
+    table = empty_table(pi.horizon)
     plans: Optional[Dict] = {} if keep_plans else None
-    # greedy is justified by the quadrangle inequality, itself guaranteed
-    # under row monotonicity; otherwise every pair goes to solve_transport
-    allow_greedy = check_monotone(pi.rows, exact=exact)
-    for n in range(N + 1):
-        for m in range(n):
-            plan = pair_distance(table, pi.rows, m, n, exact=exact,
-                                 allow_greedy=allow_greedy)
-            table.set_d(m, n, plan.objective)
-            if plans is not None:
-                plans[(m, n)] = plan
-        if plans is not None:
-            plans[(n, n)] = TransportPlan(
-                tuple((i, i, w) for i, w in enumerate(pi.rows[n])),
-                0, (0,) * (n + 1), (0,) * (n + 1))
-        table.residuals.append(residual_from_table(table, pi.rows[n], n))
+    for n in range(pi.horizon + 1):
+        extend_table(table, pi.rows, n, exact, plans)
     return table, plans
 
 
@@ -128,24 +159,6 @@ def halpern_residuals(betas):
     return out
 
 
-def halpern_distance_recursion(betas) -> DistanceTable:
-    """Full table for Halpern rows by the two-point recursion in gap order.
-
-    O(N^2), no transport solves; identical to build_distance_table on the
-    two-point array.
-    """
-    _check_betas(betas)
-    N = len(betas) - 1
-    table = empty_table(N)
-    for gap in range(1, N + 1):
-        for m in range(0, N + 1 - gap):
-            n = m + gap
-            table.set_d(m, n, two_point_distance(betas[m], betas[n],
-                                                 table.d(m - 1, n - 1)))
-    table.residuals.extend(halpern_residuals(betas))
-    return table
-
-
 def _check_betas(betas):
     if not betas or betas[0] != 0:
         raise ValueError("beta_0 must be 0")
@@ -163,8 +176,9 @@ class StructureReport:
         return not self.violations
 
 
-def validate_metric(table: DistanceTable, tol: float = 1e-9) -> StructureReport:
-    """Symmetry, identity, and triangle inequality on all triples of -1..N."""
+def validate_metric(table: DistanceTable) -> StructureReport:
+    """Symmetry, identity, and triangle inequality (within 1e-9) on all
+    triples of -1..N."""
     bad = []
     idx = range(-1, table.horizon + 1)
     for i in idx:
@@ -178,13 +192,14 @@ def validate_metric(table: DistanceTable, tol: float = 1e-9) -> StructureReport:
             dij = table.d(i, j)
             for k in idx:
                 gap = dij - table.d(i, k) - table.d(k, j)
-                if gap > tol:
+                if gap > 1e-9:
                     bad.append(((i, j, k), gap))
     return StructureReport("metric", tuple(bad))
 
 
-def validate_quadrangle(table: DistanceTable, tol: float = 1e-9) -> StructureReport:
-    """d(i,l) + d(j,k) <= d(i,k) + d(j,l) on all i < j < k < l of -1..N.
+def validate_quadrangle(table: DistanceTable) -> StructureReport:
+    """d(i,l) + d(j,k) <= d(i,k) + d(j,l), within 1e-9, on all
+    i < j < k < l of -1..N.
 
     Guaranteed only for monotone arrays; report-only otherwise.
     """
@@ -196,6 +211,6 @@ def validate_quadrangle(table: DistanceTable, tol: float = 1e-9) -> StructureRep
                 for e in range(c + 1, len(idx)):
                     i, j, k, l = idx[a], idx[b], idx[c], idx[e]
                     gap = table.d(i, l) + table.d(j, k) - table.d(i, k) - table.d(j, l)
-                    if gap > tol:
+                    if gap > 1e-9:
                         bad.append(((i, j, k, l), gap))
     return StructureReport("quadrangle", tuple(bad))

@@ -41,8 +41,9 @@ class SufficientReport:
     margin: float  # min over n of rhs - lhs (can be negative)
 
 
-def check_sufficient(betas: Sequence, a, kappa, n_start: int = 1) -> SufficientReport:
-    """Check (1 - beta_n)^2 + kappa/(n+a) * beta_n <= kappa/(n+a+1) for each n.
+def check_sufficient(betas: Sequence, a, kappa) -> SufficientReport:
+    """Check (1 - beta_n)^2 + kappa/(n+a) * beta_n <= kappa/(n+a+1) for each
+    n >= 1.
 
     With 1 <= a+1 <= kappa and kappa >= 4 a full pass certifies the bound
     R_n <= kappa/(n+a+1).  Works over Fractions for exact margins.
@@ -51,7 +52,7 @@ def check_sufficient(betas: Sequence, a, kappa, n_start: int = 1) -> SufficientR
         raise ValueError("need 1 <= a+1 <= kappa")
     first = None
     margin = None
-    for n in range(n_start, len(betas)):
+    for n in range(1, len(betas)):
         b = betas[n]
         lhs = (1 - b) ** 2 + kappa * b / (n + a)
         rhs = kappa / (n + a + 1)
@@ -69,11 +70,11 @@ def stepsize_window(n: int) -> float:
     return 2 / ((n + 3) * math.sqrt(n + 4))
 
 
-def in_stepsize_window(betas: Sequence, n_start: int = 1) -> SufficientReport:
-    """Check |beta_n - (n+1)/(n+3)| <= 2/((n+3) sqrt(n+4)) for each n."""
+def in_stepsize_window(betas: Sequence) -> SufficientReport:
+    """Check |beta_n - (n+1)/(n+3)| <= 2/((n+3) sqrt(n+4)) for each n >= 1."""
     first = None
     margin = None
-    for n in range(n_start, len(betas)):
+    for n in range(1, len(betas)):
         gap = stepsize_window(n) - abs(betas[n] - (n + 1) / (n + 3))
         if margin is None or gap < margin:
             margin = gap

@@ -163,8 +163,9 @@ def binomial_floor_function(n: int, x: float) -> float:
     return total
 
 
-def binomial_floor_grid_min(n: int, points: int = 100001) -> float:
-    """Minimum of f_n over a uniform grid on [0, 1] (vectorized).
+def binomial_floor_grid_min(n: int) -> float:
+    """Minimum of f_n over a uniform grid of 100001 points on [0, 1]
+    (vectorized).
 
     f_n is piecewise concave on the intervals (k/n, (k+1)/n), so its
     infimum is approached at interval endpoints; the one-sided limit values
@@ -173,7 +174,7 @@ def binomial_floor_grid_min(n: int, points: int = 100001) -> float:
     """
     from scipy.stats import binom
 
-    x = np.linspace(0.0, 1.0, points)
+    x = np.linspace(0.0, 1.0, 100001)
     lo = np.minimum(np.floor(n * x), n - 1)
     vals = binom.cdf(lo + 1, n, x) - binom.cdf(lo - 1, n, x)
     best = float(vals.min())
@@ -278,11 +279,9 @@ def make_truncated_shift(dim: int) -> Callable[[np.ndarray], np.ndarray]:
     return T
 
 
-def halpern_iterates(T, x0: np.ndarray, N: int,
-                     betas: Optional[Sequence[float]] = None) -> List[np.ndarray]:
-    """x^n = (1 - beta_n) x^0 + beta_n T x^{n-1}; default beta_n = n/(n+1)."""
-    if betas is None:
-        betas = [n / (n + 1) for n in range(N + 1)]
+def halpern_iterates(T, x0: np.ndarray, N: int) -> List[np.ndarray]:
+    """x^n = (1 - beta_n) x^0 + beta_n T x^{n-1} with beta_n = n/(n+1)."""
+    betas = [n / (n + 1) for n in range(N + 1)]
     xs = [np.asarray(x0, dtype=float)]
     for n in range(1, N + 1):
         xs.append((1 - betas[n]) * xs[0] + betas[n] * T(xs[n - 1]))

@@ -16,11 +16,11 @@ stage loop, `_stagewise`, and uses one stage model.  Each optimizer
 supplies only its stage: row n and its stage value.  `StageEvaluator.exact`
 is the stage value: row n scored by the nested transport costs d(k, n)
 against the frozen rows and table.  The loop then freezes the accepted row
-with `_freeze_stage`, by the table rule: the two-point closed form, else
-`pair_distance` with the greedy plan gated on row monotonicity, as in
-`build_distance_table`.  Each stage certificate,
-|stage value - R_n of the frozen table|, cross-checks the two rules; in
-exact mode (a `Fraction` row 0) the loop raises unless they agree exactly.
+with `distances.extend_table`, the table rule that `build_distance_table`
+runs too, so a rebuild of the emitted array reproduces its residuals bit
+for bit.  Each stage certificate, |stage value - R_n of the frozen table|,
+cross-checks the stage value against that rule; in exact mode (a
+`Fraction` row 0) the loop raises unless they agree exactly.
 The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
 copy.
@@ -74,8 +74,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy.optimize._slsqplib import slsqp
 
-from .distances import (DistanceTable, build_distance_table, empty_table,
-                        pair_distance, residual_from_table, two_point_distance)
+from .distances import (DistanceTable, _two_point_beta, build_distance_table,
+                        empty_table, extend_table, pair_distance,
+                        two_point_distance)
 from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
                       scheme_step)
 
@@ -237,18 +238,6 @@ def _dcol(table: DistanceTable, n: int) -> List[float]:
     return [table.d(i - 1, n - 1) for i in range(n + 1)]
 
 
-def _two_point_beta(row):
-    """beta if the row is (1 - beta, 0, ..., 0, beta), else None."""
-    last = len(row) - 1
-    if last == 0:
-        return 0 * row[0]  # exact zero in the row's arithmetic (float/Fraction)
-    if any(row[1:last]):
-        return None
-    if abs(row[0] + row[last] - 1) > 1e-13:
-        return None
-    return row[last]
-
-
 class StageEvaluator:
     """The stage value R_n(cand): row n scored against the frozen rows 0..n-1
     and their table.
@@ -366,38 +355,16 @@ class StageEvaluator:
         return plan.objective if self.rational else float(plan.objective)
 
 
-def _freeze_stage(rows, table: DistanceTable, new_row, n: int):
-    """Append the accepted row and fill d(k, n) for k < n and R_n.
-
-    The table rule: the two-point closed form when both rows are two-point
-    rows, else `pair_distance`, whose greedy plan is optimal only under row
-    monotonicity, as in build_distance_table; exactly if rows[0][0] is a
-    `Fraction`.
-    """
-    exact = isinstance(rows[0][0], Fraction)
-    rows.append(tuple(new_row))
-    nb = _two_point_beta(rows[n])
-    allow_greedy = check_monotone(rows, exact=exact)
-    for k in range(n):
-        kb = _two_point_beta(rows[k]) if nb is not None else None
-        if kb is not None:
-            table.set_d(k, n, two_point_distance(kb, nb, table.d(k - 1, n - 1)))
-        else:
-            plan = pair_distance(table, rows, k, n, exact=exact,
-                                 allow_greedy=allow_greedy)
-            table.set_d(k, n, plan.objective)
-    table.residuals.append(residual_from_table(table, rows[n], n))
-
-
 def _stagewise(N: int, one, stage) -> OptimizationResult:
     """The stage loop of every stagewise optimizer: rows 0..N, one at a time.
 
     Row 0 is the Dirac mass `one` (1.0, or Fraction(1) for an exact run),
     and R_0 = one.  At stage n, `stage(rows, table, n)` returns row n and
     its stage value against the frozen rows 0..n-1 and their table; the row
-    is frozen in the arithmetic of `one`, and the stage certificate is
-    |stage value - R_n|.  An exact run raises ArithmeticError unless the
-    stage value, `StageEvaluator.exact(row)` and R_n are all equal.
+    is frozen in the arithmetic of `one` by `extend_table`, and the stage
+    certificate is |stage value - R_n|.  An exact run raises
+    ArithmeticError unless the stage value, `StageEvaluator.exact(row)` and
+    R_n are all equal.
     A negative horizon raises OptimizeInputError.
     """
     if N < 0:
@@ -407,14 +374,15 @@ def _stagewise(N: int, one, stage) -> OptimizationResult:
     exact = cast is Fraction
     rows: List[tuple] = [(one,)]
     table = empty_table(N)
-    table.residuals.append(one)
+    extend_table(table, rows, 0, exact)
     stage_values = []
     certificates = []
     for n in range(1, N + 1):
         row, val = stage(rows, table, n)
         if exact:
             obj = StageEvaluator(rows, table, n).exact(row)
-        _freeze_stage(rows, table, map(cast, row), n)
+        rows.append(tuple(map(cast, row)))
+        extend_table(table, rows, n, exact)
         R = cast(table.residuals[n])
         if exact and not val == obj == R:
             raise ArithmeticError(
@@ -973,8 +941,8 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
                     if s == last:
                         return StageEvaluator(trial_rows, trial, s).exact(row)
                     # stage n is frozen into copies to score stage n + 1
-                    trial_rows, trial = list(rows), table.copy()
-                    _freeze_stage(trial_rows, trial, row, s)
+                    trial_rows, trial = rows + [tuple(row)], table.copy()
+                    extend_table(trial, trial_rows, s)
 
             pair = _grid_then_nm(block_obj, 2, 13,
                                  maxfev=1500, xatol=1e-10, fatol=1e-13)

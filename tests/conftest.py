@@ -3,9 +3,12 @@
 import mannrates  # noqa: F401
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from mannrates.transport import solve_transport
 
 settings.register_profile(
     "default",
@@ -40,3 +43,29 @@ def random_monotone_array(rng, N):
         row = [(1 - a) * w for w in rows[-1]] + [a]
         rows.append(tuple(row))
     return rows
+
+
+def random_wide_range_array(rng, N):
+    """Rational rows whose weights span nine orders of magnitude."""
+    rows = [(Fraction(1),)]
+    for n in range(1, N + 1):
+        w = [10 ** rng.randint(0, 9) * rng.randint(0, 3) for _ in range(n + 1)]
+        w[n] += 1
+        total = sum(w)
+        rows.append(tuple(Fraction(x, total) for x in w))
+    return rows
+
+
+def assert_table_is_transport(table, rows, exact=False, tol=1e-12):
+    """Each d(m, n), 0 <= m < n, against a transport solve between rows m
+    and n on the table's own cost block: equal for `Fraction`s, within tol
+    for floats.  The oracle for every rule that fills the table, the
+    two-point closed form and the greedy plan included."""
+    for n in range(len(rows)):
+        for m in range(n):
+            want = solve_transport(rows[m], rows[n], table.costs(m, n),
+                                   exact=exact).objective
+            if exact:
+                assert table.d(m, n) == want, (m, n)
+            else:
+                assert table.d(m, n) == pytest.approx(want, abs=tol), (m, n)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,8 @@ import pytest
 from mannrates import cli
 from mannrates.distances import build_distance_table
 from mannrates.schemes import SCHEME_PARAMS, SchemeSpec, build_rows
+
+from conftest import random_array
 
 
 def _read_csv(path):
@@ -46,6 +49,28 @@ def test_bounds_certify_flag(tmp_path):
     assert code == 0
     rows = _read_csv(os.path.join(out, "bounds.csv"))
     assert rows[1][3] == "witness-verified"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scheme", "halpern", "--beta", "n/(n+2)", "--N", "20"],
+    ["--scheme", "km", "--alpha", "0.5", "--N", "20"],
+    ["--array", "unstructured.json", "--N", "10"],
+    ["--scheme", "km", "--alpha", "n/(n+1)", "--N", "6", "--exact"],
+])
+def test_certified_and_uncertified_bounds_agree(tmp_path, flags):
+    # the witness needs each pair's transport plan, but the table keeps the
+    # table rule's value, the two-point closed form included
+    if "unstructured.json" in flags:
+        rows = random_array(random.Random(11), 10)
+        (tmp_path / "unstructured.json").write_text(json.dumps({"rows": rows}))
+        flags = [str(tmp_path / f) if f == "unstructured.json" else f for f in flags]
+    outs = [str(tmp_path / "plain"), str(tmp_path / "certified")]
+    assert run(["bounds", "--out", outs[0]] + flags) == 0
+    assert run(["bounds", "--out", outs[1], "--certify"] + flags) == 0
+    R = [[r[1] for r in _read_csv(os.path.join(out, "bounds.csv"))] for out in outs]
+    assert R[0] == R[1]
+    tables = [open(os.path.join(out, "distance-table.csv"), "rb").read() for out in outs]
+    assert tables[0] == tables[1]
 
 
 def test_bounds_array_file(tmp_path):

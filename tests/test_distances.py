@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mannrates import distances
-from mannrates.distances import (build_distance_table,
-                                 halpern_distance_recursion, halpern_residuals,
+from mannrates.distances import (build_distance_table, halpern_residuals,
                                  pair_distance, residual_from_table,
                                  validate_metric, validate_quadrangle)
-from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
+from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
 
-from conftest import random_array, random_monotone_array
+from conftest import (assert_table_is_transport, random_array,
+                      random_monotone_array, random_wide_range_array)
 
 
 def test_depth_one_optimum():
@@ -56,27 +56,52 @@ def test_harmonic_betas_residuals():
     betas = [n / (n + 2) for n in range(6)]
     out = halpern_residuals(betas)
     assert out[1] == pytest.approx(7 / 9, abs=1e-15)
-    # independent check against the full table of the unrolled array
+    # the full table of the unrolled array, each entry checked against a
+    # transport solve
     arr = build_rows(SchemeSpec("halpern", betas=tuple(betas)), 5)
     table, _ = build_distance_table(arr)
+    assert_table_is_transport(table, arr.rows, tol=1e-12)
     for n in range(6):
         assert out[n] == pytest.approx(table.residuals[n], abs=1e-12)
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
 def test_two_point_recursion_equals_transport(tail):
+    # the table takes the two-point closed form on these rows; a transport
+    # solve on each pair's cost block is the independent check
     betas = [0.0] + tail
     N = len(betas) - 1
-    fast = halpern_distance_recursion(betas)
     arr = build_rows(SchemeSpec("halpern", betas=tuple(betas)), N)
     table, _ = build_distance_table(arr)
-    for m in range(-1, N + 1):
-        for n in range(m, N + 1):
-            assert float(fast.d(m, n)) == pytest.approx(float(table.d(m, n)),
-                                                        abs=1e-11)
-    for n in range(N + 1):
-        assert float(fast.residuals[n]) == pytest.approx(
-            float(table.residuals[n]), abs=1e-11)
+    assert_table_is_transport(table, arr.rows, tol=1e-11)
+    assert halpern_residuals(betas) == pytest.approx(table.residuals, abs=1e-11)
+
+
+def test_table_rule_matches_transport_on_monotone_prefixes(rng):
+    # the greedy nested plan is optimal only while the rows are monotone;
+    # the table allows it on the monotone prefix of an unstructured array
+    # and solves the pairs after it, each checked against a transport solve
+    N = 7
+    non_monotone = 0
+    for _ in range(30):
+        k = rng.randint(1, N - 1)  # rows 0..k monotone, the rest unstructured
+        rows = random_monotone_array(rng, k) + random_array(rng, N)[k + 1:]
+        table, _ = build_distance_table(TriangularArray(rows))
+        assert_table_is_transport(table, rows)
+        non_monotone += not check_monotone(rows)
+    assert non_monotone > 0
+    # in exact arithmetic every rule gives the same rationals: monotone
+    # prefixes, Halpern rows (the two-point closed form) and rows whose
+    # weights span nine orders of magnitude (the transport kernel)
+    halpern = build_rows(SchemeSpec("halpern", betas=[Fraction(n, n + 2)
+                                                      for n in range(7)]), 6)
+    for rows in ([random_wide_range_array(random.Random(s), 6) for s in range(4)]
+                 + [_rational_km_rows(3, s).rows + tuple(
+                     random_wide_range_array(random.Random(s), 6)[4:])
+                    for s in range(3)]
+                 + [halpern.rows]):
+        table, _ = build_distance_table(TriangularArray(rows), exact=True)
+        assert_table_is_transport(table, rows, exact=True)
 
 
 def test_beta_validation():

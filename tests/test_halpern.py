@@ -13,6 +13,8 @@ from mannrates.halpern import (affine_optimal, affine_theta, check_sufficient,
 from mannrates.operators import affine_shift_halpern_residual
 from mannrates.schemes import SchemeSpec, build_rows
 
+from conftest import assert_table_is_transport
+
 
 def test_recursion_first_values_exact():
     betas, resid = optimal_recursion(3, exact=True)
@@ -30,12 +32,14 @@ def test_recursion_monotonicity_and_bound():
 
 
 def test_recursion_matches_transport_table():
-    """The recursion values equal the generic bounds engine on the unrolled
-    two-point array -- the independent oracle for the closed form."""
+    """The recursion values equal the table of the unrolled two-point array,
+    whose every entry a transport solve checks -- the independent oracle for
+    the closed form."""
     N = 10
     betas, resid = optimal_recursion(N)
     arr = build_rows(SchemeSpec("halpern", betas=tuple(betas)), N)
     table, _ = build_distance_table(arr)
+    assert_table_is_transport(table, arr.rows, tol=1e-12)
     for n in range(N + 1):
         assert table.residuals[n] == pytest.approx(resid[n], abs=1e-12)
 

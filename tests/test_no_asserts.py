@@ -8,8 +8,10 @@ has one implementation, `optimize._nelder_mead`, and SLSQP one,
 imports no `minimize` from scipy, and every `minimize` call names
 method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
-builds an `OptimizationResult`.  The package starts child processes in one
-place, the MS stage's `optimize._StartsWorker`."""
+builds an `OptimizationResult`.  The distance table has one rule:
+`distances.extend_table` writes its entries and residuals, besides the
+boundary entries of `empty_table`.  The package starts child processes in
+one place, the MS stage's `optimize._StartsWorker`."""
 
 import ast
 from collections import Counter
@@ -117,6 +119,23 @@ def test_optimization_results_come_from_one_stage_loop():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "OptimizationResult"}
     assert found == {"_stagewise", "optimize_fixed_horizon"}
+
+
+def test_table_entries_come_from_one_table_rule():
+    # the top-level definition around each call that writes a table entry,
+    # `set_d`, or appends a residual; `empty_table` writes the boundary
+    # entries, `extend_table` every other one
+    writes = {"set_d", "residuals.append", "residuals.extend", "residuals.insert"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    owner = getattr(node.func.value, "attr", None)
+                    if (node.func.attr in writes
+                            or f"{owner}.{node.func.attr}" in writes):
+                        found.add(f"{path.name}:{getattr(top, 'name', None)}")
+    assert found == {"distances.py:empty_table", "distances.py:extend_table"}
 
 
 
