@@ -56,8 +56,13 @@ in start order either way, so the rows do not depend on the worker.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
-solved on the free coordinates only.  Float and exact monotone stages share
-one stage-quadratic builder.
+solved on the free coordinates only.  The enumeration runs on integers:
+the quadratic and each constraint row are scaled to integer numerators
+once, each face's system is solved by fraction-free (Bareiss) Gauss-Jordan
+elimination (`_bareiss_solve`, the package's one exact linear solver), and
+feasibility and the ranking of the candidates compare integers, so only the
+optimum becomes `Fraction`s.  Float and exact monotone stages share one
+stage-quadratic builder.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from .distances import (DistanceTable, _two_point_beta, build_distance_table,
                         two_point_distance)
 from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
                       scheme_step)
+from .transport import common_denominator
 
 
 class OptimizeInputError(ValueError):
@@ -958,24 +964,6 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
 # ---------------------------------------------------------------------------
 # exact-rational stages (global, via KKT enumeration over polytope faces)
 
-def _gauss_solve(A: List[List[Fraction]], b: List[Fraction]):
-    """Exact Gaussian elimination; returns None for singular systems."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def _exact_qp(lin, Q, ineqs, d):
     """Global minimum of lin.x + x^T Q x over {sum x = 1, a.x <= b for (a, b) in ineqs}.
 
@@ -988,49 +976,67 @@ def _exact_qp(lin, Q, ineqs, d):
     is singular by its shape (two bounds on one coordinate, no coordinate
     left free) are skipped without a solve (`_faces`).  The candidates are
     those of the full systems, and ties break to the lexicographically
-    smallest point.  Inputs are `Fraction`s.
+    smallest point.  Inputs are `Fraction`s (or ints).
+
+    The work is done on integers: lin and Q over their least common
+    denominator L, each row (a, b) over its own, and each candidate as
+    integer numerators over one denominator.  Feasibility and the ranking
+    compare integers; only the optimum is turned into `Fraction`s.
     """
+    (lin, *Q), L = common_denominator([lin] + Q)
     H = [[Q[i][j] + Q[j][i] for j in range(d)] for i in range(d)]
+    rows = [common_denominator([a + [b]])[0][0] for a, b in ineqs]
     # the coordinate each row bounds, or None for a general row
     bound_of = []
-    for a, _ in ineqs:
-        nonzero = [j for j in range(d) if a[j] != 0]
+    for r in rows:
+        nonzero = [j for j in range(d) if r[j] != 0]
         bound_of.append(nonzero[0] if len(nonzero) == 1 else None)
     best = None
-    for fixed, general in _faces(ineqs, bound_of, d):
-        x = _face_stationary_point(lin, H, fixed, general, d)
-        if x is None or not _feasible(x, ineqs, bound_of, d):
+    for fixed, general in _faces(rows, bound_of, d):
+        point = _face_stationary_point(lin, H, fixed, general, d)
+        if point is None or not _feasible(*point, rows, bound_of, d):
             continue
-        val = sum(lin[i] * x[i] for i in range(d)) + \
-            sum(x[i] * Q[i][j] * x[j] for i in range(d) for j in range(d))
-        if best is None or val < best[0] or (val == best[0] and x < best[1]):
-            best = (val, x)
+        x, den = point
+        # the value times L * den^2
+        val = den * sum(map(mul, lin, x)) + \
+            sum(x[i] * sum(map(mul, Q[i], x)) for i in range(d))
+        if best is not None:
+            bval, bx, bden = best
+            left, right = val * bden * bden, bval * den * den
+            if left > right or (left == right and
+                                [v * bden for v in x] >= [v * den for v in bx]):
+                continue
+        best = (val, x, den)
     if best is None:
         raise OptimizeInputError("empty feasible polytope in exact stage")
-    return best
+    val, x, den = best
+    return Fraction(val, L * den * den), [Fraction(v, den) for v in x]
 
 
-def _faces(ineqs, bound_of, d):
+def _faces(rows, bound_of, d):
     """(fixed coordinates, active general rows) for every active subset whose
-    KKT system can be nonsingular.
+    KKT system can be nonsingular; `fixed` maps each fixed coordinate to its
+    value, a `Fraction`.
 
     Subsets of d or more rows are left out: with sum x = 1 they put d + 1
     constraints on d coordinates (this also drops every subset that fixes
     all coordinates).  So is a subset with two bounds on one coordinate.
     """
-    for r in range(min(d - 1, len(ineqs)) + 1):
-        for subset in itertools.combinations(range(len(ineqs)), r):
+    # the value a coordinate bound fixes, once per row
+    value = [None if i is None else Fraction(r[d], r[i])
+             for r, i in zip(rows, bound_of)]
+    for size in range(min(d - 1, len(rows)) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
             fixed = {}
             general = []
             for t in subset:
                 i = bound_of[t]
                 if i is None:
-                    general.append(ineqs[t])
+                    general.append(rows[t])
                 elif i in fixed:
                     break
                 else:
-                    a, b = ineqs[t]
-                    fixed[i] = b / a[i]
+                    fixed[i] = value[t]
             else:
                 yield fixed, general
 
@@ -1038,35 +1044,80 @@ def _faces(ineqs, bound_of, d):
 def _face_stationary_point(lin, H, fixed, general, d):
     """Stationary point of the quadratic on the face where the coordinates in
     `fixed` take their values and the `general` rows hold with equality, from
-    the KKT system on the free coordinates; None if that system is singular."""
+    the KKT system on the free coordinates; None if that system is singular.
+
+    lin, H and the rows (a_0 .. a_{d-1}, b) are integers.  The system is
+    scaled to integers as it is written down: the fixed values become
+    numerators over their common denominator F, and the free coordinates
+    are solved for as F * x, with each multiplier rescaled freely.  Returns
+    the point as integer numerators over one positive denominator.
+    """
     free = [j for j in range(d) if j not in fixed]
-    f, g = len(free), len(general)
-    zero, one = Fraction(0), Fraction(1)
-    A = []
-    rhs = []
+    g = len(general)
+    (nums,), F = common_denominator([list(fixed.values())])
+    fx = dict(zip(fixed, nums))
+    M = []
     for i in free:
-        A.append([H[i][j] for j in free] + [one] + [a[i] for a, _ in general])
-        rhs.append(-lin[i] - sum(H[i][j] * v for j, v in fixed.items()))
-    A.append([one] * f + [zero] * (1 + g))
-    rhs.append(one - sum(fixed.values()))
-    for a, b in general:
-        A.append([a[j] for j in free] + [zero] * (1 + g))
-        rhs.append(b - sum(a[j] * v for j, v in fixed.items()))
-    sol = _gauss_solve(A, rhs)
+        Hi = H[i]
+        M.append([Hi[j] for j in free] + [1] + [a[i] for a in general]
+                 + [-lin[i] * F - sum(Hi[j] * v for j, v in fx.items())])
+    M.append([1] * len(free) + [0] * (1 + g) + [F - sum(fx.values())])
+    for a in general:
+        M.append([a[j] for j in free] + [0] * (1 + g)
+                 + [a[d] * F - sum(a[j] * v for j, v in fx.items())])
+    sol = _bareiss_solve(M)
     if sol is None:
         return None
+    y, det = sol
     x = [None] * d
-    for j, v in fixed.items():
-        x[j] = v
+    for j, v in fx.items():
+        x[j] = v * det
     for p, j in enumerate(free):
-        x[j] = sol[p]
-    return x
+        x[j] = y[p]
+    return x, det * F
 
 
-def _feasible(x, ineqs, bound_of, d) -> bool:
-    for (a, b), i in zip(ineqs, bound_of):
-        lhs = a[i] * x[i] if i is not None else sum(a[j] * x[j] for j in range(d))
-        if lhs > b:
+def _bareiss_solve(M):
+    """Solve the square integer system held in the augmented rows M (n rows
+    of n + 1 integers; M is overwritten) by fraction-free Gauss-Jordan
+    elimination, the package's one exact linear solver.
+
+    Each step keeps every entry an integer minor of the system, so its
+    division by the previous pivot is exact; a remainder raises
+    ArithmeticError.  Returns (numerators, det) with x_i = numerators[i] / det
+    and det > 0, or None if the system is singular.
+    """
+    n = len(M)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        pivot_row = M[k]
+        p = pivot_row[k]
+        for i, row in enumerate(M):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                q, r = divmod(p * row[j] - f * pivot_row[j], prev)
+                if r:
+                    raise ArithmeticError(
+                        f"inexact division by {prev} in fraction-free elimination")
+                row[j] = q
+            row[k] = 0
+        prev = p
+    # every diagonal entry now equals the last pivot
+    sign = 1 if prev > 0 else -1
+    return [sign * row[n] for row in M], sign * prev
+
+
+def _feasible(x, den, rows, bound_of, d) -> bool:
+    """a.x <= b for every row, with x = numerators over den > 0."""
+    for r, i in zip(rows, bound_of):
+        lhs = r[i] * x[i] if i is not None else sum(map(mul, r[:d], x))
+        if lhs > r[d] * den:
             return False
     return True
 

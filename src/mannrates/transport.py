@@ -97,7 +97,7 @@ def _check_inputs(a, b, c, exact):
     if exact:
         _require_rational(chain(*c), "costs")
         _require_rational(chain(a, b), "weights")
-        (a, b), D = _common_denominator((a, b))
+        (a, b), D = common_denominator((a, b))
     else:
         a, b, D = list(a), list(b), 1
     tol = 0 if exact else 1e-12
@@ -284,7 +284,7 @@ def solve_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     """
     a, b, D = _check_inputs(a, b, c, exact)
     if exact:
-        c, E = _common_denominator(c)
+        c, E = common_denominator(c)
         return _rational(_solve(a, b, c, 0), D, E)
     return _solve(a, b, c, FEAS_TOL)
 
@@ -314,7 +314,7 @@ def _solve(a, b, c, tol):
     return replace(plan, dual_u=tuple(x - lo for x in u), dual_v=tuple(x - lo for x in v))
 
 
-def _common_denominator(rows):
+def common_denominator(rows):
     """Numerators of the rows' entries over their least common denominator,
     and that denominator."""
     dens = {x.denominator for r in rows for x in r}
@@ -384,7 +384,7 @@ def _nested_costs(c):
     m = M - 1
     cells = [(i, i) for i in range(m)] + [(i, N - 1) for i in range(m)]
     cells += [(m, j) for j in range(N)]
-    (scaled,), E = _common_denominator(([c[i][j] for i, j in cells],))
+    (scaled,), E = common_denominator(([c[i][j] for i, j in cells],))
     rows = [[0] * N for _ in range(M)]
     for (i, j), x in zip(cells, scaled):
         rows[i][j] = x

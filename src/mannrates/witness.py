@@ -10,18 +10,20 @@ iterates x^k = sum_i pi^k_i y^i then satisfy ||x^m - x^n|| = d(m, n) and
 The points are built as numpy arrays, so both arithmetics share one code
 path: the distance table D, the point matrix Y (one row per y^k), the
 potentials extended by a column-wise minimum, and X = Pi @ Y.  Float tables
-use dtype float.  Exact tables use dtype object holding Python integers: the
-numerators of all entries over their least common denominator, which keeps
-the arithmetic exact without the gcd that every `Fraction` operation pays.
-Pairwise sup norms are taken one row m at a time, never as an all-pairs
-tensor.  The witness exposes its points as tuples of Python floats or
-`Fraction`s.
+use dtype float.  Exact tables use dtype object holding Python integers:
+each entry v becomes v.numerator * (den // v.denominator) over the least
+common denominator `den` of the table, potentials and residuals, and each
+row of Pi the same over the rows' own denominator, so no `Fraction` is
+built or multiplied and no operation pays a gcd.  Pairwise sup norms are
+taken one row m at a time, never as an all-pairs tensor.  The check reads
+only these integer arrays; the witness exposes its points as tuples of
+Python floats or `Fraction`s, built on first read and then kept.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -29,6 +31,7 @@ import numpy as np
 
 from .distances import DistanceTable, build_distance_table
 from .schemes import TriangularArray
+from .transport import common_denominator
 
 CERT_TOL = 1e-8
 
@@ -54,12 +57,41 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class WorstCaseWitness:
+    """The checked embedding.  `ys` (y^0 .. y^{N+1}) and `xs` (x^0 .. x^N),
+    vectors over `index_set`, are built from the arrays the check held
+    (`Y` in units of `y_unit`, `X` in units of `x_unit`) on first read."""
+
     horizon: int
     index_set: tuple      # pairs (m, n), -1 <= m <= n <= N
-    ys: tuple             # y^0 .. y^{N+1}, vectors over index_set
-    xs: tuple             # x^0 .. x^N
     table: DistanceTable
     report: WitnessReport
+    Y: np.ndarray = field(repr=False, compare=False)
+    X: np.ndarray = field(repr=False, compare=False)
+    y_unit: object = field(repr=False, compare=False)
+    x_unit: object = field(repr=False, compare=False)
+
+    @cached_property
+    def ys(self) -> tuple:
+        return _points(self.Y, self.y_unit)
+
+    @cached_property
+    def xs(self) -> tuple:
+        return _points(self.X, self.x_unit)
+
+
+def _points(A: np.ndarray, unit) -> tuple:
+    """The rows of A in units of `unit`: floats as they are, integer
+    numerators over den (unit 1/den) as one `Fraction` per coordinate."""
+    if isinstance(unit, Fraction):
+        den = unit.denominator
+        return tuple(tuple(Fraction(v, den) for v in row) for row in A.tolist())
+    return tuple(map(tuple, A.tolist()))
+
+
+def _rationals(rows):
+    """The rows with each float entry read as its exact binary value."""
+    return [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
+            for r in rows]
 
 
 def build_worst_case_witness(pi: TriangularArray, N: int = None,
@@ -80,37 +112,34 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
 
     pairs: List[Tuple[int, int]] = [(m, n) for m in range(-1, N + 1)
                                     for n in range(m, N + 1)]
-    D = table.costs(N + 1, N + 1)
+    D = table.costs(N + 1, N + 1)   # D[i, j] = d(i-1, j-1)
     P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows[: N + 1])]
-    U = {p: plans[p].dual_u for p in pairs if p[0] >= 0}
-    R = [table.residuals[: N + 1]]
-    entries = [v for block in (D, P, U.values(), R) for r in block for v in r]
-    # exact entries become integers over their least common denominator
-    # `den`, so no operation below needs a gcd; float entries stay as they are
-    exact = any(isinstance(v, Fraction) for v in entries)
-    den = math.lcm(*(Fraction(v).denominator for v in entries)) if exact else 1
-    unit = Fraction(1, den) if exact else 1.0  # the value of numerator 1
-
-    def array(rows):
-        if exact:
-            return np.array([[int(Fraction(v) * den) for v in r] for r in rows],
-                            dtype=object)
-        return np.array(rows, dtype=float)
-
-    D, Pi, R = array(D), array(P), array(R)[0]   # D[i, j] = d(i-1, j-1)
-    Y = np.empty((N + 2, len(pairs)), dtype=D.dtype)
+    U = [plans[p].dual_u for p in pairs if p[0] >= 0]
+    rows = D + U + [table.residuals[: N + 1]]
+    if any(isinstance(v, Fraction) for block in (rows, P) for r in block for v in r):
+        # the points' entries become integers over `den`, the rows of Pi
+        # integers over their own `den_p`; X = Pi @ Y then carries
+        # den * den_p per unit
+        rows, den = common_denominator(_rationals(rows))
+        P, den_p = common_denominator(_rationals(P))
+        y_unit, x_unit, dtype = Fraction(1, den), Fraction(1, den * den_p), object
+    else:
+        den_p, y_unit, x_unit, dtype = 1, 1.0, 1.0, float
+    D, R, Pi = (np.array(A, dtype=dtype) for A in (rows[: N + 2], rows[-1], P))
+    duals = (np.array(u, dtype=dtype) for u in rows[N + 2: -1])
+    Y = np.empty((N + 2, len(pairs)), dtype=dtype)
     for c, (m, n) in enumerate(pairs):
         if m == -1:
             Y[:, c] = D[:, n + 1]
         else:
             # the potential over 0..n, extended past n by inf-convolution:
             # u_i = min_k (u_k + d(k-1, i-1))
-            u = array([U[(m, n)]])[0]
+            u = next(duals)
             Y[: n + 1, c] = u
             Y[n + 1:, c] = (u[:, None] + D[: n + 1, n + 1:]).min(axis=0)
-    # X carries den^2 per unit; every check below is made at that scale
+    # every check below is made at the scale of X
     X = Pi @ Y[: N + 1]
-    Yx, Dx, Rx = Y * den, D * den, R * den
+    Yx, Dx, Rx = Y * den_p, D * den_p, R * den_p
 
     # pairwise sup norms one row m at a time: an all-pairs difference tensor
     # would hold (N+1)^2 points at once; the first worst pair in row-major
@@ -130,8 +159,7 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
     res = abs(abs(X - Yx[1:]).max(axis=1) - Rx)
     n = int(res.argmax())
     max_res, worst_res = (res[n], (n, n + 1)) if res[n] > 0 else (0, None)
-    scale = unit * unit
-    max_dist, max_res, max_exp = max_dist * scale, max_res * scale, max_exp * scale
+    max_dist, max_res, max_exp = max_dist * x_unit, max_res * x_unit, max_exp * x_unit
 
     # the report holds floats: a Fraction has no e-format before Python 3.12
     report = WitnessReport(float(max_dist), float(max_res), float(max_exp))
@@ -146,8 +174,7 @@ def build_worst_case_witness(pi: TriangularArray, N: int = None,
     if max_exp > CERT_TOL:
         raise CertificationError(f"map expands by {report.max_expansion:.3e} "
                                  f"at pair {worst_exp}", worst_exp)
-    return WorstCaseWitness(N, tuple(pairs), tuple(map(tuple, (Y * unit).tolist())),
-                            tuple(map(tuple, (X * scale).tolist())), table, report)
+    return WorstCaseWitness(N, tuple(pairs), table, report, Y, X, y_unit, x_unit)
 
 
 def witness_json(w: WorstCaseWitness) -> dict:

@@ -158,6 +158,21 @@ def test_optimize_exact_mode(tmp_path):
     assert float(rows[3][1]) == pytest.approx(17 / 28, abs=1e-15)
 
 
+with open(Path(__file__).parent / "data" / "exact_arrays.json") as fh:
+    _EXACT_ARRAYS = json.load(fh)
+
+
+@pytest.mark.parametrize("command", sorted(_EXACT_ARRAYS))
+def test_exact_optimizer_arrays_pinned(tmp_path, command):
+    """The array JSON of each exact optimizer run, as recorded before the
+    exact stages were solved on integers."""
+    argv = command.split()
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    mode = argv[argv.index("--mode") + 1]
+    with open(tmp_path / f"optimize-{mode}-array.json") as fh:
+        assert json.load(fh) == _EXACT_ARRAYS[command]
+
+
 @pytest.mark.parametrize("source", ["flags", "array"])
 def test_bounds_exact_reads_decimals_as_rationals(tmp_path, source):
     # 0.3 is read as 3/10, and the array file's 0.49 as 49/100: the table

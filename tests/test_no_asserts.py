@@ -11,7 +11,9 @@ method="SLSQP".  The stagewise optimizers have one stage loop,
 builds an `OptimizationResult`.  The distance table has one rule:
 `distances.extend_table` writes its entries and residuals, besides the
 boundary entries of `empty_table`.  The package starts child processes in
-one place, the MS stage's `optimize._StartsWorker`."""
+one place, the MS stage's `optimize._StartsWorker`.  It has one exact
+linear solver, the integer elimination `optimize._bareiss_solve`, and no
+`Fraction` Gaussian elimination beside it."""
 
 import ast
 from collections import Counter
@@ -137,6 +139,40 @@ def test_table_entries_come_from_one_table_rule():
                         found.add(f"{path.name}:{getattr(top, 'name', None)}")
     assert found == {"distances.py:empty_table", "distances.py:extend_table"}
 
+
+def _is_row_swap(node):
+    """M[i], M[j] = M[j], M[i]: the pivoting step of an elimination."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Tuple)
+            and isinstance(node.value, ast.Tuple)):
+        return False
+    left, right = node.targets[0].elts, node.value.elts
+    return (len(left) == len(right) == 2
+            and all(isinstance(e, ast.Subscript) for e in left + right)
+            and ast.unparse(left[0]) == ast.unparse(right[1])
+            and ast.unparse(left[1]) == ast.unparse(right[0]))
+
+
+def _is_row_division(node):
+    """M[i] = [x / p for x in M[i]]: a row scaled by its pivot, as a
+    `Fraction` elimination does."""
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Subscript) for t in node.targets)
+            and isinstance(node.value, ast.ListComp)
+            and isinstance(node.value.elt, ast.BinOp)
+            and isinstance(node.value.elt.op, ast.Div))
+
+
+def test_one_exact_linear_solver():
+    # the top-level definitions that swap or divide rows as an elimination
+    # does: only the integer solver
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if any(_is_row_swap(node) or _is_row_division(node)
+                   for node in ast.walk(top)):
+                found.add(f"{path.name}:{getattr(top, 'name', None)}")
+    assert found == {"optimize.py:_bareiss_solve"}
 
 
 def _process_lines(tree):

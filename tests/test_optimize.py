@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import List
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 from mannrates.distances import build_distance_table, empty_table
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
-                                StageEvaluator, _exact_qp, _gauss_solve,
+                                StageEvaluator, _bareiss_solve, _exact_qp,
                                 _nelder_mead, _repair_monotone,
                                 _stage_quadratic, fit_slope, minimize,
                                 optimize_fixed_horizon, optimize_scheme,
@@ -519,6 +520,25 @@ def test_ishikawa_coefficients_follow_rows():
 
 # -- exact stages: reduced KKT faces against the full systems ----------------
 
+def _gauss_solve(A: List[List[Fraction]], b: List[Fraction]):
+    """Exact Gaussian elimination in `Fraction`s; returns None for singular
+    systems.  The oracle of the package's integer solver."""
+    n = len(A)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        pv = M[col][col]
+        M[col] = [x / pv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
 def _full_kkt_qp(lin, Q, ineqs, d):
     """The enumerator over full (d + 1 + r)-sized KKT systems that `_exact_qp`
     replaced, kept as its reference."""
@@ -557,6 +577,61 @@ def _full_kkt_qp(lin, Q, ineqs, d):
     if best is None:
         raise OptimizeInputError("empty feasible polytope in exact stage")
     return best
+
+
+@st.composite
+def _rational_systems(draw):
+    """A square rational system A x = b with 1-7 unknowns.  Zero entries are
+    common, so zero leading pivots occur, and some systems get a row that
+    repeats another row times a constant, or a zero row, so they are
+    singular."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    b = draw(st.lists(entry, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(entry)
+        A[i] = [c * v for v in A[j]]
+    return A, b
+
+
+def _scaled_rows(A, b):
+    """The augmented rows [A | b], each times the least common denominator
+    of its entries: an integer system with the same solutions."""
+    rows = []
+    for row, rhs in zip(A, b):
+        L = math.lcm(*(v.denominator for v in row + [rhs]))
+        rows.append([int(v * L) for v in row + [rhs]])
+    return rows
+
+
+@given(_rational_systems())
+def test_integer_solver_matches_fraction_elimination(system):
+    A, b = system
+    want = _gauss_solve(A, b)
+    got = _bareiss_solve(_scaled_rows(A, b))
+    if want is None:
+        assert got is None
+    else:
+        x, den = got
+        assert den > 0
+        assert [Fraction(v, den) for v in x] == want
+
+
+def test_integer_solver_zero_pivot_and_singular_cases():
+    # a zero leading pivot takes the next row; a singular system gives None
+    x, den = _bareiss_solve([[0, 1, 2], [3, 0, 3]])
+    assert [Fraction(v, den) for v in x] == [1, 2]
+    assert _bareiss_solve([[1, 2, 3], [2, 4, 5]]) is None
+    assert _bareiss_solve([[0, 0]]) is None
+
+
+def test_integer_solver_raises_on_inexact_division():
+    # rows not scaled to integers break the exact divisions
+    with pytest.raises(ArithmeticError):
+        _bareiss_solve([[Fraction(1, 2), 1, 0], [1, Fraction(1, 3), 1]])
 
 
 def _random_qp(rng):
@@ -624,6 +699,19 @@ def test_exact_qp_duplicate_and_fixing_bounds():
     got = _exact_qp(lin, Q, ineqs, d)
     assert got == _full_kkt_qp(lin, Q, ineqs, d)
     assert got[1][1] == Fraction(1, 3)
+
+
+def test_exact_qp_ties_break_to_the_smallest_point():
+    # a flat objective ties every vertex of the simplex at 0; the faces meet
+    # (0, 1, 0), then (0, 0, 1), the lexicographically smallest, then (1, 0, 0)
+    d = 3
+    e = lambda i: [Fraction(-1) if j == i else Fraction(0) for j in range(d)]
+    ineqs = [(e(0), Fraction(0)), (e(2), Fraction(0)), (e(1), Fraction(0))]
+    lin = [Fraction(0)] * d
+    Q = [[Fraction(0)] * d for _ in range(d)]
+    want = (Fraction(0), [Fraction(0), Fraction(0), Fraction(1)])
+    assert _exact_qp(lin, Q, ineqs, d) == want
+    assert _full_kkt_qp(lin, Q, ineqs, d) == want
 
 
 # rationals the full-KKT enumerator produced for the exact MS stages

@@ -1,14 +1,18 @@
 """The sup-norm witness must attain every tabulated bound exactly."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mannrates.distances import build_distance_table
 from mannrates.halpern import optimal_recursion
+from mannrates.optimize import OptimizerConfig, optimize_sequential
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
-from mannrates.witness import (CertificationError, build_worst_case_witness,
-                               witness_json)
+from mannrates.witness import (CertificationError, WitnessReport,
+                               build_worst_case_witness, witness_json)
 
 from conftest import random_array, random_monotone_array
 
@@ -111,3 +115,88 @@ def test_witness_coordinates_are_python_scalars(exact):
     if exact:
         assert w.report.max_distance_error == 0.0
         assert w.report.max_residual_error == 0.0
+
+
+def _eager_witness(pi, table, plans):
+    """(ys, xs, report) by the eager conversion the witness made before it
+    kept its points as integer arrays: every entry as int(Fraction(v) * den)
+    over one least common denominator, Pi included, and every coordinate a
+    `Fraction` (or float) built at once."""
+    N = pi.horizon
+    pairs = [(m, n) for m in range(-1, N + 1) for n in range(m, N + 1)]
+    D = table.costs(N + 1, N + 1)
+    P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows)]
+    U = {p: plans[p].dual_u for p in pairs if p[0] >= 0}
+    R = [table.residuals[: N + 1]]
+    entries = [v for block in (D, P, U.values(), R) for r in block for v in r]
+    exact = any(isinstance(v, Fraction) for v in entries)
+    den = math.lcm(*(Fraction(v).denominator for v in entries)) if exact else 1
+    unit = Fraction(1, den) if exact else 1.0
+
+    def array(rows):
+        if exact:
+            return np.array([[int(Fraction(v) * den) for v in r] for r in rows],
+                            dtype=object)
+        return np.array(rows, dtype=float)
+
+    D, Pi, R = array(D), array(P), array(R)[0]
+    Y = np.empty((N + 2, len(pairs)), dtype=D.dtype)
+    for c, (m, n) in enumerate(pairs):
+        if m == -1:
+            Y[:, c] = D[:, n + 1]
+        else:
+            u = array([U[(m, n)]])[0]
+            Y[: n + 1, c] = u
+            Y[n + 1:, c] = (u[:, None] + D[: n + 1, n + 1:]).min(axis=0)
+    X = Pi @ Y[: N + 1]
+    Yx, Dx, Rx = Y * den, D * den, R * den
+    max_dist = max_exp = 0
+    for m in range(N + 1):
+        dx = abs(X[m:] - X[m]).max(axis=1)
+        max_dist = max(max_dist, abs(dx - Dx[m + 1, m + 1:]).max())
+        max_exp = max(max_exp, (abs(Yx[m + 1:] - Yx[m + 1]).max(axis=1) - dx).max())
+    max_res = abs(abs(X - Yx[1:]).max(axis=1) - Rx).max()
+    scale = unit * unit
+    report = WitnessReport(float(max_dist * scale), float(max_res * scale),
+                           float(max_exp * scale))
+    return (tuple(map(tuple, (Y * unit).tolist())),
+            tuple(map(tuple, (X * scale).tolist())), report)
+
+
+def _binary_rational_ms_array(N):
+    """The float MS array at horizon N with each weight read as its binary
+    value, the last weight of each row taking the row's rounding."""
+    ms = optimize_sequential(N, OptimizerConfig(restarts=2, seed=0))
+    rows = [(Fraction(1),)]
+    for r in ms.array.rows[1:]:
+        head = [Fraction(w) for w in r[:-1]]
+        rows.append(tuple(head) + (1 - sum(head),))
+    return TriangularArray(rows)
+
+
+def _random_rational_array(rng, N):
+    rows = [(Fraction(1),)]
+    for n in range(1, N + 1):
+        w = [rng.randint(0, 9) for _ in range(n)] + [rng.randint(1, 9)]
+        rows.append(tuple(Fraction(x, sum(w)) for x in w))
+    return TriangularArray(rows)
+
+
+@pytest.mark.parametrize("name, exact", [
+    ("float halpern", False), ("float random", False), ("rational halpern", True),
+    ("rational random", True), ("binary-rational ms", True)])
+def test_witness_points_match_eager_conversion(name, exact, rng):
+    pi = {"float halpern": lambda: _optimal_halpern_array(6),
+          "float random": lambda: TriangularArray(random_array(rng, 6)),
+          "rational halpern": lambda: _rational_halpern_array(6),
+          "rational random": lambda: _random_rational_array(rng, 7),
+          "binary-rational ms": lambda: _binary_rational_ms_array(10)}[name]()
+    table, plans = build_distance_table(pi, exact=exact, keep_plans=True)
+    w = build_worst_case_witness(pi, table=table, plans=plans)
+    # a fresh witness holds no points until they are read
+    assert "ys" not in vars(w) and "xs" not in vars(w)
+    ys, xs, report = _eager_witness(pi, table, plans)
+    eager = SimpleNamespace(horizon=w.horizon, index_set=w.index_set,
+                            ys=ys, xs=xs, report=report)
+    assert witness_json(w) == witness_json(eager)
+    assert (w.ys, w.xs, w.report) == (ys, xs, report)
