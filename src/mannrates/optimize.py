@@ -37,18 +37,20 @@ best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.  The float
 search does its per-candidate work on plain Python floats: the free search
 projects Nelder-Mead's list of floats with `_project_list`, a Python sort
 and running sum; the stage value turns each candidate into a list of floats
-once, and the grid search hands its objective tuples of floats.  Every sum runs left to right, the order
-numpy float64 scalars and `cumsum` take, so each value equals its numpy
-float64 form to the bit; only the cut evaluation stays a numpy
-matrix-vector product.
+once and scores all its pairs in one loop, and the grid search hands its
+objective tuples of floats.  Every sum runs left to right, the order numpy
+float64 scalars, `cumsum` and a reduction over axis 0 take, so each value
+equals its numpy float64 form to the bit; only the cut evaluation stays a
+numpy matrix-vector product.
 Every Nelder-Mead search runs `_nelder_mead`, an in-house copy of scipy's
-loop that takes the same iterates bit for bit but forms its trial points on
-plain floats and hands them to the objective as lists.  Vertices that tie in
-value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort does not
-keep ties in input order, so a stable sort would change the search path and
-the outputs.  The MS stage's SLSQP runs `minimize`, an in-house copy of
-scipy's SLSQP loop on scipy's compiled kernel with the same iterates bit
-for bit, so no search goes through `scipy.optimize.minimize`.  From stage
+loop that takes the same iterates bit for bit but keeps its vertices as
+lists of plain floats, forms the centroid, trial points and shrink on them
+and hands each point to the objective as one of those lists.  Vertices that
+tie in value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort
+does not keep ties in input order, so a stable sort would change the search
+path and the outputs.  The MS stage's SLSQP runs `minimize`, an in-house
+copy of scipy's SLSQP loop on scipy's compiled kernel with the same iterates
+bit for bit, so no search goes through `scipy.optimize.minimize`.  From stage
 `_WORKER_MIN_N` on, a forked worker (`_StartsWorker`) solves the trailing
 half of each MS stage's starts while this process solves the leading half;
 the kernel holds the GIL, so a thread could not.  The best start is chosen
@@ -73,7 +75,7 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, mul
+from operator import add, gt, mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -144,20 +146,22 @@ class _MaxFev(Exception):
 
 
 def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
-    """Minimize f from x0 by Nelder-Mead; returns (x, fval).
+    """Minimize f from x0 by Nelder-Mead; returns (x, fval), x a float64 array.
 
     The iterates of scipy's `minimize(method="Nelder-Mead")` (1.17) with the
     options maxfev, xatol, fatol and adaptive, bit for bit: the same initial
     simplex, coefficients, centroid `np.add.reduce(sim[:-1], 0) / N` and
     vertex order `np.argsort` of the f-values; a call past maxfev ends the
-    search in the middle of its iteration, a shrink included.  f gets each
-    point as a list of plain floats.  The simplex stays a float64 array, so
-    the centroid is one numpy reduction; the trial points are formed on plain
-    floats, one IEEE operation per scipy array operation, so each element is
-    the same.  numpy's SIMD sort does not keep tied values in input order,
-    so the order is `np.argsort`'s own, not a stable sort's.
+    search in the middle of its iteration, a shrink included.  The simplex is
+    a list of vertices, each a list of plain floats, and f gets each point as
+    one of them.  Every element takes one IEEE operation per scipy array
+    operation: the centroid sums each column over the first N vertices left
+    to right from 0.0, as numpy's reduction over axis 0 does (signed zeros
+    included; `sum()` is compensated from Python 3.12 on, so it is not used),
+    then divides by N.  numpy's SIMD sort does not keep tied values in input
+    order, so the order is `np.argsort`'s own, not a stable sort's.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
     N = len(x0)
     if adaptive:
         dim = float(N)
@@ -169,10 +173,11 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
     # (1 - psi) * xbar + psi * worst, the same bits, as x - (-y) is x + y
     reflect, expand = (1 + rho, rho), (1 + rho * chi, rho * chi)
     outside, inside = (1 + psi * rho, psi * rho), (1 - psi, -psi)
-    sim = np.empty((N + 1, N))
-    sim[:] = x0
-    sim[range(1, N + 1), range(N)] = [(1 + 0.05) * v if v != 0 else 0.00025
-                                       for v in x0.tolist()]
+    sim = [x0]
+    for k, v in enumerate(x0):
+        y = list(x0)
+        y[k] = (1 + 0.05) * v if v != 0 else 0.00025
+        sim.append(y)
     nfev = 0
 
     def call(x):
@@ -186,25 +191,30 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
         a, b = coef
         return [a * c - b * w for c, w in zip(xbar, worst)]
 
+    def order():
+        ind = np.array(fs).argsort().tolist()
+        return [sim[i] for i in ind], [fs[i] for i in ind]
+
     fs = [math.inf] * (N + 1)
     try:
-        for k, x in enumerate(sim.tolist()):
+        for k, x in enumerate(sim):
             fs[k] = call(x)
     except _MaxFev:
         pass
     for _ in range(2):  # scipy sorts the first simplex twice
-        ind = np.array(fs).argsort().tolist()
-        sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
+        sim, fs = order()
 
     while nfev < maxfev:
-        f0 = fs[0]
-        if all(abs(f0 - v) <= fatol for v in fs[1:]):
-            best = sim[0].tolist()
-            if all(abs(a - b) <= xatol
-                   for row in sim[1:].tolist() for a, b in zip(row, best)):
-                break
-        xbar = (np.add.reduce(sim[:-1], 0) / N).tolist()
-        worst = sim[-1].tolist()
+        f0, best = fs[0], sim[0]
+        if (all(abs(f0 - v) <= fatol for v in fs[1:])
+                and all(abs(a - b) <= xatol
+                        for row in sim[1:] for a, b in zip(row, best))):
+            break
+        xbar = [0.0] * N
+        for row in sim[:-1]:
+            xbar = list(map(add, xbar, row))
+        xbar = [c / N for c in xbar]
+        worst = sim[-1]
         new = None
         try:
             xr = trial(reflect)
@@ -226,17 +236,16 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
                 if fxc < fs[-1]:
                     new = (xc, fxc)
             if new is None:  # shrink towards the best vertex
-                shrunk = (sim[0] + sigma * (sim[1:] - sim[0])).tolist()
-                for j, x in enumerate(shrunk, 1):
-                    sim[j] = x
+                for j in range(1, N + 1):
+                    x = [b + sigma * (c - b) for b, c in zip(best, sim[j])]
+                    sim[j] = x  # kept if the call ends the search, as in scipy
                     fs[j] = call(x)
         except _MaxFev:
             pass
         if new is not None:
             sim[-1], fs[-1] = new
-        ind = np.array(fs).argsort().tolist()
-        sim, fs = sim.take(ind, 0), [fs[i] for i in ind]
-    return sim[0].copy(), float(np.min(fs))
+        sim, fs = order()
+    return np.array(sim[0]), float(np.min(fs))
 
 
 def _dcol(table: DistanceTable, n: int) -> List[float]:
@@ -261,10 +270,13 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
-    A float candidate is read once per call, as a list of plain floats for
-    the sums and as one ndarray for the cuts.  The sums run left to right,
-    as they do on numpy float64 scalars, so the value's bits do not depend
-    on the candidate's type.  `Fraction` candidates stay `Fraction`s.
+    One loop over the pairs (`_value`) serves both entry points; the pair
+    rules are written out in it.  A float candidate becomes a list of plain
+    floats once per call, and the ndarray the cuts multiply is built once,
+    only when some pair reads a cut; the cut's max is taken over its
+    `.tolist()`.  The sums run left to right, as they do on numpy float64
+    scalars, so the value's bits do not depend on the candidate's type.
+    `Fraction` candidates stay `Fraction`s.
     """
 
     def __init__(self, rows, table: DistanceTable, n: int):
@@ -287,67 +299,57 @@ class StageEvaluator:
         self.pool_U: List[Optional[np.ndarray]] = [None] * n
         self.pool_c: List[Optional[np.ndarray]] = [None] * n
 
-    def _pair_fast(self, cand, cb, k, tail_mk):
-        """Closed-form d(k-1, n) for the candidate, or None."""
-        m = k - 1
-        prow = self.rows[m]
-        if cb is not None and self.betas[m] is not None:
-            return two_point_distance(self.betas[m], cb, self.dcol[m])
-        if not self.monotone or any(map(gt, cand, self.caps[m])):
-            return None
-        if prow[m] < tail_mk - self.tol:
-            return None
-        # left to right through Python 3.11; from 3.12 on, sum() of plain
-        # floats is compensated and can differ in the last bits
-        return self.lin[k] + sum(map(mul, self.Q[k], cand))
-
-    def _tails(self, cand):
-        out = [0] * (self.n + 1)
-        acc = 0
-        for j in range(self.n - 1, -1, -1):
-            acc += cand[j]
-            out[j] = acc
-        return out
-
-    def _value(self, cand, pair):
-        """cand_0 + sum_k cand_k d(k-1, n), taking `pair(cand, k, x)` for
-        each pair without a closed form, where x is a float candidate as one
-        ndarray (None for `Fraction` rows)."""
-        x = None
+    def _value(self, cand, cuts):
+        """cand_0 + sum_k cand_k d(k-1, n), one pass over the pairs.  A pair
+        without a closed form reads its best harvested cut when `cuts` is set
+        and it has one, else it is solved by the transport kernel."""
+        n, tol, rows, monotone = self.n, self.tol, self.rows, self.monotone
+        betas, dcol, caps = self.betas, self.dcol, self.caps
+        lin, Q, pool_U, pool_c = self.lin, self.Q, self.pool_U, self.pool_c
         if not self.rational:
             # plain floats: numpy scalars make the scalar arithmetic slow
-            x = np.asarray(cand, dtype=float)
-            cand = x.tolist()
-        tails = self._tails(cand)
+            cand = list(map(float, cand))
         cb = _two_point_beta(cand)
+        if monotone:
+            # tails[m] = cand_m + ... + cand_{n-1}, summed from the right
+            tails = [0] * n
+            acc = 0
+            for j in range(n - 1, -1, -1):
+                acc += cand[j]
+                tails[j] = acc
+        x = None  # the candidate as one ndarray, built for the first cut
         total = cand[0]
-        for k in range(1, self.n + 1):
-            d = self._pair_fast(cand, cb, k, tails[k - 1])
-            total += cand[k] * (pair(cand, k, x) if d is None else d)
+        for m in range(n):
+            if cb is not None and betas[m] is not None:
+                d = two_point_distance(betas[m], cb, dcol[m])
+            elif (monotone and not any(map(gt, cand, caps[m]))
+                  and not rows[m][m] < tails[m] - tol):
+                # the nested plan's value is row m + 1 of the stage quadratic;
+                # sum() runs left to right through Python 3.11, from 3.12 on
+                # it is compensated and can differ in the last bits
+                d = lin[m + 1] + sum(map(mul, Q[m + 1], cand))
+            elif cuts and pool_U[m] is not None:
+                if x is None:
+                    x = np.array(cand)
+                d = max((pool_U[m] @ x + pool_c[m]).tolist())
+            else:
+                d = self._solve_pair(cand, m + 1)
+            total += cand[m + 1] * d
         return total
 
     def surrogate(self, cand) -> float:
         """Lower bound on R_n(cand); exact where closed forms apply."""
-        return float(self._value(cand, self._cut))
+        return float(self._value(cand, True))
 
     def exact(self, cand):
         """True R_n(cand), in the rows' arithmetic; harvests duals from any
         transport solves."""
-        total = self._value(cand, self._solve_pair)
+        total = self._value(cand, False)
         return total if self.rational else float(total)
 
-    def _cut(self, cand, k, x):
-        """The best harvested cut at the candidate, or a transport solve
-        before the pair has one."""
-        m = k - 1
-        if self.pool_U[m] is None:
-            return self._solve_pair(cand, k)
-        return float((self.pool_U[m] @ x + self.pool_c[m]).max())
-
-    def _solve_pair(self, cand, k, x=None):
+    def _solve_pair(self, cand, k):
         """Exact d(k-1, n) at the candidate by the transport kernel; its duals
-        go to the pool as the cut u.cand - v.pi^m.  The kernel reads the
-        candidate as a sequence, so the array x goes unused."""
+        go to the pool as the cut u.cand - v.pi^m."""
         m = k - 1
         plan = pair_distance(self.table, self.rows + [tuple(cand)], m, self.n,
                              exact=self.rational, allow_greedy=False)
