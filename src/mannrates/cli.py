@@ -166,6 +166,16 @@ def cmd_bounds(args):
     return EXIT_OK
 
 
+def _free_stage_record(res):
+    """Sidecar summary of a float free run's stages: how many kept the MS row
+    as certified stationary and how many were searched, and the largest
+    stationarity gap among the certified ones."""
+    kinds = [kind for kind, _ in res.free_stages]
+    gaps = [rho for kind, rho in res.free_stages if kind == "stationary"]
+    return {"stationary": kinds.count("stationary"),
+            "searched": kinds.count("searched"), "max_rho": max(gaps, default=None)}
+
+
 def cmd_optimize(args):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     mode = args.mode.lower()
@@ -195,8 +205,10 @@ def cmd_optimize(args):
             rec.append(seq[n] if n < len(seq) else "")
         rows.append(rec)
     header = ["n", "R", "inv_R", "certificate"] + sorted(res.coefficients)
+    extra = ({} if res.free_stages is None
+             else {"free_stages": _free_stage_record(res)})
     path = _write(args, f"optimize-{mode}.csv", header, rows,
-                  command="optimize", wall_time=res.wall_time)
+                  command="optimize", wall_time=res.wall_time, **extra)
     apath = _outpath(args, f"optimize-{mode}-array.json")
     with open(apath, "w") as fh:
         json.dump({"rows": [[float(w) for w in r] for r in res.array.rows]},
@@ -225,6 +237,7 @@ def _reproduce_fig3(args):
     path = _write(args, "fig3.csv",
                   ["n", "R_ms", "inv_R_ms", "R_s", "inv_R_s", "R_fh", "inv_R_fh"],
                   rows, command="reproduce", target="fig3",
+                  free_stages=_free_stage_record(s),
                   slope_ms=fit_slope(range(20, N + 1),
                                      [1 / v for v in ms.values[20:]])
                   if N >= 25 else None)

@@ -28,7 +28,21 @@ copy.
 Float mode uses multistart local search: Nelder-Mead with simplex
 projection, and SLSQP on the monotone-stage quadratic, whose caps
 x_k <= pi^{n-1}_k and floor x_n >= 1/2 are box bounds and whose one
-constraint is the equality sum(x) = 1.  The free and
+constraint is the equality sum(x) = 1.
+A free (non-monotone) stage first tries to certify the MS row x as
+first-order stationary for the free stage value
+R(x) = x_0 + sum_k x_k d(k-1, n)(x) over the simplex
+(`_free_stage_certificate`).  One LP per stage (`_propose_duals`, HiGHS
+through scipy's `linprog`, the package's only LP solve) proposes optimal
+duals (u^k, v^k) of each pair at the kernel's plan; the package then
+checks them itself, in plain floats: dual feasibility and complementary
+slackness within `transport.DUAL_TOL`, and the stationarity gap
+rho = x.g - min_j g_j of g = c + sum_k x_k u^k, c_j = d(j-1, n), at most
+`STATIONARY_TOL` (1e-7).  What it proves: R'(x; y - x) >= -rho for every y
+in the simplex.  That is first order only; R is not convex.  A certified
+stage keeps the MS row and draws nothing from the random generator, so a
+run whose stages all certify is the MS run of its seed; a stage that fails
+the check runs the Nelder-Mead search from the MS row.  The free and
 scheme searches rank candidates on a cutting-plane surrogate and confirm
 them with exact pair solves by the certified transport kernel
 (`transport.solve_transport`), whose dual potentials become the cuts.
@@ -75,10 +89,11 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt, mul
+from operator import add, gt, mul, sub
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize._slsqplib import slsqp
 
 from .distances import (DistanceTable, _two_point_beta, build_distance_table,
@@ -86,7 +101,7 @@ from .distances import (DistanceTable, _two_point_beta, build_distance_table,
                         two_point_distance)
 from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
                       scheme_step)
-from .transport import common_denominator
+from .transport import DUAL_TOL, common_denominator
 
 
 class OptimizeInputError(ValueError):
@@ -113,6 +128,9 @@ class OptimizationResult:
     certificates: list           # |stage value - frozen table's R_n| per stage
     wall_time: float
     table: Optional[DistanceTable] = None
+    # float free stages: ("stationary" or "searched", the MS row's
+    # stationarity gap or None) per stage (1..N)
+    free_stages: Optional[list] = None
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +491,7 @@ def minimize(fun, x0, *, method, jac, lb, ub, maxiter, ftol):
 
     The name `minimize` and the `method` keyword stay for perfbench's
     tracer, which patches this module's `minimize` and labels its span by
-    `method`, until solver counters (ROADMAP item 5) replace that
+    `method`, until solver counters (ROADMAP item 9) replace that
     monkeypatching; a method other than "SLSQP" raises.
     """
     if method != "SLSQP":
@@ -698,12 +716,163 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 
 
 # ---------------------------------------------------------------------------
-# free (non-monotone) stage via projected Nelder-Mead
+# free (non-monotone) stage: a stationarity certificate at the MS row, else
+# projected Nelder-Mead
+
+# The largest stationarity gap (`_stationarity_gap`) that certifies a free
+# stage at its MS row.  SLSQP stops the MS stage at ftol = 1e-14, which
+# leaves gaps of 7.8e-9 at stage 4 of every N = 4 run and up to 4.4e-8 at
+# N = 30 (seeds 0-7); a bound of 1e-9 would send stage 4 of every run back
+# to the search.
+STATIONARY_TOL = 1e-7
+
+# HiGHS's primal and dual feasibility tolerances in the dual proposer.  At
+# its default, 1e-7, the proposed duals broke dual feasibility by up to
+# 4.3e-8, past DUAL_TOL, at stage 13 of N = 30 runs.
+_LP_TOL = 1e-10
+
+
+def _propose_duals(x, c, plans, costs):
+    """Optimal duals (u^k, v^k) for each pair d(k-1, n) with x_k > 0, as
+    {k - 1: (u, v)} in lists of floats, proposed by one LP; None if the LP
+    does not solve.
+
+    The LP's variables are u^k over the targets 0..n, v^k over the sources
+    0..k-1 (v^k_0 = 0 fixes their common shift) and lambda.  Its constraints
+    are dual feasibility u^k_j - v^k_i <= c^k_ij on every cell, with
+    equality on the plan's positive flows (so the pair's duals are optimal),
+    and g_j >= lambda for g = c + sum_k x_k u^k.  It minimizes x.g - lambda,
+    the stationarity gap.  HiGHS solves it on sparse rows within `_LP_TOL`;
+    the LP only proposes, `_stationarity_gap` decides.  `linprog` is
+    imported here, at the call, so that a wrapper put on
+    `scipy.optimize.linprog` (perfbench's `optimize.lp` span) sees it.
+    """
+    from scipy.optimize import linprog
+
+    n = len(x) - 1
+    active = [m for m in range(n) if x[m + 1] > 0]
+    if not active:
+        return {}
+    # the columns: u^k, then v^k, per active pair, then lambda
+    first = np.cumsum([0] + [n + 2 + m for m in active]).tolist()
+    lam = first.pop()
+    cost = np.zeros(lam + 1)
+    cost[lam] = -1.0
+    bounds = np.full((lam + 1, 2), None)
+    ub, eq = [], []  # (columns, values, right-hand sides) per group of rows
+    j = np.arange(n + 1)
+    for m, u in zip(active, first):
+        k, v = m + 1, u + n + 1
+        bounds[v] = 0.0  # v^k_0
+        cost[u:v] = x[k] * np.array(x)  # x_k (x . u^k) of x.g
+        # one row u_j - v_i per cell (i, j) of the pair
+        flow = np.zeros((k, n + 1), dtype=bool)
+        for i, jj, z in plans[m].flows:
+            flow[i, jj] = z > 0
+        cells = np.column_stack((u + np.tile(j, k),
+                                 v + np.repeat(np.arange(k), n + 1)))
+        for rows, sel in ((ub, ~flow.ravel()), (eq, flow.ravel())):
+            rows.append((cells[sel], np.tile([1.0, -1.0], (sel.sum(), 1)),
+                         np.ravel(costs[m])[sel]))
+    # lambda - sum_k x_k u^k_j <= c_j
+    ub.append((np.column_stack([np.full(n + 1, lam)] + [u + j for u in first]),
+               np.tile([1.0] + [-x[m + 1] for m in active], (n + 1, 1)), np.array(c)))
+
+    def matrix(groups):
+        rows, start = [], 0
+        for cols, _, _ in groups:
+            rows.append(np.repeat(np.arange(start, start + len(cols)), cols.shape[1]))
+            start += len(cols)
+        cols, vals, bound = (np.concatenate([g[i].ravel() for g in groups])
+                             for i in range(3))
+        return sparse.csr_matrix((vals, (np.concatenate(rows), cols)),
+                                 shape=(start, lam + 1)), bound
+
+    A_ub, b_ub = matrix(ub)
+    A_eq, b_eq = matrix(eq)
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": _LP_TOL,
+                           "dual_feasibility_tolerance": _LP_TOL})
+    if res.status != 0:
+        return None
+    sol = res.x.tolist()
+    return {m: (sol[u:u + n + 1], sol[u + n + 1:u + n + 2 + m])
+            for m, u in zip(active, first)}
+
+
+def _stationarity_gap(x, c, plans, costs, duals):
+    """The stationarity gap rho = x.g - min_j g_j of g = c + sum_k x_k u^k
+    over the pairs in `duals`, in plain floats; None unless each pair's
+    (u^k, v^k) is dual feasible and complementary to its plan within
+    DUAL_TOL.
+
+    A pair with x_k = 0 adds nothing to g, so it needs no duals.
+    """
+    g = list(c)
+    for m, (u, v) in duals.items():
+        block = costs[m]
+        if any(max(map(sub, u, row)) - vi > DUAL_TOL for row, vi in zip(block, v)):
+            return None
+        if any(abs(u[j] - v[i] - block[i][j]) > DUAL_TOL
+               for i, j, z in plans[m].flows if z > 0):
+            return None
+        w = x[m + 1]
+        g = [a + w * b for a, b in zip(g, u)]
+    return sum(map(mul, x, g)) - min(g)
+
+
+def _free_stage_inputs(rows, table: DistanceTable, n: int, x):
+    """Row x as plain floats, c_j = d(j-1, n)(x) for j = 0..n (c_0 = 1), and
+    each pair's plan, the kernel's (`pair_distance` without the greedy
+    plan), and cost block, against the frozen rows and table."""
+    x = [float(w) for w in x]
+    full = list(rows) + [tuple(x)]
+    plans = [pair_distance(table, full, m, n, allow_greedy=False) for m in range(n)]
+    costs = [table.costs(m, n) for m in range(n)]
+    return x, [1.0] + [float(p.objective) for p in plans], plans, costs
+
+
+def _free_stage_certificate(rows, table: DistanceTable, n: int, x):
+    """The stationarity gap of row x in the free stage n against the frozen
+    rows and table, or None if no duals were proposed or they fail the check.
+
+    The free stage value is R(x) = x_0 + sum_k x_k d(k-1, n)(x) over the
+    simplex.  Each d(k-1, n) is a transport value, convex and piecewise
+    linear in its target margins x, and each optimal dual u^k of it is a
+    subgradient there, so R'(x; h) >= g.h for g = c + sum_k x_k u^k.  With
+    rho = x.g - min_j g_j, R'(x; y - x) >= -rho for every y in the simplex:
+    x is first-order stationary within rho.  That is all it proves: R is not
+    convex.  The stage evaluator and its cut pools are not touched.
+    """
+    inputs = _free_stage_inputs(rows, table, n, x)
+    duals = _propose_duals(*inputs)
+    return None if duals is None else _stationarity_gap(*inputs, duals)
+
 
 def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
              rng: np.random.Generator, warm: np.ndarray):
-    """Best free row found from the warm start and its stage value."""
+    """Row n of the free stage, its stage value, and how the row was found:
+    "stationary" or "searched", with the MS row's stationarity gap (None if
+    it could not be checked).
+
+    The MS row `warm` is the stage's row when its stationarity gap
+    (`_free_stage_certificate`) is at most STATIONARY_TOL; then nothing is
+    drawn from rng.  Otherwise the search (`_free_search`) runs from it.
+    """
     ev = StageEvaluator(rows, table, n)
+    rho = _free_stage_certificate(rows, table, n, warm)
+    if rho is not None and rho <= STATIONARY_TOL:
+        return warm, ev.exact(warm), "stationary", rho
+    return (*_free_search(ev, cfg, rng, warm), "searched", rho)
+
+
+def _free_search(ev: StageEvaluator, cfg: OptimizerConfig,
+                 rng: np.random.Generator, warm: np.ndarray):
+    """Best free row found from the warm start and its stage value: projected
+    Nelder-Mead on the surrogate from the warm start, the barycentre and
+    random starts, each result confirmed by `ev.exact`."""
+    n = ev.n
 
     def f(x):
         return ev.surrogate(_project_list(x))
@@ -735,9 +904,14 @@ def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
 def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = True,
                         exact: bool = False) -> OptimizationResult:
     """Stagewise optimization of the rows; `monotone` picks the restricted
-    quadratic stages, otherwise the free transport-backed search.
+    quadratic stages, otherwise the free stages.
 
     In float mode every stage starts with the monotone stage (`_ms_stage`).
+    A free stage keeps that row when it is certified first-order stationary
+    for the free stage, and searches otherwise (`_s_stage`); the result's
+    `free_stages` records which, per stage.  A run whose free stages are
+    all certified draws what the MS run of its seed draws, and returns its
+    rows and R_n bit for bit.
     From stage `_WORKER_MIN_N` on, where this process may fork and has a
     second CPU, one forked worker solves half of each stage's SLSQP starts;
     the worker is joined before this call returns or raises.  The rows and
@@ -748,20 +922,27 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
         return _exact_sequential(N, monotone)
     rng = np.random.default_rng(cfg.seed)
     worker = _StartsWorker()
+    free_stages = []
 
     def stage(rows, table, n):
         x = _ms_stage(rows, table, n, cfg, rng, worker)
         if monotone:
             return x, StageEvaluator(rows, table, n).exact(x)
-        # the restricted quadratic stage is exact under monotone rows and
-        # still a strong heuristic start otherwise; the free search only
-        # accepts exact-evaluated improvements over it
-        return _s_stage(rows, table, n, cfg, rng, x)
+        # the restricted quadratic stage is exact under monotone rows; the
+        # free stage keeps its row if that row is certified stationary, and
+        # otherwise searches from it, accepting only exact-evaluated
+        # improvements
+        row, val, kind, rho = _s_stage(rows, table, n, cfg, rng, x)
+        free_stages.append((kind, rho))
+        return row, val
 
     try:
-        return _stagewise(N, 1.0, stage)
+        res = _stagewise(N, 1.0, stage)
     finally:
         worker.close()
+    if not monotone:
+        res.free_stages = free_stages
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from mannrates import cli
 from mannrates.distances import build_distance_table
+from mannrates.optimize import STATIONARY_TOL
 from mannrates.schemes import SCHEME_PARAMS, SchemeSpec, build_rows
 
 from conftest import random_array
@@ -359,6 +360,31 @@ def test_sidecars_of_reruns_differ_only_in_wall_time(tmp_path):
         del doc["wall_time"]
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def _sidecar(out, name):
+    with open(os.path.join(out, name)) as fh:
+        return json.load(fh)
+
+
+def test_sidecars_count_the_free_stages(tmp_path):
+    # a free run records how many stages kept the certified MS row and how
+    # many searched, and the largest certified gap; its CSV keeps the
+    # columns, and with every stage certified it holds the MS run's rows
+    out = str(tmp_path)
+    for mode in ("s", "ms"):
+        assert run(["optimize", "--mode", mode, "--N", "4", "--restarts", "8",
+                    "--out", out]) == 0
+    free = _sidecar(out, "optimize-s.config.json")["free_stages"]
+    assert free["stationary"] == 4 and free["searched"] == 0
+    assert 0 <= free["max_rho"] <= STATIONARY_TOL
+    assert "free_stages" not in _sidecar(out, "optimize-ms.config.json")
+    s = _read_csv(os.path.join(out, "optimize-s.csv"))
+    assert s[0] == ["n", "R", "inv_R", "certificate"]
+    assert s == _read_csv(os.path.join(out, "optimize-ms.csv"))
+    assert run(["reproduce", "--target", "fig3", "--N", "2", "--out", out]) == 0
+    free = _sidecar(out, "fig3.config.json")["free_stages"]
+    assert free["stationary"] + free["searched"] == 2
 
 
 def test_reproduce_remarks_table(tmp_path):

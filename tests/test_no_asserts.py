@@ -13,7 +13,9 @@ builds an `OptimizationResult`.  The distance table has one rule:
 boundary entries of `empty_table`.  The package starts child processes in
 one place, the MS stage's `optimize._StartsWorker`.  It has one exact
 linear solver, the integer elimination `optimize._bareiss_solve`, and no
-`Fraction` Gaussian elimination beside it."""
+`Fraction` Gaussian elimination beside it.  It solves LPs in one place, the
+free stage certificate's dual proposer `optimize._propose_duals`, so the
+stage searches stay free of LP solves."""
 
 import ast
 from collections import Counter
@@ -138,6 +140,33 @@ def test_table_entries_come_from_one_table_rule():
                             or f"{owner}.{node.func.attr}" in writes):
                         found.add(f"{path.name}:{getattr(top, 'name', None)}")
     assert found == {"distances.py:empty_table", "distances.py:extend_table"}
+
+
+def _linprog_references(tree):
+    """True for each call of `linprog` in `tree`, False for each other node
+    that names it: an attribute or name read, or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "linprog":
+                yield True
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "linprog" for alias in node.names):
+                yield False
+        elif getattr(node, "id", getattr(node, "attr", None)) == "linprog":
+            yield False
+
+
+def test_linprog_is_called_only_by_the_dual_proposer():
+    # the top-level definition around each reference to `linprog`: only the
+    # free stage certificate's proposer, which calls it once
+    found, calls = set(), 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for is_call in _linprog_references(top):
+                found.add(f"{path.name}:{getattr(top, 'name', None)}")
+                calls += is_call
+    assert found == {"optimize.py:_propose_duals"}
+    assert calls == 1
 
 
 def _is_row_swap(node):

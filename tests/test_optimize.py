@@ -16,12 +16,16 @@ from hypothesis import given, strategies as st
 from mannrates.distances import (_two_point_beta, build_distance_table, empty_table,
                                  two_point_distance)
 from mannrates.halpern import optimal_recursion
-from mannrates.optimize import (SCHEME_PARAMS, OptimizeInputError, OptimizerConfig,
-                                StageEvaluator, _bareiss_solve, _exact_qp,
-                                _nelder_mead, _repair_monotone,
-                                _stage_quadratic, fit_slope, minimize,
-                                optimize_fixed_horizon, optimize_scheme,
-                                optimize_sequential, project_simplex)
+from mannrates.optimize import (SCHEME_PARAMS, STATIONARY_TOL, OptimizeInputError,
+                                OptimizerConfig, StageEvaluator, _StartsWorker,
+                                _bareiss_solve, _exact_qp, _free_search,
+                                _free_stage_certificate, _free_stage_inputs,
+                                _ms_stage, _nelder_mead, _propose_duals,
+                                _repair_monotone, _s_stage, _stage_quadratic,
+                                _stagewise, _stationarity_gap, fit_slope,
+                                minimize, optimize_fixed_horizon,
+                                optimize_scheme, optimize_sequential,
+                                project_simplex)
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
 from mannrates.witness import build_worst_case_witness
 
@@ -271,6 +275,22 @@ def _nm_cases(gen):
                 for maxfev in (int(gen.integers(1, d + 2)),
                                int(gen.integers(d + 2, 12 * d + 12)), 600):
                     yield g, x0, maxfev, adaptive
+    # last, so the draws above stay as they were: a flat objective with a
+    # NaN lobe, started with its second vertex in the lobe.  Every value
+    # ties, so the first reflection and contraction fail and the search
+    # shrinks; with a NaN among 17 or more values np.argsort can put a later
+    # tied vertex first, so a budget that ends inside a shrink shows whether
+    # the shrunk vertex was stored before its evaluation, as scipy stores it
+    for d in (16, 20, 31):
+        x0 = gen.uniform(-0.5, 1.0, size=d)
+        x0[0] = 0.79  # 1.05 * 0.79 lies in the lobe
+        for adaptive in (False, True):
+            for maxfev in range(d + 2, 2 * d + 8):  # into the second shrink
+                yield _flat_with_nan_lobe, x0, maxfev, adaptive
+
+
+def _flat_with_nan_lobe(x):
+    return math.nan if x[0] > 0.8 else 0.0
 
 
 def test_nelder_mead_matches_scipy_bit_for_bit():
@@ -575,19 +595,38 @@ def test_rational_stage_value_matches_per_pair_oracle(rng):
             assert val == _stage_value_oracle(ref, c, False)
 
 
+def _free_search_run(N, cfg):
+    """A free run whose every stage searches: each stage starts from the
+    Dirac row e_0 in place of the MS row, and e_0 fails the certificate.  Its
+    rows are the ones a free stage emits when its certificate fails."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def stage(rows, table, n):
+        row, val, kind, _ = _s_stage(rows, table, n, cfg, rng, np.eye(n + 1)[0])
+        assert kind == "searched"
+        return row, val
+
+    return _stagewise(N, 1.0, stage)
+
+
 def _optimizer_outputs():
     cfg = OptimizerConfig(restarts=2, seed=3, max_evals=2000)
     yield "ms", optimize_sequential(6, cfg, monotone=True)
+    # every free stage of "s" and "s8" is certified, so they are MS rows
     yield "s", optimize_sequential(4, cfg, monotone=False)
     yield "fh", optimize_fixed_horizon(3, cfg)
     for kind in SCHEME_PARAMS:
         yield kind, optimize_scheme(kind, 6)
-    # a non-monotone array with a monotone prefix, and two-point pairs among
-    # transport pairs: a rebuild that gates the greedy plan on the whole
-    # array, or skips the closed form, misses these by 1.1e-16 and 1.7e-13
     yield "s8", optimize_sequential(8, OptimizerConfig(restarts=4, seed=2),
                                     monotone=False)
+    # the two arrays on which a rebuild that departs from the freeze's rule
+    # shows: "extra-km" is non-monotone with a monotone prefix, so a rebuild
+    # that gates the greedy plan on the whole array misses it; the searched
+    # rows of "s-search" start with a two-point row whose weights do not sum
+    # to 1 exactly, so a rebuild that skips the two-point closed form misses
+    # its R_1 by 1.1e-16
     yield "extra-km", optimize_scheme("extra-km", 10)
+    yield "s-search", _free_search_run(4, cfg)
 
 
 def test_optimizer_outputs_rebuild_and_certify():
@@ -600,6 +639,93 @@ def test_optimizer_outputs_rebuild_and_certify():
         assert table.residuals == res.values, name
         assert build_worst_case_witness(res.array).report.ok, name
         assert max(res.certificates) <= 1e-9, name
+
+
+# -- the free stage: a stationarity certificate at the MS row ----------------
+
+@pytest.mark.parametrize("N, seeds", [(4, range(8)), (8, (0, 2))])
+def test_certified_free_run_is_the_ms_run(N, seeds):
+    # a free stage whose MS row is certified keeps that row and draws
+    # nothing, so the run is the MS run of its seed bit for bit
+    for seed in seeds:
+        cfg = OptimizerConfig(restarts=8, seed=seed)
+        s = optimize_sequential(N, cfg, monotone=False)
+        ms = optimize_sequential(N, cfg, monotone=True)
+        assert [kind for kind, _ in s.free_stages] == ["stationary"] * N
+        assert all(0 <= rho <= STATIONARY_TOL for _, rho in s.free_stages)
+        assert s.array.rows == ms.array.rows
+        assert s.stage_values == ms.stage_values
+        assert s.values == ms.values
+        assert ms.free_stages is None
+
+
+def test_search_from_certified_rows_finds_no_improvement():
+    # the search the certificate replaces, run from each certified row on
+    # criterion 10's budget, gains nothing beyond rounding
+    gains = []
+    for seed in (0, 1, 2):
+        cfg = OptimizerConfig(restarts=4, seed=seed, max_evals=4000)
+        res = optimize_sequential(8, cfg, monotone=False)
+        rng = np.random.default_rng(seed)
+        for n, (kind, _) in enumerate(res.free_stages, 1):
+            assert kind == "stationary"
+            ev = StageEvaluator(res.array.rows[:n], res.table, n)
+            row = res.array.rows[n]
+            _, best = _free_search(ev, cfg, rng, np.array(row))
+            gains.append(ev.exact(row) - best)
+    assert max(gains) <= 1e-12
+
+
+def test_stationarity_check_decides_not_the_proposer():
+    # the proposed duals pass the check; moved off optimality by 1e-6 in one
+    # entry they fail it, on dual feasibility or on complementary slackness
+    res = optimize_sequential(6, OptimizerConfig(restarts=4, seed=1))
+    rows, table = res.array.rows, res.table
+    for n in range(2, 7):
+        x, c, plans, costs = _free_stage_inputs(rows[:n], table, n, rows[n])
+        duals = _propose_duals(x, c, plans, costs)
+        rho = _stationarity_gap(x, c, plans, costs, duals)
+        assert rho == _free_stage_certificate(rows[:n], table, n, rows[n])
+        assert 0 <= rho <= STATIONARY_TOL
+        # u_j - v_i = c_ij on a positive flow (i, j): raising u_j breaks
+        # dual feasibility there, lowering it complementary slackness
+        for m, (u, v) in duals.items():
+            for j in {j for _, j, z in plans[m].flows if z > 0}:
+                for step in (1e-6, -1e-6):
+                    moved = dict(duals)
+                    moved[m] = (u[:j] + [u[j] + step] + u[j + 1:], v)
+                    assert _stationarity_gap(x, c, plans, costs, moved) is None
+
+
+def test_failed_certificate_runs_the_search():
+    # a perturbed MS row, and the MS row of a non-monotone frozen prefix, are
+    # not stationary for the free stage: the search runs, draws its starts
+    # and returns no worse a row than its warm start
+    res = optimize_sequential(5, OptimizerConfig(restarts=4, seed=0))
+    cases = []
+    for n in (3, 5):
+        x = np.array(res.array.rows[n])
+        x[0] += 1e-3
+        x[n] -= 1e-3
+        cases.append((res.array.rows[:n], res.table, n, x))
+    gen = random.Random(5)
+    for _ in range(2):
+        rows = random_array(gen, 5)
+        table, _ = build_distance_table(TriangularArray(rows))
+        assert not check_monotone(rows[:5])
+        # below _WORKER_MIN_N the MS stage forks no worker
+        x = _ms_stage(rows[:5], table, 5, OptimizerConfig(restarts=4),
+                      np.random.default_rng(0), _StartsWorker())
+        cases.append((rows[:5], table, 5, x))
+    cfg = OptimizerConfig(restarts=4, seed=0, max_evals=2000)
+    for rows, table, n, x in cases:
+        assert _free_stage_certificate(rows, table, n, x) > STATIONARY_TOL
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        row, val, kind, rho = _s_stage(rows, table, n, cfg, rng, x)
+        assert kind == "searched" and rho > STATIONARY_TOL
+        assert rng.bit_generator.state != state
+        assert val <= StageEvaluator(rows, table, n).exact(project_simplex(x))
 
 
 def test_ishikawa_coefficients_follow_rows():
