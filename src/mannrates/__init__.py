@@ -30,8 +30,7 @@ from .operators import (affine_shift_halpern_residual, binomial_floor_function,
 from .optimize import (OptimizationResult, OptimizerConfig,
                        optimize_fixed_horizon, optimize_scheme,
                        optimize_sequential)
-from .schemes import (SchemeSpec, TriangularArray, build_rows, check_monotone,
-                      scheme_from_json)
+from .schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
 from .transport import (TransportPlan, greedy_monotone_transport,
                         solve_transport)
 from .witness import build_worst_case_witness, witness_json

@@ -6,10 +6,13 @@ Subcommands
     optimize   run an optimizer (fh | s | ms | scheme) and dump coefficients
     reproduce  regenerate figure/table data bundles
 
-Every CSV gets a JSON `.config.json` sidecar with the parsed flags and the
-command.  Identical command plus seed gives byte-identical CSVs and array
-JSON, and sidecars that differ only in the `wall_time` that `optimize`
-records.  Exit codes: 0 success, 1 input error, 2 certification failure.
+Each subcommand takes only the flags it reads, besides `bounds --seed`,
+which is recorded and draws nothing.  Every CSV gets a JSON `.config.json`
+sidecar with the parsed flags and the command; a `reproduce` target records
+the horizon `N` it ran and the restarts of its optimizers.  Identical
+command plus seed gives byte-identical CSVs and array JSON, and sidecars
+that differ only in the `wall_time` that `optimize` records.  Exit codes:
+0 success, 1 input error, 2 certification failure.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .optimize import (OptimizerConfig, fit_slope, optimize_fixed_horizon,
                        optimize_scheme, optimize_sequential)
 from .reporting import write_csv, write_sidecar
 from .schemes import (SCHEME_PARAMS, SchemeError, SchemeSpec, TriangularArray,
-                      build_rows, scheme_from_json)
+                      build_rows, stepsize_formula)
 from .witness import CertificationError, build_worst_case_witness
 
 EXIT_OK = 0
@@ -70,13 +73,12 @@ def _is_number(v):
     return isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
 
 
-def _parse_steps(text, exact):
-    """A stepsize flag: formula name, 'constant:c', comma list, or @file.
-
-    With `exact` every value and formula is a Fraction.
+def _parse_steps(text, N, exact):
+    """A stepsize flag's values at 0..N: a formula name, a number or
+    'constant:c' for every index, a comma list, or @file holding a JSON list.
+    A list is taken as given.  With `exact` every value and formula is a
+    Fraction.
     """
-    if text is None:
-        return None
     number = _rational if exact else float
     if text.startswith("@"):
         with open(text[1:]) as fh:
@@ -89,12 +91,12 @@ def _parse_steps(text, exact):
     if text == "optimal":
         text = "optimal-recursion"
     if text.startswith("constant:"):
-        return {"formula": "constant", "value": number(text.split(":", 1)[1])}
+        return (number(text.split(":", 1)[1]),) * (N + 1)
     try:
         c = number(text)
     except ValueError:
-        return text  # formula name, resolved by scheme_from_json
-    return {"formula": "constant", "value": c}
+        return tuple(map(stepsize_formula(text, exact), range(N + 1)))
+    return (c,) * (N + 1)
 
 
 def _load_array(path, N, exact):
@@ -115,11 +117,16 @@ def _load_array(path, N, exact):
 
 
 def _scheme_array(args):
-    doc = {"kind": args.scheme,
-           "alpha": _parse_steps(args.alpha, args.exact),
-           "beta": _parse_steps(args.beta, args.exact)}
-    spec = scheme_from_json(doc, args.N, args.exact)
-    return build_rows(spec, args.N)
+    """The rows of --scheme over 0..N; a stepsize flag the kind does not
+    read is an input error."""
+    given = {"alpha": args.alpha, "beta": args.beta}
+    unread = [f"--{name}" for name, text in given.items()
+              if text is not None and name not in SCHEME_PARAMS[args.scheme]]
+    if unread:
+        raise InputError(f"--scheme {args.scheme} reads no {' or '.join(unread)}")
+    steps = {name + "s": _parse_steps(text, args.N, args.exact)
+             for name, text in given.items() if text is not None}
+    return build_rows(SchemeSpec(args.scheme, **steps), args.N)
 
 
 def _config(args, **extra):
@@ -144,6 +151,8 @@ def _write(args, name, header, rows, **extra):
 
 def cmd_bounds(args):
     if args.array:
+        if any(v is not None for v in (args.scheme, args.alpha, args.beta)):
+            raise InputError("--array takes no --scheme, --alpha or --beta")
         pi = _load_array(args.array, args.N, args.exact)
         pi.validate(args.exact)
     elif args.scheme:
@@ -176,22 +185,30 @@ def _free_stage_record(res):
             "searched": kinds.count("searched"), "max_rho": max(gaps, default=None)}
 
 
+def _optimize_scheme(args, cfg):
+    """Scheme mode searches a fixed grid: it reads neither --restarts nor
+    --seed."""
+    if not args.kind:
+        raise InputError("optimize --mode scheme needs --kind")
+    if args.exact:
+        raise InputError("optimize --mode scheme has no exact mode")
+    return optimize_scheme(args.kind, args.N)
+
+
+# the optimizer each --mode runs
+OPTIMIZERS = {
+    "fh": lambda args, cfg: optimize_fixed_horizon(args.N, cfg, exact=args.exact),
+    "s": lambda args, cfg: optimize_sequential(args.N, cfg, monotone=False,
+                                               exact=args.exact),
+    "ms": lambda args, cfg: optimize_sequential(args.N, cfg, monotone=True,
+                                                exact=args.exact),
+    "scheme": _optimize_scheme,
+}
+
+
 def cmd_optimize(args):
-    cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    mode = args.mode.lower()
-    if mode == "fh":
-        res = optimize_fixed_horizon(args.N, cfg, exact=args.exact)
-    elif mode in ("s", "ms"):
-        res = optimize_sequential(args.N, cfg, monotone=(mode == "ms"),
-                                  exact=args.exact)
-    elif mode == "scheme":
-        if not args.kind:
-            raise InputError("optimize --mode scheme needs --kind")
-        if args.exact:
-            raise InputError("optimize --mode scheme has no exact mode")
-        res = optimize_scheme(args.kind, args.N)
-    else:
-        raise InputError(f"unknown optimize mode {args.mode!r}")
+    res = OPTIMIZERS[args.mode](args, OptimizerConfig(restarts=args.restarts,
+                                                      seed=args.seed))
     certified = False
     if args.certify:
         build_worst_case_witness(res.array)
@@ -207,9 +224,9 @@ def cmd_optimize(args):
     header = ["n", "R", "inv_R", "certificate"] + sorted(res.coefficients)
     extra = ({} if res.free_stages is None
              else {"free_stages": _free_stage_record(res)})
-    path = _write(args, f"optimize-{mode}.csv", header, rows,
+    path = _write(args, f"optimize-{args.mode}.csv", header, rows,
                   command="optimize", wall_time=res.wall_time, **extra)
-    apath = _outpath(args, f"optimize-{mode}-array.json")
+    apath = _outpath(args, f"optimize-{args.mode}-array.json")
     with open(apath, "w") as fh:
         json.dump({"rows": [[float(w) for w in r] for r in res.array.rows]},
                   fh, indent=2)
@@ -226,8 +243,7 @@ def _reproduce_fig3(args):
     s = optimize_sequential(N, cfg, monotone=False)
     fh_vals = [1.0]
     for n in range(1, min(6, N) + 1):
-        fh_vals.append(float(optimize_fixed_horizon(
-            n, OptimizerConfig(restarts=8, seed=args.seed)).values[-1]))
+        fh_vals.append(float(optimize_fixed_horizon(n, cfg).values[-1]))
     rows = []
     for n in range(N + 1):
         rows.append([n, ms.values[n], 1.0 / ms.values[n],
@@ -236,8 +252,8 @@ def _reproduce_fig3(args):
                      1.0 / fh_vals[n] if n < len(fh_vals) else ""])
     path = _write(args, "fig3.csv",
                   ["n", "R_ms", "inv_R_ms", "R_s", "inv_R_s", "R_fh", "inv_R_fh"],
-                  rows, command="reproduce", target="fig3",
-                  free_stages=_free_stage_record(s),
+                  rows, command="reproduce", target="fig3", N=N,
+                  restarts=cfg.restarts, free_stages=_free_stage_record(s),
                   slope_ms=fit_slope(range(20, N + 1),
                                      [1 / v for v in ms.values[20:]])
                   if N >= 25 else None)
@@ -252,20 +268,22 @@ def _reproduce_fig4(args):
         series[kind] = optimize_scheme(kind, N).values
     rows = [[n] + [series[k][n] for k in series] for n in range(N + 1)]
     path = _write(args, "fig4.csv", ["n"] + [f"R_{k}" for k in series], rows,
-                  command="reproduce", target="fig4")
+                  command="reproduce", target="fig4", N=N)
     print(f"wrote {path}")
 
 
 def _reproduce_fig5(args):
     cfg = OptimizerConfig(restarts=8, seed=args.seed)
     stages = [n for n in (5, 10, 15, 20) if n <= args.N] or [args.N]
-    res = optimize_sequential(max(stages), cfg, monotone=True)
+    N = max(stages)
+    res = optimize_sequential(N, cfg, monotone=True)
     rows = []
     for n in stages:
         for i, w in enumerate(res.array.rows[n]):
             rows.append([n, i, w])
     path = _write(args, "fig5.csv", ["n", "i", "pi"], rows,
-                  command="reproduce", target="fig5")
+                  command="reproduce", target="fig5", N=N,
+                  restarts=cfg.restarts)
     print(f"wrote {path}")
 
 
@@ -278,7 +296,7 @@ def _reproduce_remarks(args):
              harmonic[n] / opt[n]] for n in range(N + 1)]
     path = _write(args, "remarks-table.csv",
                   ["n", "R_harmonic", "closed_form", "R_opt", "ratio"], rows,
-                  command="reproduce", target="remarks-table")
+                  command="reproduce", target="remarks-table", N=N)
     print(f"wrote {path}")
 
 
@@ -294,17 +312,19 @@ def _reproduce_lower_bounds(args):
              float(inf_f(n)) if n >= 1 else ""] for n in range(N + 1)]
     path = _write(args, "lower-bounds.csv",
                   ["n", "shift_linf", "floor_linf", "km_l1", "floor_l1",
-                   "inf_f"], rows, command="reproduce", target="lower-bounds")
+                   "inf_f"], rows, command="reproduce", target="lower-bounds",
+                  N=N)
     print(f"wrote {path}")
 
 
+# the figure or table each --target writes
+REPRODUCE_TARGETS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
+                     "fig5": _reproduce_fig5, "remarks-table": _reproduce_remarks,
+                     "lower-bounds": _reproduce_lower_bounds}
+
+
 def cmd_reproduce(args):
-    targets = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
-               "fig5": _reproduce_fig5, "remarks-table": _reproduce_remarks,
-               "lower-bounds": _reproduce_lower_bounds}
-    if args.exact or args.certify:
-        raise InputError("reproduce takes neither --exact nor --certify")
-    targets[args.target](args)
+    REPRODUCE_TARGETS[args.target](args)
     return EXIT_OK
 
 
@@ -328,8 +348,9 @@ def make_parser():
     def common(sp):
         sp.add_argument("--N", type=_horizon, default=20)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--restarts", type=int, default=32)
         sp.add_argument("--out", default=".", help="output directory")
+
+    def arithmetic(sp):
         sp.add_argument("--exact", action="store_true",
                         help="exact rational arithmetic (small N only)")
         sp.add_argument("--certify", action="store_true",
@@ -341,20 +362,21 @@ def make_parser():
     b.add_argument("--beta")
     b.add_argument("--array", help="JSON file with explicit rows")
     common(b)
+    arithmetic(b)
     b.set_defaults(func=cmd_bounds)
 
     o = sub.add_parser("optimize", help="run a coefficient optimizer")
-    o.add_argument("--mode", required=True,
-                   help="fh | s | ms | scheme; scheme mode searches a fixed "
-                        "grid and reads neither --restarts nor --seed")
+    o.add_argument("--mode", required=True, type=str.lower, choices=OPTIMIZERS,
+                   help="scheme mode searches a fixed grid and reads neither "
+                        "--restarts nor --seed")
     o.add_argument("--kind", choices=SCHEME_PARAMS)
+    o.add_argument("--restarts", type=int, default=32)
     common(o)
+    arithmetic(o)
     o.set_defaults(func=cmd_optimize)
 
     r = sub.add_parser("reproduce", help="regenerate figure/table data")
-    r.add_argument("--target", required=True,
-                   choices=["fig3", "fig4", "fig5", "remarks-table",
-                            "lower-bounds"])
+    r.add_argument("--target", required=True, choices=REPRODUCE_TARGETS)
     common(r)
     r.set_defaults(func=cmd_reproduce)
     return p

@@ -108,10 +108,14 @@ class OptimizeInputError(ValueError):
     pass
 
 
+# objective evaluations that a Nelder-Mead search (the free stage's fallback,
+# the joint fixed-horizon search) shares among its starts
+MAX_EVALS = 20000
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 32
-    max_evals: int = 20000
     seed: int = 0
 
     def __post_init__(self):
@@ -884,7 +888,7 @@ def _free_search(ev: StageEvaluator, cfg: OptimizerConfig,
     starts = [best, np.full(n + 1, 1.0 / (n + 1))]
     for _ in range(max(0, cfg.restarts - len(starts))):
         starts.append(rng.dirichlet(np.ones(n + 1)))
-    budget = max(200, cfg.max_evals // max(1, len(starts)))
+    budget = max(200, MAX_EVALS // max(1, len(starts)))
     for x0 in starts:
         x = project_simplex(_nelder_mead(f, x0, budget, 1e-12, 1e-14, n > 6)[0])
         val = ev.exact(x)
@@ -993,7 +997,7 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
         starts.append(np.concatenate([rng.dirichlet(np.ones(s)) for s in sizes]))
 
     best_x, best_val = None, math.inf
-    budget = max(400, cfg.max_evals // max(1, len(starts)))
+    budget = max(400, MAX_EVALS // max(1, len(starts)))
     for x0 in starts:
         x, val = _nelder_mead(lambda x: residual(unpack(x)), x0, budget,
                               1e-11, 1e-13, N > 3)

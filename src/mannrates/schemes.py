@@ -195,18 +195,12 @@ def check_monotone(rows, exact: bool = False) -> bool:
     return True
 
 
-def stepsize_formula(name: str, value=None,
-                     exact: bool = False) -> Callable[[int], object]:
+def stepsize_formula(name: str, exact: bool = False) -> Callable[[int], object]:
     """Resolve a stepsize formula name to a function of the iteration index.
 
-    With `exact` the named formulas give Fractions; "constant" returns its
-    value as given.
+    With `exact` the formulas give Fractions.
     """
     div = Fraction if exact else truediv
-    if name == "constant":
-        if value is None:
-            raise SchemeError("formula 'constant' needs a value")
-        return lambda n: value
     if name == "n/(n+1)":
         return lambda n: div(n, n + 1)
     if name == "n/(n+2)":
@@ -229,26 +223,3 @@ def stepsize_formula(name: str, value=None,
         return beta
     raise SchemeError(f"unknown stepsize formula {name!r}")
 
-
-def _expand_steps(v, horizon: int, exact: bool) -> Optional[tuple]:
-    if v is None:
-        return None
-    if isinstance(v, (list, tuple)):
-        return tuple(v)
-    if isinstance(v, dict):
-        fn = stepsize_formula(v["formula"], v.get("value"), exact)
-    else:
-        fn = stepsize_formula(str(v), exact=exact)
-    return tuple(fn(n) for n in range(horizon + 1))
-
-
-def scheme_from_json(doc: dict, horizon: int, exact: bool = False) -> SchemeSpec:
-    """Build a SchemeSpec from a JSON/CLI description.
-
-    Expected keys: "kind"; optionally "alpha"/"beta", each either an explicit
-    list, a formula name, or {"formula": name, "value": c}.  With `exact`
-    the formulas are evaluated as Fractions.
-    """
-    return SchemeSpec(doc.get("kind"),
-                      alphas=_expand_steps(doc.get("alpha"), horizon, exact),
-                      betas=_expand_steps(doc.get("beta"), horizon, exact))

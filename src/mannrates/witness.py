@@ -94,26 +94,21 @@ def _rationals(rows):
             for r in rows]
 
 
-def build_worst_case_witness(pi: TriangularArray, N: int = None,
-                             table: DistanceTable = None,
+def build_worst_case_witness(pi: TriangularArray, table: DistanceTable = None,
                              plans: Dict = None) -> WorstCaseWitness:
-    """Construct and verify the witness for the first N rows of the array.
+    """Construct and verify the witness for the rows of the array.
 
     Raises CertificationError (carrying the offending pair) if any of the
     three invariants fails beyond `CERT_TOL`.
     """
-    if N is None:
-        N = pi.horizon
-    if N > pi.horizon:
-        raise ValueError(f"horizon {N} exceeds array horizon {pi.horizon}")
+    N = pi.horizon
     if table is None or plans is None:
-        sub = TriangularArray(pi.rows[: N + 1])
-        table, plans = build_distance_table(sub, keep_plans=True)
+        table, plans = build_distance_table(pi, keep_plans=True)
 
     pairs: List[Tuple[int, int]] = [(m, n) for m in range(-1, N + 1)
                                     for n in range(m, N + 1)]
     D = table.costs(N + 1, N + 1)   # D[i, j] = d(i-1, j-1)
-    P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows[: N + 1])]
+    P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows)]
     U = [plans[p].dual_u for p in pairs if p[0] >= 0]
     rows = D + U + [table.residuals[: N + 1]]
     if any(isinstance(v, Fraction) for block in (rows, P) for r in block for v in r):

@@ -208,7 +208,7 @@ def test_criterion_9_figure_level_slopes(ms100):
 
 
 def test_criterion_10_structural_suites():
-    cfg = OptimizerConfig(restarts=4, seed=0, max_evals=4000)
+    cfg = OptimizerConfig(restarts=4, seed=0)
     ms = optimize_sequential(30, cfg, monotone=True)
     hal = optimize_scheme("halpern", 30)
     km = optimize_scheme("km", 30)

@@ -1,6 +1,7 @@
 """CLI contract: outputs, sidecars, reproducibility, exit codes."""
 
 import argparse
+import ast
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -224,9 +226,21 @@ def test_optimize_scheme_requires_kind(tmp_path):
     ["optimize", "--mode", "scheme", "--kind", "halpern", "--N", "1", "--exact"],
     ["reproduce", "--target", "remarks-table", "--N", "20", "--exact"],
     ["reproduce", "--target", "remarks-table", "--N", "20", "--certify"],
+    ["reproduce", "--target", "remarks-table", "--N", "20", "--restarts", "8"],
+    ["bounds", "--scheme", "km", "--alpha", "0.5", "--N", "2", "--restarts", "7"],
+    # beside --array, a scheme or stepsize flag would go unread
+    ["bounds", "--array", "ARRAY", "--N", "1", "--scheme", "km"],
+    ["bounds", "--array", "ARRAY", "--N", "1", "--alpha", "0.5"],
+    ["bounds", "--array", "ARRAY", "--N", "1", "--beta", "0.5"],
+    # a stepsize the kind does not read
+    ["bounds", "--scheme", "halpern", "--beta", "0.5", "--alpha", "0.3", "--N", "2"],
+    ["bounds", "--scheme", "km", "--alpha", "0.5", "--beta", "0.3", "--N", "2"],
 ])
 def test_unsupported_flags_are_input_errors(tmp_path, argv):
     # a flag the command cannot honour must not be ignored silently
+    array = tmp_path / "array.json"  # valid, so only the refusal can fail
+    array.write_text(json.dumps({"rows": [[1.0], [0.5, 0.5]]}))
+    argv = [str(array) if a == "ARRAY" else a for a in argv]
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == 1
     assert not out.exists()
@@ -274,14 +288,78 @@ def test_bounds_float_pair_summing_to_one(tmp_path, kind, a, b):
     assert len(_read_csv(tmp_path / "bounds.csv")) == 4
 
 
-def test_scheme_choices_are_the_scheme_kinds():
+def _subcommands():
     sub = next(a for a in cli.make_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    choices = {(cmd, a.dest): a.choices for cmd, p in sub.choices.items()
-               for a in p._actions if a.dest in ("scheme", "kind")}
-    assert set(choices) == {("bounds", "scheme"), ("optimize", "kind")}
-    for c in choices.values():
-        assert list(c) == list(SCHEME_PARAMS)
+    return sub.choices
+
+
+def test_scheme_choices_are_the_scheme_kinds():
+    # each choice list is the table the handler dispatches on
+    tables = {("bounds", "scheme"): SCHEME_PARAMS,
+              ("optimize", "kind"): SCHEME_PARAMS,
+              ("optimize", "mode"): cli.OPTIMIZERS,
+              ("reproduce", "target"): cli.REPRODUCE_TARGETS}
+    choices = {(cmd, a.dest): a.choices for cmd, p in _subcommands().items()
+               for a in p._actions if a.choices is not None}
+    assert choices.keys() == tables.keys()
+    assert all(choices[k] is t for k, t in tables.items())
+    # a mode in any case
+    args = cli.make_parser().parse_args(["optimize", "--mode", "MS"])
+    assert args.mode == "ms"
+
+
+# flags a subcommand accepts without reading, and why
+UNREAD_FLAGS = {
+    ("bounds", "seed"): "perfbench's tables commands pass --seed to bounds; "
+                        "bounds draws nothing random, and the sidecar records it",
+}
+
+
+def _refusal_nodes(root):
+    """The nodes in the test of each `if` under `root` whose body only
+    raises: a flag read there is refused, not honoured."""
+    return {id(n) for node in ast.walk(root)
+            if isinstance(node, ast.If)
+            and all(isinstance(s, ast.Raise) for s in node.body)
+            for n in ast.walk(node.test)}
+
+
+def _flags_read(handler):
+    """The `args.<flag>` reads of the cli function `handler` and of every cli
+    function or table it names, transitively, outside refusals.  The
+    sidecar's `vars(args)` is no read."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node.value) for t in node.targets
+                        if isinstance(t, ast.Name))
+    todo, seen, read = [handler], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        refused = _refusal_nodes(defs[name])
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+            elif (isinstance(node, ast.Attribute) and id(node) not in refused
+                  and getattr(node.value, "id", None) == "args"):
+                read.add(node.attr)
+    return read
+
+
+def test_every_flag_is_read_by_its_handler():
+    # a subcommand declares only the flags its handler, or a helper it calls
+    # or dispatches to, reads
+    unread = {(cmd, a.dest) for cmd, p in _subcommands().items()
+              for a in p._actions if a.dest != "help"
+              and a.dest not in _flags_read(p.get_default("func").__name__)}
+    assert unread == set(UNREAD_FLAGS)
 
 
 def test_optimize_unknown_mode(tmp_path):
@@ -420,6 +498,55 @@ def test_sidecar_contents(tmp_path):
     assert doc["command"] == "bounds"
     assert doc["seed"] == 9
     assert doc["N"] == 4
+    assert "restarts" not in doc
+
+
+def _fake_result(N, asked):
+    """An optimizer result of horizon N, with KM rows; records N in asked."""
+    asked.append(N)
+    return SimpleNamespace(
+        values=[1 / (n + 1) for n in range(N + 1)],
+        array=build_rows(SchemeSpec("km", alphas=(0,) + (0.5,) * N), N),
+        free_stages=[("stationary", 0.0)] * N)
+
+
+@pytest.mark.parametrize("target, N, ran", [
+    ("fig3", 31, 30), ("fig4", 41, 40), ("fig5", 7, 5),
+    ("remarks-table", 5, 20), ("lower-bounds", 51, 50)])
+def test_reproduce_sidecars_record_the_horizon_run(tmp_path, monkeypatch,
+                                                   target, N, ran):
+    # a target may run another horizon than --N; its sidecar records the one
+    # it ran, the last n of its CSV, and fig3 and fig5 their restarts.  The
+    # optimizers are stood in for: only the horizon they are asked matters
+    asked = []
+    monkeypatch.setattr(cli, "optimize_sequential",
+                        lambda N, cfg, monotone: _fake_result(N, asked))
+    monkeypatch.setattr(cli, "optimize_fixed_horizon",
+                        lambda N, cfg: _fake_result(N, asked))
+    monkeypatch.setattr(cli, "optimize_scheme",
+                        lambda kind, N: _fake_result(N, asked))
+    out = str(tmp_path)
+    assert run(["reproduce", "--target", target, "--N", str(N), "--out", out]) == 0
+    doc = _sidecar(out, f"{target}.config.json")
+    assert doc["N"] == int(_read_csv(os.path.join(out, f"{target}.csv"))[-1][0]) == ran
+    assert max(asked, default=ran) == ran
+    assert doc.get("restarts") == (8 if target in ("fig3", "fig5") else None)
+    assert not {"exact", "certify"} & set(doc)
+
+
+def test_stepsize_flags_expand_over_the_horizon():
+    # a formula or constant gives the values at 0..N, a list is taken as given
+    assert cli._parse_steps("n/(n+1)", 4, False) == tuple(n / (n + 1) for n in range(5))
+    assert cli._parse_steps("constant:0.5", 3, False) == (0.5,) * 4
+    assert cli._parse_steps("0.5", 3, False) == (0.5,) * 4
+    assert cli._parse_steps("0,0.1,0.2", 5, False) == (0, 0.1, 0.2)
+    optimal = cli._parse_steps("optimal", 6, False)
+    assert optimal == cli._parse_steps("optimal-recursion", 6, False)
+    assert optimal[:3] == (0, 0.5, 0.625)
+    exact = cli._parse_steps("n/(n+1)", 4, True)
+    assert exact == tuple(Fraction(n, n + 1) for n in range(5))
+    assert all(type(v) is Fraction for v in exact)
+    assert cli._parse_steps("constant:0.3", 2, True) == (Fraction(3, 10),) * 3
 
 
 def test_constant_and_list_stepsizes(tmp_path):

@@ -64,7 +64,7 @@ def _without_worker(monkeypatch, *args, **kwargs):
 @pytest.mark.parametrize("N, cfg, monotone", [
     *((30, OptimizerConfig(restarts=8, seed=seed), True) for seed in range(4)),
     # free S starts each stage from the MS stage's row
-    (12, OptimizerConfig(restarts=4, max_evals=2000), False)])
+    (12, OptimizerConfig(restarts=4), False)])
 def test_rows_do_not_depend_on_the_worker(N, cfg, monotone, monkeypatch, collected):
     shared = optimize_sequential(N, cfg, monotone=monotone)
     # every stage from the threshold on shared its starts with the worker

@@ -15,7 +15,9 @@ one place, the MS stage's `optimize._StartsWorker`.  It has one exact
 linear solver, the integer elimination `optimize._bareiss_solve`, and no
 `Fraction` Gaussian elimination beside it.  It solves LPs in one place, the
 free stage certificate's dual proposer `optimize._propose_duals`, so the
-stage searches stay free of LP solves."""
+stage searches stay free of LP solves.  Every module-level function and
+class is reached from `cli.main`, or listed in `UNREACHED` with the
+acceptance criterion or test that uses it."""
 
 import ast
 from collections import Counter
@@ -241,3 +243,89 @@ def test_processes_start_only_in_the_starts_worker():
                   if line not in inside]
     assert workers == ["optimize.py"]
     assert found == []
+
+
+# module-level functions and classes that no path from `cli.main` reaches,
+# each with the acceptance criterion or test that uses it
+UNREACHED = {
+    "distances.StructureReport": "the result of validate_metric and validate_quadrangle",
+    "distances.validate_metric": "criterion 10; test_distances::test_metric_axioms_on_random_arrays",
+    "distances.validate_quadrangle": "criterion 10; test_distances::test_quadrangle_on_monotone_arrays",
+    "halpern.SufficientReport": "the result of check_sufficient and in_stepsize_window",
+    "halpern._prod": "affine_theta's product",
+    "halpern.affine_optimal": "criterion 7; test_halpern::test_affine_optimal_value_exact",
+    "halpern.affine_theta": "criterion 7; test_halpern::test_affine_theta_equals_shift_residual",
+    "halpern.check_sufficient": "test_halpern::test_optimal_betas_satisfy_sufficient_condition",
+    "halpern.in_stepsize_window": "test_halpern::test_stepsize_window_membership",
+    "halpern.stepsize_window": "test_halpern::test_stepsize_window_membership",
+    "operators.affine_shift_halpern_residual": "criterion 7; test_operators::test_affine_shift_attains_theta",
+    "operators.binomial_floor_function": "test_operators::test_binomial_floor_pointwise",
+    "operators.binomial_floor_grid_min": "criterion 5; test_operators::test_inf_f_matches_grid_scan",
+    "operators.check_inf_f_chain": "test_operators::test_inf_f_chain",
+    "operators.halpern_iterates": "criterion 8, through kim_vs_halpern; "
+                                  "test_operators::test_halpern_iterates_default_betas",
+    "operators.is_unimodal": "test_operators::test_poisson_binomial_is_a_distribution",
+    "operators.kim_iterates": "criterion 8, through kim_vs_halpern; "
+                              "test_operators::test_kim_iterates_start",
+    "operators.kim_vs_halpern": "criterion 8; test_operators::test_kim_equals_halpern_on_rotation",
+    "operators.make_rotation": "criterion 8; test_operators::test_kim_equals_halpern_on_rotation",
+    "operators.make_truncated_shift": "criterion 8; "
+                                      "test_operators::test_kim_equals_halpern_on_truncated_shift",
+    "operators.poisson_binomial_pmf": "test_operators::test_poisson_binomial_small_cases",
+    "operators.rotation_halpern_residual": "criterion 7; "
+                                           "test_operators::test_rotation_residual_optimal_betas",
+    "witness.witness_json": "test_witness::test_witness_json_shape",
+}
+
+
+def _namespaces(trees):
+    """Each module's top-level definitions and assigned names, by (module,
+    name), and the names each module binds: its own, and those it imports
+    from the package, a module import as (module, None)."""
+    defs, names = {}, {}
+    for mod, tree in trees.items():
+        local = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                bound = []
+            for name in bound:
+                defs[mod, name] = node
+                local[name] = (mod, name)
+        for node in ast.walk(tree):  # imports inside functions too
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local.setdefault(alias.asname or alias.name,
+                                     (node.module, alias.name) if node.module
+                                     else (alias.name, None))
+        names[mod] = local
+    return defs, names
+
+
+def test_every_function_is_reached_from_the_cli_or_listed():
+    # a static walk from cli.main over the names each definition reads; a
+    # class reached is reached whole, with its methods
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    defs, names = _namespaces(trees)
+    todo, reached = [("cli", "main")], set()
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in defs:
+            continue
+        reached.add(key)
+        local = names[key[0]]
+        for node in ast.walk(defs[key]):
+            if isinstance(node, ast.Name) and node.id in local:
+                todo.append(local[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and local.get(node.value.id, ("", ""))[1] is None):
+                todo.append((local[node.value.id][0], node.attr))
+    unreached = {f"{mod}.{name}" for (mod, name), node in defs.items()
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and (mod, name) not in reached}
+    assert unreached == set(UNREACHED)

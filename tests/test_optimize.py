@@ -610,7 +610,7 @@ def _free_search_run(N, cfg):
 
 
 def _optimizer_outputs():
-    cfg = OptimizerConfig(restarts=2, seed=3, max_evals=2000)
+    cfg = OptimizerConfig(restarts=2, seed=3)
     yield "ms", optimize_sequential(6, cfg, monotone=True)
     # every free stage of "s" and "s8" is certified, so they are MS rows
     yield "s", optimize_sequential(4, cfg, monotone=False)
@@ -661,10 +661,10 @@ def test_certified_free_run_is_the_ms_run(N, seeds):
 
 def test_search_from_certified_rows_finds_no_improvement():
     # the search the certificate replaces, run from each certified row on
-    # criterion 10's budget, gains nothing beyond rounding
+    # the program's evaluation budget, gains nothing beyond rounding
     gains = []
     for seed in (0, 1, 2):
-        cfg = OptimizerConfig(restarts=4, seed=seed, max_evals=4000)
+        cfg = OptimizerConfig(restarts=4, seed=seed)
         res = optimize_sequential(8, cfg, monotone=False)
         rng = np.random.default_rng(seed)
         for n, (kind, _) in enumerate(res.free_stages, 1):
@@ -717,7 +717,7 @@ def test_failed_certificate_runs_the_search():
         x = _ms_stage(rows[:5], table, 5, OptimizerConfig(restarts=4),
                       np.random.default_rng(0), _StartsWorker())
         cases.append((rows[:5], table, 5, x))
-    cfg = OptimizerConfig(restarts=4, seed=0, max_evals=2000)
+    cfg = OptimizerConfig(restarts=4, seed=0)
     for rows, table, n, x in cases:
         assert _free_stage_certificate(rows, table, n, x) > STATIONARY_TOL
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from mannrates.schemes import (SCHEME_PARAMS, SchemeError, SchemeSpec,
                                TriangularArray, build_rows, check_monotone,
-                               scheme_from_json, scheme_step, stepsize_formula)
+                               scheme_step, stepsize_formula)
 
 
 def test_km_constant_half_rows():
@@ -119,8 +119,6 @@ def test_general_kind_is_rejected():
     # an explicit array is a TriangularArray, not a scheme kind
     with pytest.raises(SchemeError, match="unknown scheme kind"):
         SchemeSpec("general")
-    with pytest.raises(SchemeError, match="unknown scheme kind"):
-        scheme_from_json({"kind": "general", "rows": [[1], [0.4, 0.6]]}, 1)
 
 
 def test_build_rows_refuses_a_negative_horizon():
@@ -162,8 +160,6 @@ def test_unknown_kind_rejected():
 def test_stepsize_formulas():
     f = stepsize_formula("n/(n+2)")
     assert f(2) == 0.5
-    g = stepsize_formula("constant", value=0.3)
-    assert g(7) == 0.3
     h = stepsize_formula("optimal-recursion")
     assert h(0) == 0 and h(1) == 0.5 and h(2) == 0.625
     with pytest.raises(SchemeError):
@@ -177,19 +173,6 @@ def test_exact_stepsize_formulas_are_fractions():
             assert type(exact(n)) is Fraction
             assert float(exact(n)) == pytest.approx(flt(n), abs=1e-15)
     assert stepsize_formula("optimal-recursion", exact=True)(3) == Fraction(89, 128)
-    spec = scheme_from_json({"kind": "halpern", "beta": "n/(n+1)"}, 4, exact=True)
-    assert spec.betas == tuple(Fraction(n, n + 1) for n in range(5))
-
-
-def test_scheme_from_json_roundtrip():
-    doc = {"kind": "halpern", "beta": "n/(n+1)"}
-    spec = scheme_from_json(doc, 4)
-    assert spec.betas == tuple(n / (n + 1) for n in range(5))
-    doc2 = {"kind": "km", "alpha": {"formula": "constant", "value": 0.5}}
-    spec2 = scheme_from_json(doc2, 3)
-    assert spec2.alphas == (0.5,) * 4
-    doc3 = {"kind": "halpern", "beta": [0, 0.1, 0.2]}
-    assert scheme_from_json(doc3, 2).betas == (0, 0.1, 0.2)
 
 
 def test_exact_rows_stay_rational():

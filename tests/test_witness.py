@@ -71,14 +71,6 @@ def test_corrupted_table_fails_certification():
         build_worst_case_witness(pi, table=table, plans=plans)
 
 
-def test_horizon_argument():
-    pi = _optimal_halpern_array(6)
-    w = build_worst_case_witness(pi, N=3)
-    assert w.horizon == 3
-    with pytest.raises(ValueError):
-        build_worst_case_witness(pi, N=9)
-
-
 def test_witness_json_shape():
     w = build_worst_case_witness(_optimal_halpern_array(3))
     doc = witness_json(w)
