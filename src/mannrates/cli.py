@@ -7,9 +7,12 @@ Subcommands
     reproduce  regenerate figure/table data bundles
 
 Each subcommand takes only the flags it reads, besides `bounds --seed`,
-which is recorded and draws nothing.  Every CSV gets a JSON `.config.json`
+which is recorded and draws nothing, and `optimize --mode scheme`'s
+`--seed` and `--restarts`, which are accepted and not recorded; `--kind`
+with another mode is an input error.  Every CSV gets a JSON `.config.json`
 sidecar with the parsed flags and the command; a `reproduce` target records
-the horizon `N` it ran and the restarts of its optimizers.  Identical
+the horizon `N` it ran, the restarts of its optimizers, and `seed` only
+where it draws (fig3, fig5, lower-bounds).  Identical
 command plus seed gives byte-identical CSVs and array JSON, and sidecars
 that differ only in the `wall_time` that `optimize` records.  Exit codes:
 0 success, 1 input error, 2 certification failure.
@@ -129,10 +132,12 @@ def _scheme_array(args):
     return build_rows(SchemeSpec(args.scheme, **steps), args.N)
 
 
-def _config(args, **extra):
+def _config(args, unread=(), **extra):
     """Sidecar record: the parsed flags and `extra`, without the handler
-    function, whose repr holds a per-process address."""
-    return {k: v for k, v in vars(args).items() if k != "func"} | extra
+    function, whose repr holds a per-process address, and without the
+    flags named in `unread`, which the run accepts but does not read."""
+    return {k: v for k, v in vars(args).items()
+            if k != "func" and k not in unread} | extra
 
 
 def _outpath(args, name):
@@ -140,12 +145,12 @@ def _outpath(args, name):
     return os.path.join(args.out, name)
 
 
-def _write(args, name, header, rows, **extra):
+def _write(args, name, header, rows, unread=(), **extra):
     """Write the CSV `name` under --out and its sidecar, the parsed flags
-    and `extra`; returns the CSV's path."""
+    but those in `unread`, and `extra`; returns the CSV's path."""
     path = _outpath(args, name)
     write_csv(path, header, rows)
-    write_sidecar(path, _config(args, **extra))
+    write_sidecar(path, _config(args, unread, **extra))
     return path
 
 
@@ -186,8 +191,8 @@ def _free_stage_record(res):
 
 
 def _optimize_scheme(args, cfg):
-    """Scheme mode searches a fixed grid: it reads neither --restarts nor
-    --seed."""
+    """Scheme mode's search is deterministic: it reads neither --restarts
+    nor --seed, which it accepts and leaves out of its sidecar."""
     if not args.kind:
         raise InputError("optimize --mode scheme needs --kind")
     if args.exact:
@@ -207,6 +212,8 @@ OPTIMIZERS = {
 
 
 def cmd_optimize(args):
+    if args.kind is not None and args.mode != "scheme":
+        raise InputError(f"--mode {args.mode} reads no --kind")
     res = OPTIMIZERS[args.mode](args, OptimizerConfig(restarts=args.restarts,
                                                       seed=args.seed))
     certified = False
@@ -225,6 +232,7 @@ def cmd_optimize(args):
     extra = ({} if res.free_stages is None
              else {"free_stages": _free_stage_record(res)})
     path = _write(args, f"optimize-{args.mode}.csv", header, rows,
+                  unread=("seed", "restarts") if args.mode == "scheme" else (),
                   command="optimize", wall_time=res.wall_time, **extra)
     apath = _outpath(args, f"optimize-{args.mode}-array.json")
     with open(apath, "w") as fh:
@@ -268,7 +276,7 @@ def _reproduce_fig4(args):
         series[kind] = optimize_scheme(kind, N).values
     rows = [[n] + [series[k][n] for k in series] for n in range(N + 1)]
     path = _write(args, "fig4.csv", ["n"] + [f"R_{k}" for k in series], rows,
-                  command="reproduce", target="fig4", N=N)
+                  unread=("seed",), command="reproduce", target="fig4", N=N)
     print(f"wrote {path}")
 
 
@@ -296,7 +304,8 @@ def _reproduce_remarks(args):
              harmonic[n] / opt[n]] for n in range(N + 1)]
     path = _write(args, "remarks-table.csv",
                   ["n", "R_harmonic", "closed_form", "R_opt", "ratio"], rows,
-                  command="reproduce", target="remarks-table", N=N)
+                  unread=("seed",), command="reproduce", target="remarks-table",
+                  N=N)
     print(f"wrote {path}")
 
 
@@ -367,9 +376,9 @@ def make_parser():
 
     o = sub.add_parser("optimize", help="run a coefficient optimizer")
     o.add_argument("--mode", required=True, type=str.lower, choices=OPTIMIZERS,
-                   help="scheme mode searches a fixed grid and reads neither "
-                        "--restarts nor --seed")
-    o.add_argument("--kind", choices=SCHEME_PARAMS)
+                   help="scheme mode's search is deterministic: it reads "
+                        "neither --restarts nor --seed")
+    o.add_argument("--kind", choices=SCHEME_PARAMS, help="read by --mode scheme only")
     o.add_argument("--restarts", type=int, default=32)
     common(o)
     arithmetic(o)

@@ -32,22 +32,32 @@ constraint is the equality sum(x) = 1.
 A free (non-monotone) stage first tries to certify the MS row x as
 first-order stationary for the free stage value
 R(x) = x_0 + sum_k x_k d(k-1, n)(x) over the simplex
-(`_free_stage_certificate`).  One LP per stage (`_propose_duals`, HiGHS
-through scipy's `linprog`, the package's only LP solve) proposes optimal
-duals (u^k, v^k) of each pair at the kernel's plan; the package then
-checks them itself, in plain floats: dual feasibility and complementary
-slackness within `transport.DUAL_TOL`, and the stationarity gap
+(`_free_stage_certificate`).  The duals (u^k, v^k) of each pair are the
+transport kernel's own, from its plan at x; where those do not certify
+(degenerate plans, from n = 9 on in practice), one LP (`_propose_duals`,
+HiGHS through scipy's `linprog`, the package's only LP solve) proposes
+optimal duals at the kernel's plans.  The package checks either itself, in
+plain floats: dual feasibility and complementary slackness within
+`transport.DUAL_TOL`, and the stationarity gap
 rho = x.g - min_j g_j of g = c + sum_k x_k u^k, c_j = d(j-1, n), at most
 `STATIONARY_TOL` (1e-7).  What it proves: R'(x; y - x) >= -rho for every y
 in the simplex.  That is first order only; R is not convex.  A certified
 stage keeps the MS row and draws nothing from the random generator, so a
 run whose stages all certify is the MS run of its seed; a stage that fails
-the check runs the Nelder-Mead search from the MS row.  The free and
-scheme searches rank candidates on a cutting-plane surrogate and confirm
-them with exact pair solves by the certified transport kernel
-(`transport.solve_transport`), whose dual potentials become the cuts.
-Every scheme kind, and each Ishikawa block, is searched the same way: the
-best point of a grid, refined by Nelder-Mead clipped to [0, 1]^d.  The float
+the check runs the Nelder-Mead search from the MS row.
+A one-parameter scheme stage (km, halpern) is solved exactly: its rows form
+a segment in the stepsize t, along which each pair d(k-1, n) is piecewise
+linear (the two-point closed form, or the northeast staircase of a
+separated pair on monotone rows, `transport.staircase_pieces`), so the
+stage value is piecewise quadratic in t, and one sweep over the merged
+breakpoints minimizes each piece in closed form (`_segment_search`), in
+float or `Fraction` arithmetic.
+The free search and the two-parameter scheme searches rank candidates on a
+cutting-plane surrogate and confirm them with exact pair solves by the
+certified transport kernel (`transport.solve_transport`), whose dual
+potentials become the cuts.  Every two-parameter scheme kind, and each
+Ishikawa block, is searched the same way: the best point of a grid,
+refined by Nelder-Mead clipped to [0, 1]^2.  The float
 search does its per-candidate work on plain Python floats: the free search
 projects Nelder-Mead's list of floats with `_project_list`, a Python sort
 and running sum; the stage value turns each candidate into a list of floats
@@ -101,7 +111,8 @@ from .distances import (DistanceTable, _two_point_beta, build_distance_table,
                         two_point_distance)
 from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
                       scheme_step)
-from .transport import DUAL_TOL, common_denominator
+from .transport import (DUAL_TOL, NotSeparatedError, common_denominator,
+                        staircase_pieces)
 
 
 class OptimizeInputError(ValueError):
@@ -848,8 +859,18 @@ def _free_stage_certificate(rows, table: DistanceTable, n: int, x):
     rho = x.g - min_j g_j, R'(x; y - x) >= -rho for every y in the simplex:
     x is first-order stationary within rho.  That is all it proves: R is not
     convex.  The stage evaluator and its cut pools are not touched.
+
+    The duals checked first are the kernel's own, each plan's (dual_u,
+    dual_v); only when they give no gap at most STATIONARY_TOL (degenerate
+    plans, whose duals are not unique) does one LP (`_propose_duals`)
+    propose others, and the gap of those is returned.
     """
     inputs = _free_stage_inputs(rows, table, n, x)
+    x, _, plans, _ = inputs
+    rho = _stationarity_gap(*inputs, {m: (plan.dual_u, plan.dual_v)
+                                      for m, plan in enumerate(plans) if x[m + 1] > 0})
+    if rho is not None and rho <= STATIONARY_TOL:
+        return rho
     duals = _propose_duals(*inputs)
     return None if duals is None else _stationarity_gap(*inputs, duals)
 
@@ -1033,9 +1054,9 @@ def optimize_fixed_horizon(N: int, cfg: OptimizerConfig = None,
 # ---------------------------------------------------------------------------
 # scheme-constrained stage search
 
-def _grid_then_nm(objective, dim: int, size: int, **nm_options):
-    """Minimize the objective over [0, 1]^dim: the best point of a size^dim
-    grid, refined by Nelder-Mead and clipped to the cube.  The refinement is
+def _grid_then_nm(objective, size: int, **nm_options):
+    """Minimize the objective over [0, 1]^2: the best point of a size^2
+    grid, refined by Nelder-Mead and clipped to the square.  The refinement is
     kept only if it is no worse than the grid point.  The objective takes a
     tuple of plain floats; where it raises SchemeError, at stepsizes the
     scheme rule rejects, its value is inf."""
@@ -1046,7 +1067,7 @@ def _grid_then_nm(objective, dim: int, size: int, **nm_options):
             return math.inf
 
     points = list(itertools.product(np.linspace(0.0, 1.0, size).tolist(),
-                                    repeat=dim))
+                                    repeat=2))
     vals = [f(p) for p in points]
     best = int(np.argmin(vals))
     x, _ = _nelder_mead(lambda p: f(tuple(p)), points[best], **nm_options)
@@ -1056,7 +1077,6 @@ def _grid_then_nm(objective, dim: int, size: int, **nm_options):
 
 # stepsizes under which row n degenerates to the previous row padded with 0
 _CARRY_PARAMS = {
-    "km": (0.0,),
     "extra-km": (0.0, 1.0),
     "inertial-km": (0.0, 0.0),
     "km-halpern": (0.0, 1.0),
@@ -1066,19 +1086,19 @@ _CARRY_PARAMS = {
 def optimize_scheme(kind: str, N: int) -> OptimizationResult:
     """Stagewise search over the scheme's stepsize parameters.
 
-    Each stage takes the best point of a grid on the surrogate (65 points
-    for 1-parameter families, 17^2 for 2-parameter ones) and refines it by
-    Nelder-Mead; Ishikawa optimizes its (alpha, beta) pair over each 2-stage
-    block the same way (`_ishikawa_stage`).  The search is deterministic, so
-    it takes no restarts and no seed.
+    A one-parameter kind (km, halpern) finds each stage's minimum exactly,
+    by pieces along its segment of rows (`_segment_stage`).  A
+    two-parameter kind takes the best point of a 17^2 grid on the surrogate
+    and refines it by Nelder-Mead; Ishikawa optimizes its (alpha, beta)
+    pair over each 2-stage block the same way (`_ishikawa_stage`).  The
+    search is deterministic, so it takes no restarts and no seed.
     """
     if kind not in SCHEME_PARAMS:
         raise OptimizeInputError(f"unknown scheme kind {kind!r}")
     coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
     keys = SCHEME_PARAMS[kind]
-    dim = len(keys)
 
-    def stage(rows, table, n):
+    def grid_stage(rows, table, n):
         ev = StageEvaluator(rows, table, n)
 
         def obj(params):
@@ -1091,8 +1111,7 @@ def optimize_scheme(kind: str, N: int) -> OptimizationResult:
             # the accepted stage value never exceeds R_{n-1}
             best_params, best_exact = carry, ev.exact(scheme_step(kind, n, rows, carry))
         for _ in range(3):  # repeat search while exact solves tighten the pools
-            params = _grid_then_nm(obj, dim, 65 if dim == 1 else 17,
-                                   maxfev=2000, xatol=1e-11, fatol=1e-14)
+            params = _grid_then_nm(obj, 17, maxfev=2000, xatol=1e-11, fatol=1e-14)
             row = scheme_step(kind, n, rows, params)
             sur = ev.surrogate(row)  # before harvesting, to detect a stale model
             val = ev.exact(row)
@@ -1104,10 +1123,116 @@ def optimize_scheme(kind: str, N: int) -> OptimizationResult:
             coeffs[key].append(p)
         return scheme_step(kind, n, rows, best_params), best_exact
 
-    res = _stagewise(N, 1.0, _ishikawa_stage(N, coeffs)
-                     if kind == "ishikawa" else stage)
+    if kind == "ishikawa":
+        stage = _ishikawa_stage(N, coeffs)
+    elif len(keys) == 1:
+        stage = _segment_stage(kind, coeffs)
+    else:
+        stage = grid_stage
+    res = _stagewise(N, 1.0, stage)
     res.coefficients = coeffs
     return res
+
+
+def _segment_stage(kind: str, coeffs: Dict[str, list]):
+    """The stage function of a one-parameter kind: the exact stage minimum.
+
+    Row n of km or halpern is affine in its stepsize t, so the rows the
+    stage can choose form the segment (1 - t) p + t q, t in [0, 1], from
+    p = row n at t = 0 to q = row n at t = 1.  `_segment_search` finds the
+    least stage value on it in closed form, in the rows' arithmetic; the
+    row of its t is then scored by `StageEvaluator.exact`, and a stage
+    value that differs from the closed form (by more than 1e-12 in floats,
+    at all in `Fraction`s) raises ArithmeticError.
+    """
+    key, = SCHEME_PARAMS[kind]
+
+    def stage(rows, table, n):
+        one = rows[0][0]
+        ev = StageEvaluator(rows, table, n)
+        p, q = (scheme_step(kind, n, rows, (s,)) for s in (0 * one, one))
+        t, closed = _segment_search(ev, p, q)
+        row = scheme_step(kind, n, rows, (t,))
+        val = ev.exact(row)
+        if abs(val - closed) > (0 if ev.rational else 1e-12):
+            raise ArithmeticError(f"stage {n}: stage value {val} at {key} = {t} "
+                                  f"is not the segment minimum {closed}")
+        coeffs[key].append(t)
+        return row, val
+
+    return stage
+
+
+def _segment_search(ev: StageEvaluator, p, q):
+    """The least stage value on the rows b(t) = (1 - t) p + t q, t in
+    [0, 1], and the least t that attains it: (t, value), in the rows'
+    arithmetic.
+
+    R_n(t) = b_0(t) + sum_k b_k(t) d(k-1, n)(t), each b_k is affine in t
+    and each d(k-1, n) piecewise linear (`_pair_pieces`), so R_n is
+    A + B t + C t^2 between consecutive breakpoints of all the pairs.  One
+    sweep over the merged breakpoints keeps A, B and C up to date, and
+    takes each piece's minimum in closed form: at its ends, or at -B / 2C
+    when C > 0 and that lies inside.
+    """
+    zero = 0 * p[0]
+    A, B, C = p[0], q[0] - p[0], zero
+    # the segment runs from e_0 to e_n: each pair with a two-point frozen
+    # row takes the two-point closed form, with beta = t
+    two_point = _two_point_beta(p) == 0 and _two_point_beta(q) == 1
+    events = []  # (breakpoint, change of A, B and C there)
+    for k in range(1, ev.n + 1):
+        u, v = p[k], q[k] - p[k]
+        if not (u or v):
+            continue  # b_k(t) = 0: the pair adds nothing
+        pieces = _pair_pieces(ev, p, q, k - 1, two_point)
+        _, a0, b0 = pieces[0]
+        A += u * a0
+        B += u * b0 + v * a0
+        C += v * b0
+        for (_, a0, b0), (t, a1, b1) in zip(pieces, pieces[1:]):
+            da, db = a1 - a0, b1 - b0
+            events.append((t, u * da, u * db + v * da, v * db))
+    events.sort(key=lambda e: e[0])
+    events.append((zero + 1, zero, zero, zero))
+    best_t, best = zero, A
+    lo = zero
+    for t, dA, dB, dC in events:
+        if t > lo:  # the piece [lo, t]: its vertex, then its right end
+            vertex = -B / (2 * C) if C > 0 else t
+            for s in ((vertex, t) if lo < vertex < t else (t,)):
+                val = A + s * (B + s * C)
+                if val < best:
+                    best_t, best = s, val
+            lo = t
+        A += dA
+        B += dB
+        C += dC
+    return best_t, best
+
+
+def _pair_pieces(ev: StageEvaluator, p, q, m: int, two_point: bool):
+    """d(m, n) along the rows (1 - t) p + t q as pieces [(t_lo, alpha,
+    beta)], the value alpha + beta t from t_lo to the next piece's t_lo.
+
+    With a two-point frozen row m and the segment from e_0 to e_n, the
+    two-point closed form |beta_m - t| + min(beta_m, t) d(m-1, n-1), with
+    its breakpoint at t = beta_m.  Otherwise the frozen rows must be
+    monotone and the pair separated: its value is then the northeast
+    staircase (`transport.staircase_pieces`), optimal under the quadrangle
+    inequality of the monotone table.  Any other pair raises
+    NotSeparatedError.
+    """
+    beta = ev.betas[m]
+    if two_point and beta is not None:
+        D = ev.dcol[m]
+        lower = [(0 * beta, beta, D - 1)] if beta > 0 else []
+        upper = [(beta, beta * D - beta, 1 + 0 * beta)] if beta < 1 else []
+        return lower + upper
+    if not ev.monotone:
+        raise NotSeparatedError(f"pair ({m}, {ev.n}) is neither two-point nor "
+                                "on monotone frozen rows")
+    return staircase_pieces(ev.rows[m], p, q, ev.table.costs(m, ev.n))
 
 
 def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
@@ -1137,8 +1262,7 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
                     trial_rows, trial = rows + [tuple(row)], table.copy()
                     extend_table(trial, trial_rows, s)
 
-            pair = _grid_then_nm(block_obj, 2, 13,
-                                 maxfev=1500, xatol=1e-10, fatol=1e-13)
+            pair = _grid_then_nm(block_obj, 13, maxfev=1500, xatol=1e-10, fatol=1e-13)
         b, a = pair
         row = scheme_step("ishikawa", n, rows, (a, b))
         coeffs["alpha"].append(a)

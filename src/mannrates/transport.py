@@ -18,6 +18,9 @@ the simplex pivots from it as from any start.
 `greedy_monotone_transport(a, b, c)` is a closed-form construction valid
 under the monotone-row preconditions.  A malformed problem raises
 `TransportInputError` before either solver runs.
+`staircase_pieces(a, p, q, c)` is the northeast staircase's value as a
+function of t for the targets (1 - t) p + t q, piecewise linear, for a
+pair separated at the source's support; the scheme searches read it.
 
 Both work over floats and, with ``exact=True``, over `int` and
 `fractions.Fraction` entries.  An exact problem is scaled to integers before
@@ -59,6 +62,11 @@ class CyclingError(TransportError):
 
 class MonotonePreconditionError(TransportError):
     """Greedy plan preconditions do not hold; fall back to solve_transport."""
+
+
+class NotSeparatedError(TransportError):
+    """A target weight exceeds the source's on the source's support, so the
+    staircase does not apply."""
 
 
 @dataclass(frozen=True)
@@ -329,6 +337,73 @@ def _rational(plan, D, E):
                          Fraction(plan.objective, D * E),
                          tuple(Fraction(x, E) for x in plan.dual_u),
                          tuple(Fraction(x, E) for x in plan.dual_v))
+
+
+def staircase_pieces(a: Sequence, p: Sequence, q: Sequence,
+                     c: Sequence[Sequence]) -> list:
+    """The value of the northeast staircase from the source row a (M
+    weights) to each target row b(t) = (1 - t) p + t q (N > M weights) under
+    costs c, for t in [0, 1], as pieces [(t_lo, alpha, beta)]: from t_lo to
+    the next piece's t_lo (the last piece to 1) the value is alpha + beta t.
+
+    The pair must be separated at the source's support: b_k <= a_k for
+    k < M at t = 0 and t = 1, hence for every t, else NotSeparatedError;
+    within 1e-12 if a weight is a float, exactly otherwise.  Then b_k stays
+    on the diagonal for k < M, at no cost, as on a distance table's block
+    (c[k][k] = d(k-1, k-1) = 0), and the excess of rows 0..M-1 fills the
+    deficit of columns M..N-1, rows upward against columns downward: the
+    staircase that `solve_transport` starts a separated pair from, optimal
+    under the quadrangle inequality.  The cumulative excess of rows 0..i and the
+    cumulative deficit of columns N-1 down to j are affine in t, and row i
+    sends column j the overlap of their intervals, so the value is affine
+    in t until a cumulative excess meets a cumulative deficit: the
+    breakpoints.  Each piece is summed afresh, in the staircase's order at
+    its midpoint, so no rounding carries from one piece to the next.
+    Float or `Fraction` arithmetic follows the rows.
+    """
+    M, N = len(a), len(p)
+    tol = 1e-12 if any(isinstance(x, float) for x in chain(a, p, q)) else 0
+    if any(a[k] - p[k] < -tol or a[k] - q[k] < -tol for k in range(M)):
+        raise NotSeparatedError("a target weight exceeds the source's on its support")
+    zero = 0 * a[0]
+    # (constant, slope) of each cumulative excess, rows 0..i, and of each
+    # cumulative deficit, columns N-1 down to j, with its j
+    E, F = [], []
+    x = y = zero
+    for k in range(M):
+        x += a[k] - p[k]
+        y += p[k] - q[k]
+        E.append((x, y))
+    x = y = zero
+    for j in range(N - 1, M - 1, -1):
+        x += p[j]
+        y += q[j] - p[j]
+        F.append((x, y, j))
+    # the totals E[-1] and F[-1] are equal for every t: no breakpoint
+    cuts = {(fx - ex) / (ey - fy) for ex, ey in E[:-1] for fx, fy, _ in F[:-1]
+            if ey != fy}
+    edges = [zero] + sorted(s for s in cuts if 0 < s < 1) + [zero + 1]
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = (lo + hi) / 2
+        alpha = beta = zero
+        i = k = 0
+        ox = oy = zero  # the last cut of the merged intervals
+        while i < M and k < len(F):
+            ex, ey = E[i]
+            fx, fy, j = F[k]
+            w = c[i][j]
+            if ex + ey * mid <= fx + fy * mid:
+                x, y = ex, ey
+                i += 1
+            else:
+                x, y = fx, fy
+                k += 1
+            alpha += w * (x - ox)
+            beta += w * (y - oy)
+            ox, oy = x, y
+        pieces.append((lo, alpha, beta))
+    return pieces
 
 
 def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],

@@ -235,6 +235,11 @@ def test_optimize_scheme_requires_kind(tmp_path):
     # a stepsize the kind does not read
     ["bounds", "--scheme", "halpern", "--beta", "0.5", "--alpha", "0.3", "--N", "2"],
     ["bounds", "--scheme", "km", "--alpha", "0.5", "--beta", "0.3", "--N", "2"],
+    # only --mode scheme reads --kind
+    ["optimize", "--mode", "ms", "--N", "3", "--restarts", "2", "--kind", "km"],
+    ["optimize", "--mode", "s", "--N", "2", "--kind", "halpern"],
+    ["optimize", "--mode", "fh", "--N", "1", "--kind", "km"],
+    ["optimize", "--mode", "ms", "--N", "1", "--exact", "--kind", "km"],
 ])
 def test_unsupported_flags_are_input_errors(tmp_path, argv):
     # a flag the command cannot honour must not be ignored silently
@@ -501,6 +506,26 @@ def test_sidecar_contents(tmp_path):
     assert "restarts" not in doc
 
 
+def test_scheme_sidecar_leaves_out_seed_and_restarts(tmp_path):
+    # the scheme search draws nothing: --seed and --restarts are accepted,
+    # and neither changes the outputs nor is recorded
+    outs = []
+    for extra in ([], ["--seed", "5", "--restarts", "3"]):
+        out = tmp_path / str(len(outs))
+        assert run(["optimize", "--mode", "scheme", "--kind", "km", "--N", "3",
+                    "--out", str(out)] + extra) == 0
+        outs.append(out)
+        doc = _sidecar(out, "optimize-scheme.config.json")
+        assert doc["kind"] == "km" and doc["mode"] == "scheme"
+        assert not {"seed", "restarts"} & set(doc)
+    for name in ("optimize-scheme.csv", "optimize-scheme-array.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert run(["optimize", "--mode", "ms", "--N", "2", "--restarts", "2",
+                "--seed", "4", "--out", str(tmp_path)]) == 0
+    doc = _sidecar(tmp_path, "optimize-ms.config.json")
+    assert doc["seed"] == 4 and doc["restarts"] == 2
+
+
 def _fake_result(N, asked):
     """An optimizer result of horizon N, with KM rows; records N in asked."""
     asked.append(N)
@@ -532,6 +557,27 @@ def test_reproduce_sidecars_record_the_horizon_run(tmp_path, monkeypatch,
     assert max(asked, default=ran) == ran
     assert doc.get("restarts") == (8 if target in ("fig3", "fig5") else None)
     assert not {"exact", "certify"} & set(doc)
+
+
+@pytest.mark.parametrize("target, reads_seed", [
+    ("fig3", True), ("fig4", False), ("fig5", True), ("remarks-table", False),
+    ("lower-bounds", True)])
+def test_reproduce_sidecars_record_seed_only_where_read(tmp_path, monkeypatch,
+                                                        target, reads_seed):
+    # fig3 and fig5 seed their optimizers and lower-bounds draws its
+    # stepsizes; fig4's scheme searches and the remarks table draw nothing
+    monkeypatch.setattr(cli, "optimize_sequential",
+                        lambda N, cfg, monotone: _fake_result(N, []))
+    monkeypatch.setattr(cli, "optimize_fixed_horizon",
+                        lambda N, cfg: _fake_result(N, []))
+    monkeypatch.setattr(cli, "optimize_scheme",
+                        lambda kind, N: _fake_result(N, []))
+    out = str(tmp_path)
+    assert run(["reproduce", "--target", target, "--N", "3", "--seed", "6",
+                "--out", out]) == 0
+    doc = _sidecar(out, f"{target}.config.json")
+    assert doc.get("seed") == (6 if reads_seed else None)
+    assert ("seed" in doc) == reads_seed
 
 
 def test_stepsize_flags_expand_over_the_horizon():

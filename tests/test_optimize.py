@@ -13,20 +13,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mannrates import optimize as optimize_module
 from mannrates.distances import (_two_point_beta, build_distance_table, empty_table,
-                                 two_point_distance)
+                                 pair_distance, two_point_distance)
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, STATIONARY_TOL, OptimizeInputError,
                                 OptimizerConfig, StageEvaluator, _StartsWorker,
                                 _bareiss_solve, _exact_qp, _free_search,
                                 _free_stage_certificate, _free_stage_inputs,
-                                _ms_stage, _nelder_mead, _propose_duals,
-                                _repair_monotone, _s_stage, _stage_quadratic,
-                                _stagewise, _stationarity_gap, fit_slope,
+                                _ms_stage, _nelder_mead, _pair_pieces,
+                                _propose_duals, _repair_monotone, _s_stage,
+                                _segment_search, _segment_stage,
+                                _stage_quadratic, _stagewise,
+                                _stationarity_gap, fit_slope,
                                 minimize, optimize_fixed_horizon,
                                 optimize_scheme, optimize_sequential,
                                 project_simplex)
-from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
+from mannrates.schemes import (SchemeSpec, TriangularArray, build_rows,
+                               check_monotone, scheme_step)
+from mannrates.transport import NotSeparatedError
 from mannrates.witness import build_worst_case_witness
 
 from conftest import (random_array, random_monotone_array, random_simplex,
@@ -97,15 +102,15 @@ def test_scheme_search_refuses_a_negative_horizon():
 
 
 def test_scheme_halpern_matches_recursion():
-    # the stage minimum is flat in beta: R_n matches to rounding at N=30,
-    # the stepsizes only to the local refinement's resolution
-    for N, r_tol, beta_tol in ((12, 1e-8, 1e-6), (30, 1e-15, 1e-8)):
+    # the segment search takes each stage's minimum in closed form, so the
+    # stepsizes are the recursion's to rounding, not to a search's resolution
+    for N in (12, 30):
         res = optimize_scheme("halpern", N)
         betas, resid = optimal_recursion(N)
         for n in range(N + 1):
-            assert res.values[n] == pytest.approx(resid[n], abs=r_tol)
+            assert res.values[n] == pytest.approx(resid[n], abs=1e-15)
         for n in range(1, N + 1):
-            assert res.coefficients["beta"][n] == pytest.approx(betas[n], abs=beta_tol)
+            assert res.coefficients["beta"][n] == pytest.approx(betas[n], abs=1e-13)
 
 
 def test_scheme_km_value_reasonable():
@@ -676,6 +681,27 @@ def test_search_from_certified_rows_finds_no_improvement():
     assert max(gains) <= 1e-12
 
 
+def test_kernel_duals_certify_before_any_lp(monkeypatch):
+    # the kernel's own duals certify stages 1-8 of these runs, so the LP
+    # proposes duals only from stage 9 on, where the plans are degenerate;
+    # every stage still certifies, so the rows are the MS rows
+    calls = []
+    propose = optimize_module._propose_duals
+
+    def counted(x, *rest):
+        calls.append(len(x) - 1)
+        return propose(x, *rest)
+
+    monkeypatch.setattr(optimize_module, "_propose_duals", counted)
+    for N, seed in ((4, 0), (4, 5), (10, 0)):
+        calls.clear()
+        cfg = OptimizerConfig(restarts=8, seed=seed)
+        s = optimize_sequential(N, cfg, monotone=False)
+        assert [kind for kind, _ in s.free_stages] == ["stationary"] * N
+        assert calls == list(range(9, N + 1))
+        assert s.array.rows == optimize_sequential(N, cfg, monotone=True).array.rows
+
+
 def test_stationarity_check_decides_not_the_proposer():
     # the proposed duals pass the check; moved off optimality by 1e-6 in one
     # entry they fail it, on dual feasibility or on complementary slackness
@@ -744,6 +770,112 @@ def test_ishikawa_coefficients_follow_rows():
         c = res.coefficients
         arr = build_rows(SchemeSpec(kind, alphas=c["alpha"], betas=c["beta"]), 6)
         assert arr.rows == res.array.rows, kind
+
+
+# -- the one-parameter kinds: exact segment search ----------------------------
+
+@st.composite
+def _segment_prefixes(draw, exact):
+    """A km or halpern stage: (kind, frozen rows 0..n-1, their table, n, t),
+    the stepsizes of rows 1..n-1 and t drawn at random, n <= 12; `Fraction`
+    rows, table and t when `exact`."""
+    kind = draw(st.sampled_from(["km", "halpern"]))
+    n = draw(st.integers(1, 12))
+    if exact:
+        step = st.fractions(Fraction(1, 20), 1, max_denominator=20)
+        t = draw(st.fractions(0, 1, max_denominator=50))
+    else:
+        step = st.floats(0.01, 1.0)
+        t = draw(st.floats(0.0, 1.0))
+    one = Fraction(1) if exact else 1.0
+    rows = [(one,)]
+    for k in range(1, n):
+        rows.append(scheme_step(kind, k, rows, (draw(step),)))
+    table, _ = build_distance_table(TriangularArray(rows), exact=exact)
+    return kind, rows, table, n, t
+
+
+def _segment(kind, rows, n):
+    """Row n of the kind at t = 0 and at t = 1, the ends of its segment."""
+    one = rows[0][0]
+    return [scheme_step(kind, n, rows, (s,)) for s in (0 * one, one)]
+
+
+def _piece_values(kind, rows, table, n, t):
+    """(piece value, kernel value) of each pair d(m, n) at row n's stepsize t."""
+    ev = StageEvaluator(rows, table, n)
+    p, q = _segment(kind, rows, n)
+    two_point = _two_point_beta(p) == 0 and _two_point_beta(q) == 1
+    cand = scheme_step(kind, n, rows, (t,))
+    for m in range(n):
+        pieces = _pair_pieces(ev, p, q, m, two_point)
+        _, alpha, beta = [piece for piece in pieces if piece[0] <= t][-1]
+        plan = pair_distance(table, rows + [cand], m, n, exact=ev.rational,
+                             allow_greedy=False)
+        yield alpha + beta * t, plan.objective
+
+
+@given(_segment_prefixes(exact=False))
+def test_pair_pieces_match_the_kernel(prefix):
+    for got, want in _piece_values(*prefix):
+        assert abs(got - want) <= 1e-15
+
+
+@given(_segment_prefixes(exact=True))
+def test_rational_pair_pieces_match_the_kernel(prefix):
+    for got, want in _piece_values(*prefix):
+        assert isinstance(got, Fraction) and got == want
+
+
+@given(_segment_prefixes(exact=False))
+def test_segment_minimum_beats_a_fine_grid(prefix):
+    # the stage's value is no worse than the best of 257 rows on the segment
+    kind, rows, table, n, _ = prefix
+    row, val = _segment_stage(kind, {"alpha": [0.0], "beta": [0.0]})(rows, table, n)
+    ev = StageEvaluator(rows, table, n)
+    assert val == ev.exact(row)
+    grid = min(ev.exact(scheme_step(kind, n, rows, (t,)))
+               for t in np.linspace(0.0, 1.0, 257).tolist())
+    assert val <= grid + 1e-15
+
+
+def test_exact_segment_search_is_the_optimal_recursion():
+    # in Fractions the segment search lands on the paper's optimal Halpern
+    # stepsizes, beta_{n+1} = (1 + beta_n^2) / 2, and their bounds exactly;
+    # the stage loop checks each stage value against the frozen R_n
+    for N in (1, 4, 10):
+        coeffs = {"alpha": [Fraction(0)], "beta": [Fraction(0)]}
+        res = _stagewise(N, Fraction(1), _segment_stage("halpern", coeffs))
+        betas, resid = optimal_recursion(N, exact=True)
+        assert coeffs["beta"] == betas
+        assert betas[1:4] == [Fraction(1, 2), Fraction(5, 8), Fraction(89, 128)][:N]
+        assert res.values == resid
+
+
+def test_float_km_search_is_the_exact_one():
+    # km in Fractions, each staircase equal to the kernel's value: the
+    # stage loop would raise otherwise; the float search finds the same
+    # stepsizes to rounding (t_3 = 4/9)
+    N = 6
+    coeffs = {"alpha": [Fraction(0)], "beta": [Fraction(0)]}
+    exact = _stagewise(N, Fraction(1), _segment_stage("km", coeffs))
+    flt = optimize_scheme("km", N)
+    assert coeffs["alpha"][3] == Fraction(4, 9)
+    for a, b in zip(flt.coefficients["alpha"], coeffs["alpha"]):
+        assert abs(a - b) <= 1e-13
+    for a, b in zip(flt.values, exact.values):
+        assert abs(a - b) <= 1e-15
+
+
+def test_segment_search_refuses_a_pair_without_a_closed_form():
+    # a km stage over non-monotone frozen rows has pairs that are neither
+    # two-point nor on a monotone table
+    rows = [(1.0,), (0.5, 0.5), (0.2, 0.7, 0.1)]
+    table, _ = build_distance_table(TriangularArray(rows))
+    ev = StageEvaluator(rows, table, 3)
+    assert not ev.monotone
+    with pytest.raises(NotSeparatedError):
+        _segment_search(ev, *_segment("km", rows, 3))
 
 
 # -- exact stages: reduced KKT faces against the full systems ----------------

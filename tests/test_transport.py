@@ -16,8 +16,9 @@ from hypothesis import example, given, strategies as st
 from mannrates import transport
 from mannrates.distances import build_distance_table
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
-from mannrates.transport import (MonotonePreconditionError, TransportInputError,
-                                 greedy_monotone_transport, solve_transport)
+from mannrates.transport import (MonotonePreconditionError, NotSeparatedError,
+                                 TransportInputError, greedy_monotone_transport,
+                                 solve_transport, staircase_pieces)
 from mannrates.witness import build_worst_case_witness
 
 from conftest import random_simplex
@@ -524,6 +525,81 @@ def test_separated_pairs_solve_to_the_northeast_staircase(inst):
     assert all(abs(z - want[k]) <= 1e-15 for k, z in got.items())
     assert fl.objective == pytest.approx(_linprog_oracle(af, bf, cf), abs=1e-9)
     assert abs(Fraction(fl.objective) - ex.objective) <= 1e-14
+
+
+# -- the staircase along a segment of targets ---------------------------------
+
+def _separated_target(draw, a, n):
+    """A target row over 0..n at most a on a's support: b_k = a_k r_k / 4,
+    the rest of the mass spread over the columns past it."""
+    b = [x * draw(st.integers(0, 4)) / 4 for x in a]
+    w = [draw(st.integers(0, 4)) for _ in range(n + 1 - len(a))]
+    w[-1] += 1
+    rest = 1 - sum(b)
+    return b + [rest * x / sum(w) for x in w]
+
+
+@st.composite
+def _staircase_instances(draw):
+    """A km row a = pi^m of an exact table, the cost block of pair (m, n) in
+    the exact table and its float twin, two targets p and q separated at a's
+    support, and t in [0, 1]."""
+    H = draw(st.integers(1, 6))
+    alphas = [Fraction(draw(st.integers(1, 10)), 10) for _ in range(H)]
+    pi = build_rows(SchemeSpec("km", alphas=(Fraction(0), *alphas)), H)
+    n = draw(st.integers(1, H))
+    m = draw(st.integers(0, n - 1))
+    a = pi.rows[m]
+    p, q = (_separated_target(draw, a, n) for _ in range(2))
+    t = draw(st.fractions(0, 1, max_denominator=30))
+    exact, _ = build_distance_table(pi, exact=True)
+    flt, _ = build_distance_table(TriangularArray(
+        [tuple(float(x) for x in r) for r in pi.rows]))
+    return a, p, q, t, exact.costs(m, n), flt.costs(m, n)
+
+
+def _piece_at(pieces, t):
+    """alpha + beta t of the piece that holds t."""
+    _, alpha, beta = [piece for piece in pieces if piece[0] <= t][-1]
+    return alpha + beta * t
+
+
+@given(_staircase_instances())
+def test_staircase_pieces_are_the_kernel_value(inst):
+    # on a monotone table the staircase is optimal: each piece equals the
+    # kernel's value at every t of its span, exactly in Fractions
+    a, p, q, t, c, cf = inst
+    b = [(1 - t) * x + t * y for x, y in zip(p, q)]
+    pieces = staircase_pieces(a, p, q, c)
+    assert pieces[0][0] == 0 and all(0 < lo < 1 for lo, _, _ in pieces[1:])
+    assert _piece_at(pieces, t) == solve_transport(a, b, c, exact=True).objective
+    fa, fp, fq, ft = ([float(x) for x in v] for v in (a, p, q, [t]))
+    fb = [(1 - ft[0]) * x + ft[0] * y for x, y in zip(fp, fq)]
+    got = _piece_at(staircase_pieces(fa, fp, fq, cf), ft[0])
+    assert abs(got - solve_transport(fa, fb, cf).objective) <= 1e-15
+
+
+def test_staircase_is_the_kernel_on_the_km_table():
+    # a fixed pair is the segment p = q: one piece, the kernel's value within
+    # one unit in the last place of 1, on every pair of the km N=12 optimum
+    from mannrates.optimize import optimize_scheme
+
+    res = optimize_scheme("km", 12)
+    rows, table = res.array.rows, res.table
+    for n in range(1, 13):
+        for m in range(n):
+            c = table.costs(m, n)
+            (lo, alpha, beta), = staircase_pieces(rows[m], rows[n], rows[n], c)
+            assert lo == 0 and beta == 0
+            assert abs(alpha - solve_transport(rows[m], rows[n], c).objective) <= 2 ** -52
+
+
+def test_staircase_needs_a_separated_pair():
+    c = [[0, 1, 1], [1, 0, 1]]
+    with pytest.raises(NotSeparatedError):
+        staircase_pieces((0.5, 0.5), (0.2, 0.7, 0.1), (0.2, 0.3, 0.5), c)
+    with pytest.raises(NotSeparatedError):
+        staircase_pieces((0.5, 0.5), (0.2, 0.3, 0.5), (0.6, 0.0, 0.4), c)
 
 
 # -- the certificate at its tolerance ----------------------------------------
