@@ -379,7 +379,12 @@ def make_parser():
                    help="scheme mode's search is deterministic: it reads "
                         "neither --restarts nor --seed")
     o.add_argument("--kind", choices=SCHEME_PARAMS, help="read by --mode scheme only")
-    o.add_argument("--restarts", type=int, default=32)
+    o.add_argument("--restarts", type=int, default=32,
+                   help="starts of the joint search (--mode fh) and of a "
+                        "free stage's search (--mode s, at least 2); an MS "
+                        "stage runs max(2, R) starts up to stage 20 and "
+                        "max(2, min(R, 8)) from stage 21 on, so --restarts 1 "
+                        "runs 2 and the default 32 runs 8 from stage 21 on")
     common(o)
     arithmetic(o)
     o.set_defaults(func=cmd_optimize)

@@ -28,7 +28,11 @@ copy.
 Float mode uses multistart local search: Nelder-Mead with simplex
 projection, and SLSQP on the monotone-stage quadratic, whose caps
 x_k <= pi^{n-1}_k and floor x_n >= 1/2 are box bounds and whose one
-constraint is the equality sum(x) = 1.
+constraint is the equality sum(x) = 1.  A cap of 0 fixes its coordinate at
+0, at this stage and every later one, so SLSQP runs on the free block
+F = {k < n : pi^{n-1}_k > 0} u {n} alone, as the exact stages solve each
+face on its free coordinates.  At N = 30 the first zero cap comes at stage
+13 or 14, and by stage 30 two thirds of the caps are 0.
 A free (non-monotone) stage first tries to certify the MS row x as
 first-order stationary for the free stage value
 R(x) = x_0 + sum_k x_k d(k-1, n)(x) over the simplex
@@ -126,6 +130,15 @@ MAX_EVALS = 20000
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of a float optimizer run.
+
+    `restarts` is the number of starts of the joint fixed-horizon search,
+    and of a free stage's search (at least 2).  It is not the number of
+    starts of an MS stage (`_ms_stage`, also the warm start of each free
+    stage): that runs max(2, restarts) starts up to n = 20 and
+    max(2, min(restarts, 8)) from n = 21 on, so restarts = 1 runs 2, and
+    the default 32 runs 8 from stage 21 on.
+    """
     restarts: int = 32
     seed: int = 0
 
@@ -565,9 +578,9 @@ def _stage_functions(lin, Q, H):
 
 
 def _slsqp_starts(stage, starts) -> List[np.ndarray]:
-    """SLSQP from each start on the MS stage `stage` = (lin, Q, H, lb, ub);
-    the raw solutions, in start order.  Both this process and the starts
-    worker run their share of a stage's starts through it."""
+    """SLSQP from each start on the MS stage block `stage` = (lin, Q, H, lb,
+    ub); the raw solutions, in start order.  Both this process and the
+    starts worker run their share of a stage's starts through it."""
     lin, Q, H, lb, ub = stage
     f, grad = _stage_functions(lin, Q, H)
     return [minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
@@ -692,35 +705,67 @@ class _StartsWorker:
         self.pending = False
 
 
+def _stage_solutions(lin, Q, caps, starts,
+                     worker: Optional[_StartsWorker] = None) -> List[np.ndarray]:
+    """SLSQP from each start on the MS stage lin . x + x^T Q x with caps
+    x_k <= caps_k (k < n); the solutions in R^{n+1}, in start order.
+
+    Every inequality of the stage is a coordinate bound: the cap and the
+    floor x_n >= 1/2; only the mass sum(x) = 1 is a constraint.  A cap of 0
+    fixes its coordinate at 0, so SLSQP runs on the free block
+    F = {k < n : caps_k > 0} u {n} alone: `lin`, Q, H = Q + Q^T, the bounds
+    and the starts restricted to F.  Each SLSQP iteration solves a
+    least-squares problem over every coordinate it is given, so its cost
+    grows as the cube of |F|, not of n + 1.  Each solution is put back into
+    a zero row of length n + 1.  With no zero cap F is every coordinate and
+    the solutions are those of SLSQP on the whole box, bit for bit.
+    `worker`, if given, solves the trailing half of the starts while this
+    process solves the leading half.
+    """
+    n = len(caps)
+    free = [k for k in range(n) if caps[k] > 0] + [n]
+    Qf = Q[np.ix_(free, free)]
+    stage = (lin[free], Qf, Qf + Qf.T, [0.0] * (len(free) - 1) + [0.5],
+             [caps[k] for k in free[:-1]] + [1.0])
+    block = [x0[free] for x0 in starts]
+    half = (len(block) + 1) // 2
+    shared = worker is not None and worker.submit(stage, block[half:])
+    xs = _slsqp_starts(stage, block[:half] if shared else block)
+    if shared:
+        rest = worker.collect()
+        xs += _slsqp_starts(stage, block[half:]) if rest is None else rest
+    out = []
+    for xf in xs:
+        x = np.zeros(n + 1)
+        x[free] = xf
+        out.append(x)
+    return out
+
+
 def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
               rng: np.random.Generator, worker: _StartsWorker) -> np.ndarray:
     """Row n of the monotone stage: the best of SLSQP from several starts.
 
     The starts are the halved previous row and random repaired points, all
-    drawn here.  From n = `_WORKER_MIN_N` on, `worker` solves the trailing
-    half of them while this process solves the leading half; the solutions
-    are then repaired, scored and compared in start order, the first strict
-    improvement by more than 1e-15 winning, so the row does not depend on
-    where each start ran.
+    drawn here: `cfg.restarts` of them, but at least 2 and from n = 21 on
+    at most 8.  SLSQP runs on the coordinates the caps leave free
+    (`_stage_solutions`).  From n = `_WORKER_MIN_N` on, `worker` solves the
+    trailing half of the starts while this process solves the leading half;
+    the solutions are then repaired, scored on the whole quadratic and
+    compared in start order, the first strict improvement by more than
+    1e-15 winning, so the row does not depend on where each start ran.
     """
     lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
     prev = rows[n - 1]
-    # every inequality of the stage is a coordinate bound: the cap
-    # x_k <= prev_k and the floor x_n >= 1/2; only the mass is a constraint
-    stage = (lin, Q, Q + Q.T, [0.0] * n + [0.5], list(prev[:n]) + [1.0])
-    f, _ = _stage_functions(*stage[:3])
+    f, _ = _stage_functions(lin, Q, Q + Q.T)
 
     starts = [_repair_monotone(np.array(prev[:n] + (0.0,)) * 0.5, prev, n)]
     nstarts = max(2, min(cfg.restarts, 8 if n > 20 else cfg.restarts))
     for _ in range(nstarts - 1):
         cand = rng.dirichlet(np.ones(n + 1))
         starts.append(_repair_monotone(cand, prev, n))
-    half = (nstarts + 1) // 2
-    shared = n >= _WORKER_MIN_N and worker.submit(stage, starts[half:])
-    xs = _slsqp_starts(stage, starts[:half] if shared else starts)
-    if shared:
-        rest = worker.collect()
-        xs += _slsqp_starts(stage, starts[half:]) if rest is None else rest
+    xs = _stage_solutions(lin, Q, prev, starts,
+                          worker if n >= _WORKER_MIN_N else None)
     best, best_val = None, math.inf
     for x in xs:
         x = _repair_monotone(x, prev, n)

@@ -171,9 +171,86 @@ def test_ms_rows_meet_stage_constraints():
     # than the benchmark's 1e-9
     (0, 0.10789550042971266),
     (3, 0.10787547560031752),
+    # the benchmark's own references (perfbench/refs/optimize-ms.json) for
+    # the other variants it checks
+    (1, 0.10789555473485728),
+    (2, 0.10789548729171274),
+    (4, 0.10788925729533574),
+    (5, 0.10789549290696523),
+    (6, 0.10789555414788825),
+    (7, 0.1078892055866569),
 ])
 def test_ms_r30_no_worse_than_recorded(seed, before):
     assert _ms30(seed).values[-1] <= before + 1e-9
+
+
+def test_ms_stage_hands_slsqp_only_free_coordinates(monkeypatch):
+    # a cap of 0 fixes its coordinate, so SLSQP never sees it, and the
+    # emitted row holds it at exactly 0
+    sizes = []
+    minimize = optimize_module.minimize
+
+    def guarded(fun, x0, *, lb, ub, **kwargs):
+        fixed = [k for k, (lo, hi) in enumerate(zip(lb, ub)) if lo == hi]
+        assert not fixed, f"coordinates {fixed} are fixed by the box"
+        sizes.append(len(x0))
+        return minimize(fun, x0, lb=lb, ub=ub, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "minimize", guarded)
+    # in this process, so that every call passes through the guard
+    monkeypatch.setattr(_StartsWorker, "can_fork", staticmethod(lambda: False))
+    rows = optimize_sequential(30, OptimizerConfig(restarts=8, seed=0)).array.rows
+    zero_caps = [(n, k) for n in range(1, 31) for k in range(n) if rows[n - 1][k] == 0.0]
+    assert len(zero_caps) > 100
+    assert all(rows[n][k] == 0.0 for n, k in zero_caps)
+    # the last stages run on at most half of their n + 1 coordinates
+    assert max(sizes[-8:]) <= 16
+
+
+def _forced_stages(forced: int):
+    """Convex MS stages n = 2..8 of the seed-0 N=30 run as (lin, Q, caps,
+    starts), with `forced` caps set to 0; the starts are drawn and repaired
+    as `_ms_stage` draws them."""
+    res = _ms30(0)
+    gen = np.random.default_rng(11)
+    for n in range(2, 9):
+        lin, Q = (np.array(v, dtype=float)
+                  for v in _stage_quadratic(res.array.rows, res.table, n))
+        caps = list(res.array.rows[n - 1])
+        for k in gen.choice(n, size=forced, replace=False):
+            caps[k] = 0.0
+        starts = [_repair_monotone(np.array(caps + [0.0]) * 0.5, caps, n)]
+        starts += [_repair_monotone(gen.dirichlet(np.ones(n + 1)), caps, n)
+                   for _ in range(4)]
+        yield lin, Q, tuple(caps), starts
+
+
+def _full_box_solutions(lin, Q, caps, starts):
+    """SLSQP from each start on the stage's whole box, zero caps included."""
+    n = len(caps)
+    return optimize_module._slsqp_starts(
+        (lin, Q, Q + Q.T, [0.0] * n + [0.5], list(caps) + [1.0]), starts)
+
+
+def test_free_block_solve_matches_the_full_box():
+    # the feasible set and the objective are the same on the free block:
+    # on convex stages every start reaches the same stage value
+    for lin, Q, caps, starts in _forced_stages(2):
+        n = len(caps)
+        f, _ = optimize_module._stage_functions(lin, Q, Q + Q.T)
+        block = optimize_module._stage_solutions(lin, Q, caps, starts)
+        full = _full_box_solutions(lin, Q, caps, starts)
+        for xb, xf in zip(block, full):
+            assert all(xb[k] == 0.0 for k in range(n) if caps[k] == 0.0)
+            assert abs(f(_repair_monotone(xb, caps, n))
+                       - f(_repair_monotone(xf, caps, n))) <= 1e-12
+
+
+def test_free_block_without_zero_caps_is_the_full_box_bit_for_bit():
+    for lin, Q, caps, starts in _forced_stages(0):
+        block = optimize_module._stage_solutions(lin, Q, caps, starts)
+        full = _full_box_solutions(lin, Q, caps, starts)
+        assert [x.tobytes() for x in block] == [x.tobytes() for x in full]
 
 
 def test_config_validation():
