@@ -13,8 +13,7 @@ import os
 
 # One BLAS/OpenMP thread unless the user chose a count, set before numpy
 # loads: the optimizers' small matrix products only lose time to a thread
-# pool, and a forked MS worker's pool competes with its parent's for the
-# cores.  Float outputs are then those of a one-thread run.
+# pool.  Float outputs are then those of a one-thread run.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

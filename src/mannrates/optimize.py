@@ -23,7 +23,8 @@ cross-checks the stage value against that rule; in exact mode (a
 `Fraction` row 0) the loop raises unless they agree exactly.
 The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
-copy.
+copy; the evaluator builds it at its first read and keeps it
+(`StageEvaluator.quadratic`), and an MS stage's SLSQP reads the same one.
 
 Float mode uses multistart local search: Nelder-Mead with simplex
 projection, and SLSQP on the monotone-stage quadratic, whose caps
@@ -78,11 +79,7 @@ tie in value are ordered by `np.argsort`, as in scipy: numpy's SIMD sort
 does not keep ties in input order, so a stable sort would change the search
 path and the outputs.  The MS stage's SLSQP runs `minimize`, an in-house
 copy of scipy's SLSQP loop on scipy's compiled kernel with the same iterates
-bit for bit, so no search goes through `scipy.optimize.minimize`.  From stage
-`_WORKER_MIN_N` on, a forked worker (`_StartsWorker`) solves the trailing
-half of each MS stage's starts while this process solves the leading half;
-the kernel holds the GIL, so a thread could not.  The best start is chosen
-in start order either way, so the rows do not depend on the worker.
+bit for bit, so no search goes through `scipy.optimize.minimize`.
 Exact-rational mode solves the small stages globally by enumerating KKT
 systems of the quadratic over every face of the feasible polytope; the
 coordinate bounds active on a face fix their coordinates, so each system is
@@ -99,10 +96,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, gt, mul, sub
 from typing import Dict, List, Optional, Sequence
 
@@ -333,9 +330,6 @@ class StageEvaluator:
         self.tol = 0 if self.rational else 1e-12
         self.monotone = check_monotone(self.rows, exact=self.rational)
         self.dcol = _dcol(table, n)
-        # row k of the stage quadratic is pair k's nested-plan value
-        self.lin, self.Q = (_stage_quadratic(self.rows, table, n)
-                            if self.monotone else (None, None))
         # the nested plan's margin caps pi^m_i + tol, per frozen row m
         self.caps = ([[w + self.tol for w in r] for r in self.rows]
                      if self.monotone else None)
@@ -345,13 +339,20 @@ class StageEvaluator:
         self.pool_U: List[Optional[np.ndarray]] = [None] * n
         self.pool_c: List[Optional[np.ndarray]] = [None] * n
 
+    @cached_property
+    def quadratic(self):
+        """The stage quadratic (lin, Q) of `_stage_quadratic`, built at the
+        first read: row k is pair k's nested-plan value on monotone rows."""
+        return _stage_quadratic(self.rows, self.table, self.n)
+
     def _value(self, cand, cuts):
         """cand_0 + sum_k cand_k d(k-1, n), one pass over the pairs.  A pair
         without a closed form reads its best harvested cut when `cuts` is set
         and it has one, else it is solved by the transport kernel."""
         n, tol, rows, monotone = self.n, self.tol, self.rows, self.monotone
         betas, dcol, caps = self.betas, self.dcol, self.caps
-        lin, Q, pool_U, pool_c = self.lin, self.Q, self.pool_U, self.pool_c
+        pool_U, pool_c = self.pool_U, self.pool_c
+        lin = Q = None  # the stage quadratic, read at the first nested-plan pair
         if not self.rational:
             # plain floats: numpy scalars make the scalar arithmetic slow
             cand = list(map(float, cand))
@@ -373,6 +374,8 @@ class StageEvaluator:
                 # the nested plan's value is row m + 1 of the stage quadratic;
                 # sum() runs left to right through Python 3.11, from 3.12 on
                 # it is compensated and can differ in the last bits
+                if Q is None:
+                    lin, Q = self.quadratic
                 d = lin[m + 1] + sum(map(mul, Q[m + 1], cand))
             elif cuts and pool_U[m] is not None:
                 if x is None:
@@ -577,136 +580,7 @@ def _stage_functions(lin, Q, H):
     return f, grad
 
 
-def _slsqp_starts(stage, starts) -> List[np.ndarray]:
-    """SLSQP from each start on the MS stage block `stage` = (lin, Q, H, lb,
-    ub); the raw solutions, in start order.  Both this process and the
-    starts worker run their share of a stage's starts through it."""
-    lin, Q, H, lb, ub = stage
-    f, grad = _stage_functions(lin, Q, H)
-    return [minimize(f, x0, method="SLSQP", jac=grad, lb=lb, ub=ub,
-                     maxiter=300, ftol=1e-14)[0] for x0 in starts]
-
-
-# Stages with n below this run all their starts in this process.  Forking
-# the worker, one round trip and the join cost about 5 ms, once per run.
-# The worker's half of eight starts saves about 3.3 ms at n = 10 and 4.5 ms
-# at n = 11 (0.8 and 1.1 ms a start, on a 2-core Xeon), so a run to N = 11
-# has won the fork back; below n = 10 a stage saves under 3 ms.
-_WORKER_MIN_N = 10
-
-
-class _StartsWorker:
-    """A forked process that runs the trailing half of an MS stage's SLSQP
-    starts while this process runs the leading half.
-
-    It forks at the first `submit`, and only where a second process can
-    help and a fork is safe (`can_fork`): at least two CPUs in this
-    process's affinity set, the "fork" start method, a non-daemonic current
-    process (a daemonic one may not have children) and no other Python
-    thread (the child would inherit the locks that thread holds, held).
-    Otherwise, when the fork fails, and after the worker has died, every
-    start runs here.  The worker runs `_slsqp_starts`, this process's own
-    loop, on the same arrays, so its solutions are the ones this process
-    would compute, bit for bit.  A fork starts it in milliseconds; a
-    spawned worker would import numpy and scipy afresh, about 0.5 s, longer
-    than a whole N = 30 run.  An exception the worker raises comes back and
-    is raised here.  `close` ends the worker: an idle one reads the end
-    of its pipe and exits, one with a job outstanding is killed; either is
-    joined.
-    """
-
-    def __init__(self):
-        self.proc = self.conn = None
-        self.tried = False
-        self.pending = False
-
-    @staticmethod
-    def can_fork() -> bool:
-        import multiprocessing
-        import threading
-
-        affinity = getattr(os, "sched_getaffinity", None)
-        return (affinity is not None and len(affinity(0)) >= 2
-                and "fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon
-                and threading.active_count() == 1)
-
-    @staticmethod
-    def _serve(conn, parent_end):
-        """The worker's loop: solve each job until the pipe closes."""
-        import signal
-
-        parent_end.close()
-        # Ctrl-C is the parent's to handle, and the parent then closes us
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        while True:
-            try:
-                stage, starts = conn.recv()
-            except EOFError:
-                return
-            try:
-                reply = True, _slsqp_starts(stage, starts)
-            except Exception as e:
-                reply = False, e
-            conn.send(reply)
-
-    def _fork(self):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        conn, child_end = ctx.Pipe()
-        proc = ctx.Process(target=self._serve, args=(child_end, conn), daemon=True)
-        try:
-            proc.start()
-        except OSError:  # no process to be had
-            conn.close()
-            return
-        finally:
-            child_end.close()
-        self.proc, self.conn = proc, conn
-
-    def submit(self, stage, starts) -> bool:
-        """Hand the worker `starts` on `stage`; False if it cannot take them."""
-        if not self.tried:
-            self.tried = True
-            if self.can_fork():
-                self._fork()
-        if self.conn is None:
-            return False
-        try:
-            self.conn.send((stage, starts))
-        except OSError:  # the worker has died
-            self.close()
-            return False
-        self.pending = True
-        return True
-
-    def collect(self) -> Optional[List[np.ndarray]]:
-        """The worker's solutions of the submitted starts; None if it died."""
-        try:
-            ok, reply = self.conn.recv()
-        except (EOFError, OSError):  # the worker has died
-            self.close()
-            return None
-        self.pending = False
-        if not ok:
-            raise reply
-        return reply
-
-    def close(self):
-        """End the worker, if there is one, and join it."""
-        if self.conn is None:
-            return
-        if self.pending:
-            self.proc.kill()
-        self.conn.close()
-        self.proc.join()
-        self.proc = self.conn = None
-        self.pending = False
-
-
-def _stage_solutions(lin, Q, caps, starts,
-                     worker: Optional[_StartsWorker] = None) -> List[np.ndarray]:
+def _stage_solutions(lin, Q, caps, starts) -> List[np.ndarray]:
     """SLSQP from each start on the MS stage lin . x + x^T Q x with caps
     x_k <= caps_k (k < n); the solutions in R^{n+1}, in start order.
 
@@ -719,44 +593,37 @@ def _stage_solutions(lin, Q, caps, starts,
     grows as the cube of |F|, not of n + 1.  Each solution is put back into
     a zero row of length n + 1.  With no zero cap F is every coordinate and
     the solutions are those of SLSQP on the whole box, bit for bit.
-    `worker`, if given, solves the trailing half of the starts while this
-    process solves the leading half.
     """
     n = len(caps)
     free = [k for k in range(n) if caps[k] > 0] + [n]
     Qf = Q[np.ix_(free, free)]
-    stage = (lin[free], Qf, Qf + Qf.T, [0.0] * (len(free) - 1) + [0.5],
-             [caps[k] for k in free[:-1]] + [1.0])
-    block = [x0[free] for x0 in starts]
-    half = (len(block) + 1) // 2
-    shared = worker is not None and worker.submit(stage, block[half:])
-    xs = _slsqp_starts(stage, block[:half] if shared else block)
-    if shared:
-        rest = worker.collect()
-        xs += _slsqp_starts(stage, block[half:]) if rest is None else rest
+    f, grad = _stage_functions(lin[free], Qf, Qf + Qf.T)
+    lb = [0.0] * (len(free) - 1) + [0.5]
+    ub = [caps[k] for k in free[:-1]] + [1.0]
     out = []
-    for xf in xs:
+    for x0 in starts:
         x = np.zeros(n + 1)
-        x[free] = xf
+        x[free] = minimize(f, x0[free], method="SLSQP", jac=grad, lb=lb, ub=ub,
+                           maxiter=300, ftol=1e-14)[0]
         out.append(x)
     return out
 
 
-def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
-              rng: np.random.Generator, worker: _StartsWorker) -> np.ndarray:
-    """Row n of the monotone stage: the best of SLSQP from several starts.
+def _ms_stage(ev: StageEvaluator, cfg: OptimizerConfig,
+              rng: np.random.Generator) -> np.ndarray:
+    """Row n = `ev.n` of the monotone stage: the best of SLSQP from several
+    starts on the evaluator's stage quadratic.
 
     The starts are the halved previous row and random repaired points, all
     drawn here: `cfg.restarts` of them, but at least 2 and from n = 21 on
     at most 8.  SLSQP runs on the coordinates the caps leave free
-    (`_stage_solutions`).  From n = `_WORKER_MIN_N` on, `worker` solves the
-    trailing half of the starts while this process solves the leading half;
-    the solutions are then repaired, scored on the whole quadratic and
-    compared in start order, the first strict improvement by more than
-    1e-15 winning, so the row does not depend on where each start ran.
+    (`_stage_solutions`); the solutions are then repaired, scored on the
+    whole quadratic and compared in start order, the first strict
+    improvement by more than 1e-15 winning.
     """
-    lin, Q = (np.array(v, dtype=float) for v in _stage_quadratic(rows, table, n))
-    prev = rows[n - 1]
+    n = ev.n
+    lin, Q = (np.array(v, dtype=float) for v in ev.quadratic)
+    prev = ev.rows[n - 1]
     f, _ = _stage_functions(lin, Q, Q + Q.T)
 
     starts = [_repair_monotone(np.array(prev[:n] + (0.0,)) * 0.5, prev, n)]
@@ -764,10 +631,8 @@ def _ms_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
     for _ in range(nstarts - 1):
         cand = rng.dirichlet(np.ones(n + 1))
         starts.append(_repair_monotone(cand, prev, n))
-    xs = _stage_solutions(lin, Q, prev, starts,
-                          worker if n >= _WORKER_MIN_N else None)
     best, best_val = None, math.inf
-    for x in xs:
+    for x in _stage_solutions(lin, Q, prev, starts):
         x = _repair_monotone(x, prev, n)
         val = f(x)
         if val < best_val - 1e-15 or (best is None):
@@ -920,18 +785,17 @@ def _free_stage_certificate(rows, table: DistanceTable, n: int, x):
     return None if duals is None else _stationarity_gap(*inputs, duals)
 
 
-def _s_stage(rows, table: DistanceTable, n: int, cfg: OptimizerConfig,
+def _s_stage(ev: StageEvaluator, cfg: OptimizerConfig,
              rng: np.random.Generator, warm: np.ndarray):
-    """Row n of the free stage, its stage value, and how the row was found:
-    "stationary" or "searched", with the MS row's stationarity gap (None if
-    it could not be checked).
+    """Row n = `ev.n` of the free stage, its stage value, and how the row was
+    found: "stationary" or "searched", with the MS row's stationarity gap
+    (None if it could not be checked).
 
     The MS row `warm` is the stage's row when its stationarity gap
     (`_free_stage_certificate`) is at most STATIONARY_TOL; then nothing is
     drawn from rng.  Otherwise the search (`_free_search`) runs from it.
     """
-    ev = StageEvaluator(rows, table, n)
-    rho = _free_stage_certificate(rows, table, n, warm)
+    rho = _free_stage_certificate(ev.rows, ev.table, ev.n, warm)
     if rho is not None and rho <= STATIONARY_TOL:
         return warm, ev.exact(warm), "stationary", rho
     return (*_free_search(ev, cfg, rng, warm), "searched", rho)
@@ -981,35 +845,30 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
     for the free stage, and searches otherwise (`_s_stage`); the result's
     `free_stages` records which, per stage.  A run whose free stages are
     all certified draws what the MS run of its seed draws, and returns its
-    rows and R_n bit for bit.
-    From stage `_WORKER_MIN_N` on, where this process may fork and has a
-    second CPU, one forked worker solves half of each stage's SLSQP starts;
-    the worker is joined before this call returns or raises.  The rows and
-    R_n are the same, bit for bit, with or without it.
+    rows and R_n bit for bit.  Each stage builds one `StageEvaluator`, and
+    so one stage quadratic, for its MS row, its stage value and its free
+    stage.
     """
     cfg = cfg or OptimizerConfig()
     if exact:
         return _exact_sequential(N, monotone)
     rng = np.random.default_rng(cfg.seed)
-    worker = _StartsWorker()
     free_stages = []
 
     def stage(rows, table, n):
-        x = _ms_stage(rows, table, n, cfg, rng, worker)
+        ev = StageEvaluator(rows, table, n)
+        x = _ms_stage(ev, cfg, rng)
         if monotone:
-            return x, StageEvaluator(rows, table, n).exact(x)
+            return x, ev.exact(x)
         # the restricted quadratic stage is exact under monotone rows; the
         # free stage keeps its row if that row is certified stationary, and
         # otherwise searches from it, accepting only exact-evaluated
         # improvements
-        row, val, kind, rho = _s_stage(rows, table, n, cfg, rng, x)
+        row, val, kind, rho = _s_stage(ev, cfg, rng, x)
         free_stages.append((kind, rho))
         return row, val
 
-    try:
-        res = _stagewise(N, 1.0, stage)
-    finally:
-        worker.close()
+    res = _stagewise(N, 1.0, stage)
     if not monotone:
         res.free_stages = free_stages
     return res

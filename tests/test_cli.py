@@ -401,11 +401,11 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _python(args, threads):
+def _python(*args, threads=None):
     """Run a fresh interpreter on this checkout with the thread variables
     set as in the dict `threads` and the others removed."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env.update(threads)
+    env.update(threads or {})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
@@ -418,15 +418,35 @@ def test_cli_runs_one_blas_thread_unless_told_otherwise(tmp_path):
     argv = ["-m", "mannrates.cli", "optimize", "--mode", "ms", "--N", "30",
             "--restarts", "8"]
     for name, threads in (("unset", {}), ("pinned", dict.fromkeys(_THREAD_VARS, "1"))):
-        proc = _python(argv + ["--out", str(tmp_path / name)], threads)
+        proc = _python(*argv, "--out", str(tmp_path / name), threads=threads)
         assert proc.returncode == 0, proc.stderr
     for f in ("optimize-ms.csv", "optimize-ms-array.json"):
         assert (tmp_path / "unset" / f).read_bytes() == (tmp_path / "pinned" / f).read_bytes()
     # a count the user sets is left alone
     code = ("import os, mannrates; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
-    proc = _python(["-c", code], {"OPENBLAS_NUM_THREADS": "2"})
+    proc = _python("-c", code, threads={"OPENBLAS_NUM_THREADS": "2"})
     assert proc.stdout.split() == ["2", "1"], proc.stderr
+
+
+def test_the_cli_prints_each_line_once(tmp_path):
+    # stdout is a pipe, so block-buffered: a forked child that flushed the
+    # parent's buffer again would print its lines twice
+    code = "import sys; from mannrates.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _python("-c", code, "optimize", "--mode", "ms", "--N", "12",
+                   "--restarts", "4", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wrote ")
+    assert proc.stderr == ""
+
+
+def test_importing_the_cli_imports_no_multiprocessing():
+    # the CLI's start-up loads no process machinery
+    proc = _python("-c", "import sys, mannrates.cli; "
+                   "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_sidecars_of_reruns_differ_only_in_wall_time(tmp_path):

@@ -10,8 +10,8 @@ method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
 builds an `OptimizationResult`.  The distance table has one rule:
 `distances.extend_table` writes its entries and residuals, besides the
-boundary entries of `empty_table`.  The package starts child processes in
-one place, the MS stage's `optimize._StartsWorker`.  It has one exact
+boundary entries of `empty_table`.  The package starts no child process:
+every optimizer stage runs in the caller's process.  It has one exact
 linear solver, the integer elimination `optimize._bareiss_solve`, and no
 `Fraction` Gaussian elimination beside it.  It solves LPs in one place, the
 free stage certificate's dual proposer `optimize._propose_duals`, so the
@@ -228,20 +228,10 @@ def _process_lines(tree):
             yield node.lineno
 
 
-def test_processes_start_only_in_the_starts_worker():
-    # the MS stage's worker is the package's one child process
-    workers = []
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        inside = set()
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "_StartsWorker":
-                workers.append(path.name)
-                inside = set(range(node.lineno, node.end_lineno + 1))
-        found += [f"{path.name}:{line}" for line in _process_lines(tree)
-                  if line not in inside]
-    assert workers == ["optimize.py"]
+def test_the_package_starts_no_process():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line in _process_lines(ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 

@@ -18,7 +18,7 @@ from mannrates.distances import (_two_point_beta, build_distance_table, empty_ta
                                  pair_distance, two_point_distance)
 from mannrates.halpern import optimal_recursion
 from mannrates.optimize import (SCHEME_PARAMS, STATIONARY_TOL, OptimizeInputError,
-                                OptimizerConfig, StageEvaluator, _StartsWorker,
+                                OptimizerConfig, StageEvaluator,
                                 _bareiss_solve, _exact_qp, _free_search,
                                 _free_stage_certificate, _free_stage_inputs,
                                 _ms_stage, _nelder_mead, _pair_pieces,
@@ -197,14 +197,28 @@ def test_ms_stage_hands_slsqp_only_free_coordinates(monkeypatch):
         return minimize(fun, x0, lb=lb, ub=ub, **kwargs)
 
     monkeypatch.setattr(optimize_module, "minimize", guarded)
-    # in this process, so that every call passes through the guard
-    monkeypatch.setattr(_StartsWorker, "can_fork", staticmethod(lambda: False))
     rows = optimize_sequential(30, OptimizerConfig(restarts=8, seed=0)).array.rows
     zero_caps = [(n, k) for n in range(1, 31) for k in range(n) if rows[n - 1][k] == 0.0]
     assert len(zero_caps) > 100
     assert all(rows[n][k] == 0.0 for n, k in zero_caps)
     # the last stages run on at most half of their n + 1 coordinates
     assert max(sizes[-8:]) <= 16
+
+
+@pytest.mark.parametrize("monotone", [True, False])
+def test_each_stage_builds_one_stage_quadratic(monotone, monkeypatch):
+    # the MS stage's SLSQP, its stage value and the free stage read one
+    # evaluator's quadratic
+    stages = []
+    build = optimize_module._stage_quadratic
+
+    def counting(rows, table, n):
+        stages.append(n)
+        return build(rows, table, n)
+
+    monkeypatch.setattr(optimize_module, "_stage_quadratic", counting)
+    optimize_sequential(12, OptimizerConfig(restarts=4, seed=1), monotone=monotone)
+    assert stages == list(range(1, 13))
 
 
 def _forced_stages(forced: int):
@@ -228,8 +242,10 @@ def _forced_stages(forced: int):
 def _full_box_solutions(lin, Q, caps, starts):
     """SLSQP from each start on the stage's whole box, zero caps included."""
     n = len(caps)
-    return optimize_module._slsqp_starts(
-        (lin, Q, Q + Q.T, [0.0] * n + [0.5], list(caps) + [1.0]), starts)
+    f, grad = optimize_module._stage_functions(lin, Q, Q + Q.T)
+    return [minimize(f, x0, method="SLSQP", jac=grad, lb=[0.0] * n + [0.5],
+                     ub=list(caps) + [1.0], maxiter=300, ftol=1e-14)[0]
+            for x0 in starts]
 
 
 def test_free_block_solve_matches_the_full_box():
@@ -595,10 +611,11 @@ def _pair_rule(ev, cand, k):
         tail += cand[j]
     if ev.rows[m][m] < tail - ev.tol:
         return None, None
+    lin, Q = ev.quadratic
     dot = 0
-    for q, c in zip(ev.Q[k], cand):
+    for q, c in zip(Q[k], cand):
         dot += q * c
-    return "nested", ev.lin[k] + dot
+    return "nested", lin[k] + dot
 
 
 def _stage_value_oracle(ev, cand, cuts):
@@ -684,7 +701,8 @@ def _free_search_run(N, cfg):
     rng = np.random.default_rng(cfg.seed)
 
     def stage(rows, table, n):
-        row, val, kind, _ = _s_stage(rows, table, n, cfg, rng, np.eye(n + 1)[0])
+        row, val, kind, _ = _s_stage(StageEvaluator(rows, table, n), cfg, rng,
+                                     np.eye(n + 1)[0])
         assert kind == "searched"
         return row, val
 
@@ -816,16 +834,15 @@ def test_failed_certificate_runs_the_search():
         rows = random_array(gen, 5)
         table, _ = build_distance_table(TriangularArray(rows))
         assert not check_monotone(rows[:5])
-        # below _WORKER_MIN_N the MS stage forks no worker
-        x = _ms_stage(rows[:5], table, 5, OptimizerConfig(restarts=4),
-                      np.random.default_rng(0), _StartsWorker())
+        x = _ms_stage(StageEvaluator(rows[:5], table, 5), OptimizerConfig(restarts=4),
+                      np.random.default_rng(0))
         cases.append((rows[:5], table, 5, x))
     cfg = OptimizerConfig(restarts=4, seed=0)
     for rows, table, n, x in cases:
         assert _free_stage_certificate(rows, table, n, x) > STATIONARY_TOL
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        row, val, kind, rho = _s_stage(rows, table, n, cfg, rng, x)
+        row, val, kind, rho = _s_stage(StageEvaluator(rows, table, n), cfg, rng, x)
         assert kind == "searched" and rho > STATIONARY_TOL
         assert rng.bit_generator.state != state
         assert val <= StageEvaluator(rows, table, n).exact(project_simplex(x))
