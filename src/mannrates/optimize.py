@@ -12,10 +12,13 @@ blocks and the row itself all come from `schemes.scheme_step`, the rule
 rejects scores inf.
 
 Every stagewise optimizer (MS, S, scheme, Ishikawa and exact) runs one
-stage loop, `_stagewise`, and uses one stage model.  Each optimizer
-supplies only its stage: row n and its stage value.  `StageEvaluator.exact`
-is the stage value: row n scored by the nested transport costs d(k, n)
-against the frozen rows and table.  The loop then freezes the accepted row
+stage loop, `_stagewise`, and uses one stage model.  The loop builds each
+stage's one `StageEvaluator` on the frozen rows and table, and each
+optimizer supplies only its stage, a function of that evaluator that
+returns row n and its stage value; only Ishikawa's two-row lookahead builds
+trial evaluators of its own.  `StageEvaluator.exact` is the stage value:
+row n scored by the nested transport costs d(k, n) against the frozen rows
+and table.  The loop then freezes the accepted row
 with `distances.extend_table`, the table rule that `build_distance_table`
 runs too, so a rebuild of the emitted array reproduces its residuals bit
 for bit.  Each stage certificate, |stage value - R_n of the frozen table|,
@@ -24,7 +27,8 @@ cross-checks the stage value against that rule; in exact mode (a
 The stage value reads each nested-plan pair value from its row of the
 monotone stage quadratic (`_stage_quadratic`), so that formula has one
 copy; the evaluator builds it at its first read and keeps it
-(`StageEvaluator.quadratic`), and an MS stage's SLSQP reads the same one.
+(`StageEvaluator.quadratic`), and an MS stage's SLSQP, the exact MS stage
+and the loop's exact check read the same one.
 
 Float mode uses multistart local search: Nelder-Mead with simplex
 projection, and SLSQP on the monotone-stage quadratic, whose caps
@@ -89,7 +93,10 @@ once, each face's system is solved by fraction-free (Bareiss) Gauss-Jordan
 elimination (`_bareiss_solve`, the package's one exact linear solver), and
 feasibility and the ranking of the candidates compare integers, so only the
 optimum becomes `Fraction`s.  Float and exact monotone stages share one
-stage-quadratic builder.
+stage-quadratic builder.  The exact free stage (n <= 2) enumerates each
+pair's basic plans: every set of M + N - 1 cells whose incidence system
+`_bareiss_solve` can solve is a spanning tree, and the solution is its flow,
+affine in the candidate row (`_tree_flows`); a singular system is no tree.
 """
 
 from __future__ import annotations
@@ -416,12 +423,13 @@ def _stagewise(N: int, one, stage) -> OptimizationResult:
     """The stage loop of every stagewise optimizer: rows 0..N, one at a time.
 
     Row 0 is the Dirac mass `one` (1.0, or Fraction(1) for an exact run),
-    and R_0 = one.  At stage n, `stage(rows, table, n)` returns row n and
-    its stage value against the frozen rows 0..n-1 and their table; the row
+    and R_0 = one.  At stage n the loop builds the stage's one evaluator,
+    `ev = StageEvaluator(rows, table, n)` on the frozen rows 0..n-1 and
+    their table, and `stage(ev)` returns row n and its stage value; the row
     is frozen in the arithmetic of `one` by `extend_table`, and the stage
     certificate is |stage value - R_n|.  An exact run raises
-    ArithmeticError unless the stage value, `StageEvaluator.exact(row)` and
-    R_n are all equal.
+    ArithmeticError unless the stage value, `ev.exact(row)` and R_n are all
+    equal.
     A negative horizon raises OptimizeInputError.
     """
     if N < 0:
@@ -435,9 +443,10 @@ def _stagewise(N: int, one, stage) -> OptimizationResult:
     stage_values = []
     certificates = []
     for n in range(1, N + 1):
-        row, val = stage(rows, table, n)
+        ev = StageEvaluator(rows, table, n)
+        row, val = stage(ev)
         if exact:
-            obj = StageEvaluator(rows, table, n).exact(row)
+            obj = ev.exact(row)
         rows.append(tuple(map(cast, row)))
         extend_table(table, rows, n, exact)
         R = cast(table.residuals[n])
@@ -747,20 +756,22 @@ def _stationarity_gap(x, c, plans, costs, duals):
     return sum(map(mul, x, g)) - min(g)
 
 
-def _free_stage_inputs(rows, table: DistanceTable, n: int, x):
+def _free_stage_inputs(ev: StageEvaluator, x):
     """Row x as plain floats, c_j = d(j-1, n)(x) for j = 0..n (c_0 = 1), and
     each pair's plan, the kernel's (`pair_distance` without the greedy
-    plan), and cost block, against the frozen rows and table."""
+    plan), and cost block, against the evaluator's frozen rows and table."""
+    n, table = ev.n, ev.table
     x = [float(w) for w in x]
-    full = list(rows) + [tuple(x)]
+    full = ev.rows + [tuple(x)]
     plans = [pair_distance(table, full, m, n, allow_greedy=False) for m in range(n)]
     costs = [table.costs(m, n) for m in range(n)]
     return x, [1.0] + [float(p.objective) for p in plans], plans, costs
 
 
-def _free_stage_certificate(rows, table: DistanceTable, n: int, x):
-    """The stationarity gap of row x in the free stage n against the frozen
-    rows and table, or None if no duals were proposed or they fail the check.
+def _free_stage_certificate(ev: StageEvaluator, x):
+    """The stationarity gap of row x in the free stage n = `ev.n` against the
+    evaluator's frozen rows and table, or None if no duals were proposed or
+    they fail the check.
 
     The free stage value is R(x) = x_0 + sum_k x_k d(k-1, n)(x) over the
     simplex.  Each d(k-1, n) is a transport value, convex and piecewise
@@ -768,14 +779,14 @@ def _free_stage_certificate(rows, table: DistanceTable, n: int, x):
     subgradient there, so R'(x; h) >= g.h for g = c + sum_k x_k u^k.  With
     rho = x.g - min_j g_j, R'(x; y - x) >= -rho for every y in the simplex:
     x is first-order stationary within rho.  That is all it proves: R is not
-    convex.  The stage evaluator and its cut pools are not touched.
+    convex.  The evaluator's cut pools are not touched.
 
     The duals checked first are the kernel's own, each plan's (dual_u,
     dual_v); only when they give no gap at most STATIONARY_TOL (degenerate
     plans, whose duals are not unique) does one LP (`_propose_duals`)
     propose others, and the gap of those is returned.
     """
-    inputs = _free_stage_inputs(rows, table, n, x)
+    inputs = _free_stage_inputs(ev, x)
     x, _, plans, _ = inputs
     rho = _stationarity_gap(*inputs, {m: (plan.dual_u, plan.dual_v)
                                       for m, plan in enumerate(plans) if x[m + 1] > 0})
@@ -795,7 +806,7 @@ def _s_stage(ev: StageEvaluator, cfg: OptimizerConfig,
     (`_free_stage_certificate`) is at most STATIONARY_TOL; then nothing is
     drawn from rng.  Otherwise the search (`_free_search`) runs from it.
     """
-    rho = _free_stage_certificate(ev.rows, ev.table, ev.n, warm)
+    rho = _free_stage_certificate(ev, warm)
     if rho is not None and rho <= STATIONARY_TOL:
         return warm, ev.exact(warm), "stationary", rho
     return (*_free_search(ev, cfg, rng, warm), "searched", rho)
@@ -845,9 +856,9 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
     for the free stage, and searches otherwise (`_s_stage`); the result's
     `free_stages` records which, per stage.  A run whose free stages are
     all certified draws what the MS run of its seed draws, and returns its
-    rows and R_n bit for bit.  Each stage builds one `StageEvaluator`, and
-    so one stage quadratic, for its MS row, its stage value and its free
-    stage.
+    rows and R_n bit for bit.  Each stage's MS row, stage value and free
+    stage read the one `StageEvaluator` of the stage loop, and so one stage
+    quadratic.
     """
     cfg = cfg or OptimizerConfig()
     if exact:
@@ -855,8 +866,7 @@ def optimize_sequential(N: int, cfg: OptimizerConfig = None, monotone: bool = Tr
     rng = np.random.default_rng(cfg.seed)
     free_stages = []
 
-    def stage(rows, table, n):
-        ev = StageEvaluator(rows, table, n)
+    def stage(ev):
         x = _ms_stage(ev, cfg, rng)
         if monotone:
             return x, ev.exact(x)
@@ -1002,8 +1012,8 @@ def optimize_scheme(kind: str, N: int) -> OptimizationResult:
     coeffs: Dict[str, list] = {"alpha": [0.0], "beta": [0.0]}
     keys = SCHEME_PARAMS[kind]
 
-    def grid_stage(rows, table, n):
-        ev = StageEvaluator(rows, table, n)
+    def grid_stage(ev):
+        rows, n = ev.rows, ev.n
 
         def obj(params):
             return ev.surrogate(scheme_step(kind, n, rows, params))
@@ -1051,9 +1061,9 @@ def _segment_stage(kind: str, coeffs: Dict[str, list]):
     """
     key, = SCHEME_PARAMS[kind]
 
-    def stage(rows, table, n):
+    def stage(ev):
+        rows, n = ev.rows, ev.n
         one = rows[0][0]
-        ev = StageEvaluator(rows, table, n)
         p, q = (scheme_step(kind, n, rows, (s,)) for s in (0 * one, one))
         t, closed = _segment_search(ev, p, q)
         row = scheme_step(kind, n, rows, (t,))
@@ -1150,8 +1160,9 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
     """
     pair = None  # the block's (beta, alpha)
 
-    def stage(rows, table, n):
+    def stage(ev):
         nonlocal pair
+        rows, table, n = ev.rows, ev.table, ev.n
         if n % 2:
             last = min(n + 1, N)
 
@@ -1171,7 +1182,7 @@ def _ishikawa_stage(N: int, coeffs: Dict[str, list]):
         row = scheme_step("ishikawa", n, rows, (a, b))
         coeffs["alpha"].append(a)
         coeffs["beta"].append(b)
-        return row, StageEvaluator(rows, table, n).exact(row)
+        return row, ev.exact(row)
 
     return stage
 
@@ -1341,14 +1352,17 @@ EXACT_MS_LIMIT = 4
 EXACT_S_LIMIT = 2
 
 
-def _exact_ms_stage(rows, table, n):
-    lin, Q = _stage_quadratic(rows, table, n)
+def _exact_ms_stage(ev: StageEvaluator):
+    """Global exact monotone stage n = `ev.n` on the evaluator's stage
+    quadratic."""
+    n = ev.n
+    lin, Q = ev.quadratic
     ineqs = []
     for i in range(n):
         a = [Fraction(0)] * (n + 1)
         a[i] = Fraction(-1)
         ineqs.append((a, Fraction(0)))  # x_i >= 0; x_n >= 1/2 bounds x_n
-    prev = rows[n - 1]
+    prev = ev.rows[n - 1]
     for k in range(n):
         a = [Fraction(0)] * (n + 1)
         a[k] = Fraction(1)
@@ -1359,128 +1373,71 @@ def _exact_ms_stage(rows, table, n):
     return _exact_qp(lin, Q, ineqs, n + 1)
 
 
-def _spanning_cells(M, N):
-    """Cell sets of size M+N-1 forming spanning trees of the bipartite graph."""
-    cells = [(i, j) for i in range(M) for j in range(N)]
-    for combo in itertools.combinations(cells, M + N - 1):
-        # connectivity + acyclicity via union-find
-        parent = list(range(M + N))
+def _tree_flows(cells, a, N):
+    """The flows on `cells` from the source margins a (M weights) to N
+    target margins b, as affine functions of b: {cell: [const, coef_b0, ...,
+    coef_b{N-1}]}; None if the cells are not a spanning tree.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for (i, j) in combo:
-            ri, rj = find(i), find(M + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if ok and len({find(x) for x in range(M + N)}) == 1:
-            yield combo
-
-
-def _tree_flows_affine(combo, a_fixed, M, N, d):
-    """Flows on a spanning tree as affine functions of the target margins.
-
-    Each flow is a vector [const, coef_b0, ..., coef_b{N-1}]; source margins
-    a_fixed are exact constants.
+    The flows solve the incidence system of the M + N - 1 cells: one
+    equation per source and one per target but the last, which sum b =
+    sum a implies, so b_{N-1} never enters.  It is nonsingular exactly when
+    the cells form a spanning tree of the bipartite graph.  Each right-hand
+    side, the source margins and each target's unit vector, all over the
+    common denominator L of a, is solved by `_bareiss_solve`.
     """
-    zero = [Fraction(0)] * (N + 1)
-    margins_s = []
-    for ai in a_fixed:
-        v = zero[:]
-        v[0] = Fraction(ai)
-        margins_s.append(v)
-    margins_t = []
-    for j in range(N):
-        v = zero[:]
-        v[1 + j] = Fraction(1)
-        margins_t.append(v)
-    deg = {}
-    for (i, j) in combo:
-        deg[("s", i)] = deg.get(("s", i), 0) + 1
-        deg[("t", j)] = deg.get(("t", j), 0) + 1
-    remaining = set(combo)
-    flows = {}
-    while remaining:
-        leaf_cell = None
-        for (i, j) in remaining:
-            if deg[("s", i)] == 1:
-                leaf_cell, node = (i, j), ("s", i)
-                break
-            if deg[("t", j)] == 1:
-                leaf_cell, node = (i, j), ("t", j)
-                break
-        i, j = leaf_cell
-        if node[0] == "s":
-            flows[(i, j)] = margins_s[i][:]
-            margins_t[j] = [x - y for x, y in zip(margins_t[j], flows[(i, j)])]
-        else:
-            flows[(i, j)] = margins_t[j][:]
-            margins_s[i] = [x - y for x, y in zip(margins_s[i], flows[(i, j)])]
-        remaining.discard(leaf_cell)
-        deg[("s", i)] -= 1
-        deg[("t", j)] -= 1
-    return flows
+    (a,), L = common_denominator([list(a)])
+    M = len(a)
+    incidence = ([[int(s == i) for s, _ in cells] for i in range(M)]
+                 + [[int(t == j) for _, t in cells] for j in range(N - 1)])
+    sides = [a + [0] * (N - 1)] + [[0] * M + [L * (j == t) for j in range(N - 1)]
+                                   for t in range(N - 1)]
+    cols = []
+    for rhs in sides:
+        sol = _bareiss_solve([r + [v] for r, v in zip(incidence, rhs)])
+        if sol is None:
+            return None
+        y, det = sol
+        cols.append([Fraction(v, det * L) for v in y])
+    return {cell: [col[p] for col in cols] + [Fraction(0)]
+            for p, cell in enumerate(cells)}
 
 
-def _exact_s_stage(rows, table, n):
-    """Global exact free stage for n <= EXACT_S_LIMIT.
+def _exact_s_stage(ev: StageEvaluator):
+    """Global exact free stage n = `ev.n` for n <= EXACT_S_LIMIT.
 
-    Transport costs d(k, n) are minima over spanning-tree basic plans whose
-    flows are affine in the candidate row; enumerating the plan choice per
-    pair turns the stage into finitely many exact QPs with the plans'
-    feasibility inequalities appended.
+    Transport costs d(k-1, n) are minima over spanning-tree basic plans
+    whose flows are affine in the candidate row (`_tree_flows`); enumerating
+    the plan choice per pair, the Dirac pair's one tree included, turns the
+    stage into finitely many exact QPs whose inequalities are the plans'
+    flows >= 0.  The Dirac pair's flows are the row itself, so its rows hold
+    x >= 0.
     """
+    n = ev.n
     d = n + 1
-    base_ineqs = []
-    for i in range(d):
-        a = [Fraction(0)] * d
-        a[i] = Fraction(-1)
-        base_ineqs.append((a, Fraction(0)))
-
-    # k = 1 term: source is the Dirac row, unique plan z_{0j} = x_j
-    lin0 = [Fraction(0)] * d
-    Q0 = [[Fraction(0)] * d for _ in range(d)]
-    lin0[0] = Fraction(1)
-    c0 = table.costs(0, n)[0]  # d(-1, j-1)
-    if n >= 1:
-        for j in range(d):
-            Q0[1][j] += Fraction(c0[j])
-
-    branch_sets = []
-    for k in range(2, n + 1):
-        m = k - 1
-        M, N_ = m + 1, d
-        costs = table.costs(m, n)
+    branch_sets = []  # per pair d(m, n), in order
+    for m in range(n):
+        costs = ev.table.costs(m, n)
+        cells = [(i, j) for i in range(m + 1) for j in range(d)]
         choices = []
-        for combo in _spanning_cells(M, N_):
-            flows = _tree_flows_affine(combo, rows[m], M, N_, d)
+        for combo in itertools.combinations(cells, m + d):
+            flows = _tree_flows(combo, ev.rows[m], d)
+            if flows is None:
+                continue
             cost_vec = [Fraction(0)] * (d + 1)
             for (i, j), fv in flows.items():
                 cij = Fraction(costs[i][j])
                 cost_vec = [cv + cij * f for cv, f in zip(cost_vec, fv)]
-            feas = []
-            for fv in flows.values():
-                a = [-fv[1 + t] for t in range(d)]
-                feas.append((a, fv[0]))  # flow >= 0  <=>  -coef.x <= const
-            choices.append((k, cost_vec, feas))
+            # flow >= 0  <=>  -coef.x <= const
+            feas = [([-c for c in fv[1:]], fv[0]) for fv in flows.values()]
+            choices.append((cost_vec, feas))
         branch_sets.append(choices)
 
     best = None
-    for branch in itertools.product(*branch_sets) if branch_sets else [()]:
-        lin = lin0[:]
-        Q = [row[:] for row in Q0]
-        ineqs = [(a[:], b) for a, b in base_ineqs]
-        for (k, cost_vec, feas) in branch:
-            lin[k] += cost_vec[0]
-            for j in range(d):
-                Q[k][j] += cost_vec[1 + j]
-            ineqs.extend(feas)
+    for branch in itertools.product(*branch_sets):
+        # x_0 + sum_k x_k d(k-1, n): pair k's plan cost, affine in x, is row k
+        lin = [Fraction(1)] + [cost_vec[0] for cost_vec, _ in branch]
+        Q = [[Fraction(0)] * d] + [cost_vec[1:] for cost_vec, _ in branch]
+        ineqs = [f for _, feas in branch for f in feas]
         try:
             val, x = _exact_qp(lin, Q, ineqs, d)
         except OptimizeInputError:
@@ -1496,9 +1453,9 @@ def _exact_sequential(N: int, monotone: bool) -> OptimizationResult:
         raise OptimizeInputError(
             f"exact mode supports N <= {limit} for this strategy")
 
-    def stage(rows, table, n):
+    def stage(ev):
         # looked up at each call, so the module globals can be patched
-        val, x = (_exact_ms_stage if monotone else _exact_s_stage)(rows, table, n)
+        val, x = (_exact_ms_stage if monotone else _exact_s_stage)(ev)
         return x, val
 
     return _stagewise(N, Fraction(1), stage)

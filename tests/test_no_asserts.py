@@ -8,7 +8,9 @@ has one implementation, `optimize._nelder_mead`, and SLSQP one,
 imports no `minimize` from scipy, and every `minimize` call names
 method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
-builds an `OptimizationResult`.  The distance table has one rule:
+builds an `OptimizationResult`.  The stage loop builds each stage's one
+`StageEvaluator`; only Ishikawa's two-row lookahead builds trial ones.
+The distance table has one rule:
 `distances.extend_table` writes its entries and residuals, besides the
 boundary entries of `empty_table`.  The package starts no child process:
 every optimizer stage runs in the caller's process.  It has one exact
@@ -125,6 +127,35 @@ def test_optimization_results_come_from_one_stage_loop():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "OptimizationResult"}
     assert found == {"_stagewise", "optimize_fixed_horizon"}
+
+
+def _calls_by_function(tree, callee):
+    """The qualified name of the innermost function around each call of
+    `callee` by name in `tree` ("<module>" outside any function)."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, ast.FunctionDef):
+                inner = child.name if name == "<module>" else f"{name}.{child.name}"
+            elif (isinstance(child, ast.Call)
+                  and getattr(child.func, "id", None) == callee):
+                found.add(name)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_stage_evaluators_come_from_the_stage_loop():
+    # judged by the innermost function around each StageEvaluator(...) call
+    found = {f"{path.name}:{name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name in _calls_by_function(ast.parse(path.read_text(), str(path)),
+                                            "StageEvaluator")}
+    assert found == {"optimize.py:_stagewise",
+                     "optimize.py:_ishikawa_stage.stage.block_obj"}
 
 
 def test_table_entries_come_from_one_table_rule():

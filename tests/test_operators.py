@@ -188,10 +188,10 @@ def test_kim_iterates_start():
     ("mannrates.halpern.affine_theta", lambda betas: Fraction(0),
      lambda: affine_optimal(3, exact=True)),
     ("mannrates.optimize._exact_ms_stage",
-     lambda rows, table, n: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
+     lambda ev: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
      lambda: optimize_sequential(1, exact=True)),
     ("mannrates.optimize._exact_s_stage",
-     lambda rows, table, n: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
+     lambda ev: (Fraction(0), (Fraction(1, 2), Fraction(1, 2))),
      lambda: optimize_sequential(1, monotone=False, exact=True)),
 ])
 def test_invariant_violations_raise(monkeypatch, target, fake, call):

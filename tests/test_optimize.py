@@ -25,7 +25,7 @@ from mannrates.optimize import (SCHEME_PARAMS, STATIONARY_TOL, OptimizeInputErro
                                 _propose_duals, _repair_monotone, _s_stage,
                                 _segment_search, _segment_stage,
                                 _stage_quadratic, _stagewise,
-                                _stationarity_gap, fit_slope,
+                                _stationarity_gap, _tree_flows, fit_slope,
                                 minimize, optimize_fixed_horizon,
                                 optimize_scheme, optimize_sequential,
                                 project_simplex)
@@ -208,7 +208,8 @@ def test_ms_stage_hands_slsqp_only_free_coordinates(monkeypatch):
 @pytest.mark.parametrize("monotone", [True, False])
 def test_each_stage_builds_one_stage_quadratic(monotone, monkeypatch):
     # the MS stage's SLSQP, its stage value and the free stage read one
-    # evaluator's quadratic
+    # evaluator's quadratic, and so do the exact MS stage and the loop's
+    # exact check
     stages = []
     build = optimize_module._stage_quadratic
 
@@ -219,6 +220,10 @@ def test_each_stage_builds_one_stage_quadratic(monotone, monkeypatch):
     monkeypatch.setattr(optimize_module, "_stage_quadratic", counting)
     optimize_sequential(12, OptimizerConfig(restarts=4, seed=1), monotone=monotone)
     assert stages == list(range(1, 13))
+    if monotone:
+        stages.clear()
+        optimize_sequential(4, exact=True)
+        assert stages == [1, 2, 3, 4]
 
 
 def _forced_stages(forced: int):
@@ -700,9 +705,8 @@ def _free_search_run(N, cfg):
     rows are the ones a free stage emits when its certificate fails."""
     rng = np.random.default_rng(cfg.seed)
 
-    def stage(rows, table, n):
-        row, val, kind, _ = _s_stage(StageEvaluator(rows, table, n), cfg, rng,
-                                     np.eye(n + 1)[0])
+    def stage(ev):
+        row, val, kind, _ = _s_stage(ev, cfg, rng, np.eye(ev.n + 1)[0])
         assert kind == "searched"
         return row, val
 
@@ -803,10 +807,11 @@ def test_stationarity_check_decides_not_the_proposer():
     res = optimize_sequential(6, OptimizerConfig(restarts=4, seed=1))
     rows, table = res.array.rows, res.table
     for n in range(2, 7):
-        x, c, plans, costs = _free_stage_inputs(rows[:n], table, n, rows[n])
+        ev = StageEvaluator(rows[:n], table, n)
+        x, c, plans, costs = _free_stage_inputs(ev, rows[n])
         duals = _propose_duals(x, c, plans, costs)
         rho = _stationarity_gap(x, c, plans, costs, duals)
-        assert rho == _free_stage_certificate(rows[:n], table, n, rows[n])
+        assert rho == _free_stage_certificate(ev, rows[n])
         assert 0 <= rho <= STATIONARY_TOL
         # u_j - v_i = c_ij on a positive flow (i, j): raising u_j breaks
         # dual feasibility there, lowering it complementary slackness
@@ -839,10 +844,11 @@ def test_failed_certificate_runs_the_search():
         cases.append((rows[:5], table, 5, x))
     cfg = OptimizerConfig(restarts=4, seed=0)
     for rows, table, n, x in cases:
-        assert _free_stage_certificate(rows, table, n, x) > STATIONARY_TOL
+        ev = StageEvaluator(rows, table, n)
+        assert _free_stage_certificate(ev, x) > STATIONARY_TOL
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        row, val, kind, rho = _s_stage(StageEvaluator(rows, table, n), cfg, rng, x)
+        row, val, kind, rho = _s_stage(ev, cfg, rng, x)
         assert kind == "searched" and rho > STATIONARY_TOL
         assert rng.bit_generator.state != state
         assert val <= StageEvaluator(rows, table, n).exact(project_simplex(x))
@@ -925,8 +931,8 @@ def test_rational_pair_pieces_match_the_kernel(prefix):
 def test_segment_minimum_beats_a_fine_grid(prefix):
     # the stage's value is no worse than the best of 257 rows on the segment
     kind, rows, table, n, _ = prefix
-    row, val = _segment_stage(kind, {"alpha": [0.0], "beta": [0.0]})(rows, table, n)
     ev = StageEvaluator(rows, table, n)
+    row, val = _segment_stage(kind, {"alpha": [0.0], "beta": [0.0]})(ev)
     assert val == ev.exact(row)
     grid = min(ev.exact(scheme_step(kind, n, rows, (t,)))
                for t in np.linspace(0.0, 1.0, 257).tolist())
@@ -1190,6 +1196,53 @@ def test_exact_ms_stages_pinned(N):
     assert res.stage_values == _EXACT_MS_STAGES[:N]
     assert list(res.array.rows) == _EXACT_MS_ROWS[: N + 1]
     assert res.values[1:] == _EXACT_MS_STAGES[:N]
+
+
+def _is_spanning_tree(cells, M, N):
+    """The union-find rule that `_tree_flows` replaced, kept as its oracle:
+    the cells join the M sources and N targets with no cycle and leave no
+    node isolated."""
+    parent = list(range(M + N))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in cells:
+        ri, rj = find(i), find(M + j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return len({find(x) for x in range(M + N)}) == 1
+
+
+def test_tree_flows_are_the_spanning_tree_plans():
+    # every (M + N - 1)-cell set: flows exactly on the spanning trees, and
+    # at targets b with sum b = sum a they meet both margins exactly
+    gen = random.Random(3)
+
+    def weights(k, total):
+        w = [Fraction(gen.randint(1, 9), gen.randint(1, 9)) for _ in range(k)]
+        return [v * total / sum(w) for v in w]
+
+    for M in range(1, 5):
+        for N in range(M, 5):
+            a = weights(M, 1)
+            cells = [(i, j) for i in range(M) for j in range(N)]
+            for combo in itertools.combinations(cells, M + N - 1):
+                flows = _tree_flows(combo, a, N)
+                assert (flows is None) == (not _is_spanning_tree(combo, M, N))
+                if flows is None:
+                    continue
+                b = weights(N, sum(a))
+                z = {cell: f[0] + sum(c * v for c, v in zip(f[1:], b))
+                     for cell, f in flows.items()}
+                assert [sum(v for (i, _), v in z.items() if i == s)
+                        for s in range(M)] == a
+                assert [sum(v for (_, j), v in z.items() if j == t)
+                        for t in range(N)] == b
 
 
 def _float_stage_quadratic_reference(rows, table, n):
