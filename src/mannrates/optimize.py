@@ -1410,7 +1410,9 @@ def _exact_s_stage(ev: StageEvaluator):
     the plan choice per pair, the Dirac pair's one tree included, turns the
     stage into finitely many exact QPs whose inequalities are the plans'
     flows >= 0.  The Dirac pair's flows are the row itself, so its rows hold
-    x >= 0.
+    x >= 0.  A flow with no coefficient, a leaf source's a_i, is a constant:
+    its row, which would make every face holding it singular, is left out
+    when the constant is >= 0, and the plan when it is < 0.
     """
     n = ev.n
     d = n + 1
@@ -1421,14 +1423,16 @@ def _exact_s_stage(ev: StageEvaluator):
         choices = []
         for combo in itertools.combinations(cells, m + d):
             flows = _tree_flows(combo, ev.rows[m], d)
-            if flows is None:
+            if flows is None or any(not any(fv[1:]) and fv[0] < 0
+                                    for fv in flows.values()):
                 continue
             cost_vec = [Fraction(0)] * (d + 1)
             for (i, j), fv in flows.items():
                 cij = Fraction(costs[i][j])
                 cost_vec = [cv + cij * f for cv, f in zip(cost_vec, fv)]
             # flow >= 0  <=>  -coef.x <= const
-            feas = [([-c for c in fv[1:]], fv[0]) for fv in flows.values()]
+            feas = [([-c for c in fv[1:]], fv[0]) for fv in flows.values()
+                    if any(fv[1:])]
             choices.append((cost_vec, feas))
         branch_sets.append(choices)
 

@@ -15,9 +15,11 @@ decreasing order.  Under the quadrangle inequality, which monotone distance
 tables satisfy, that plan is optimal (Hoffman's Monge argument with the
 deficit columns reversed), so such a pair solves with no pivot; otherwise
 the simplex pivots from it as from any start.
-`greedy_monotone_transport(a, b, c)` is a closed-form construction valid
-under the monotone-row preconditions.  A malformed problem raises
-`TransportInputError` before either solver runs.
+`greedy_monotone_transport(a, b, c)` is the nested plan, a closed form
+valid under the monotone-row preconditions, with the Prop-2 potential as
+its duals; it takes the kernel's input checks, plan assembly (`_plan`) and
+integer scaling.  A malformed problem raises `TransportInputError` before
+either solver runs.
 `staircase_pieces(a, p, q, c)` is the northeast staircase's value as a
 function of t for the targets (1 - t) p + t q, piecewise linear, for a
 pair separated at the source's support; the scheme searches read it.
@@ -409,74 +411,43 @@ def staircase_pieces(a: Sequence, p: Sequence, q: Sequence,
 def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
                               exact: bool = False) -> TransportPlan:
     """Closed-form nested plan for monotone rows (source row a = pi^m, target
-    row b = pi^n, costs c[i][j]).
+    row b = pi^n, M < N weights, costs c[i][j]), with the Prop-2 potential
+    as its duals.
 
-    Requires b_i <= a_i for i <= m and the tail condition
-    a_m >= sum_{j=m}^{n-1} b_j; the cost table must additionally
-    satisfy the quadrangle inequality (caller-checked).  Raises
-    MonotonePreconditionError when the margin conditions fail.  Exact
-    problems are scaled to integers as in `solve_transport`; of the costs,
-    only the entries the plan reads are scaled, once the margin conditions
-    hold.
+    Requires M < N, b_i <= a_i for i <= m and the tail condition
+    a_m >= sum_{j=m}^{n-1} b_j; the cost table must additionally satisfy the
+    quadrangle inequality (caller-checked).  Raises
+    MonotonePreconditionError when a margin condition fails.  The plan keeps
+    b_i on the diagonal, sends b_j to j from the last source m for m < j < n,
+    and every remaining excess to n.  It is assembled by `_plan`, as the
+    kernel's, and exact problems are scaled to integers and mapped back as
+    in `solve_transport`.
     """
     a, b, D = _check_inputs(a, b, c, exact)
-    if exact:
-        flow = _nested_flow(a, b, 0)
-        c, E = _nested_costs(c)
-        return _rational(_nested_plan(flow, c, 0, E), D, E)
-    return _nested_plan(_nested_flow(a, b, FEAS_TOL), c, FEAS_TOL, 1)
-
-
-def _nested_flow(a, b, tol):
-    """The nested plan's flows {(i, j): mass}, or MonotonePreconditionError."""
     M, N = len(a), len(b)
-    if M > N:
-        raise MonotonePreconditionError("source support longer than target support")
+    if M >= N:
+        raise MonotonePreconditionError("source support not shorter than target support")
     m = M - 1
+    tol = 0 if exact else FEAS_TOL
     for i in range(M):
         if b[i] > a[i] + tol:
             raise MonotonePreconditionError(f"target[{i}] > source[{i}]")
     tail = sum(b[m:N - 1])
     if a[m] < tail - tol:
         raise MonotonePreconditionError("tail condition fails")
+    c, E = common_denominator(c) if exact else (c, 1)
 
-    flow = {}
-    for i in range(M):
-        flow[(i, i)] = b[i]
-    for j in range(m + 1, N - 1):
-        flow[(m, j)] = b[j]
-    for i in range(m):
-        flow[(i, N - 1)] = flow.get((i, N - 1), 0) + (a[i] - b[i])
-    flow[(m, N - 1)] = flow.get((m, N - 1), 0) + (a[m] - tail)
-    return {k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}
-
-
-def _nested_costs(c):
-    """The rational costs c as numerators over the least common denominator
-    E of the entries the nested plan reads (the diagonal, the last source
-    row and the last target column), 0 elsewhere, and E."""
-    M, N = len(c), len(c[0])
-    m = M - 1
-    cells = [(i, i) for i in range(m)] + [(i, N - 1) for i in range(m)]
-    cells += [(m, j) for j in range(N)]
-    (scaled,), E = common_denominator(([c[i][j] for i, j in cells],))
-    rows = [[0] * N for _ in range(M)]
-    for (i, j), x in zip(cells, scaled):
-        rows[i][j] = x
-    return rows, E
-
-
-def _nested_plan(flow, c, tol, one):
-    """The nested plan of the given flows, with `one` the unit cost in the
-    units of the costs c."""
-    M, N = len(c), len(c[0])
-    m = M - 1
-    objective = sum(z * c[i][j] for (i, j), z in flow.items())
+    # flows in the order the objective is summed: diagonal, row m, column n
+    flow = {(i, i): b[i] for i in range(M)}
+    flow.update(((m, j), b[j]) for j in range(m + 1, N - 1))
+    flow.update(((i, N - 1), a[i] - b[i]) for i in range(m))
+    flow[(m, N - 1)] = a[m] - tail
+    plan = _plan({k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}, c, tol)
 
     # Prop-2 dual solution, as a single potential over 0..n
-    u = [one - c[i][N - 1] for i in range(M)]
-    u += [one - c[m][N - 1] + c[m][j] for j in range(M, N)]
+    u = [E - c[i][N - 1] for i in range(M)]
+    u += [E - c[m][N - 1] + c[m][j] for j in range(M, N)]
     lo = min(u)
     u = [x - lo for x in u]
-    flows = tuple(sorted((i, j, z) for (i, j), z in flow.items() if z > tol or i == j))
-    return TransportPlan(flows, objective, tuple(u), tuple(u[:M]))
+    plan = replace(plan, dual_u=tuple(u), dual_v=tuple(u[:M]))
+    return _rational(plan, D, E) if exact else plan

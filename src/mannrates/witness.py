@@ -9,9 +9,10 @@ iterates x^k = sum_i pi^k_i y^i then satisfy ||x^m - x^n|| = d(m, n) and
 
 The points are built as numpy arrays, so both arithmetics share one code
 path: the distance table D, the point matrix Y (one row per y^k), the
-potentials extended by a column-wise minimum, and X = Pi @ Y.  Float tables
-use dtype float.  Exact tables use dtype object holding Python integers:
-each entry v becomes v.numerator * (den // v.denominator) over the least
+potentials extended by a column-wise minimum, and X = Pi @ Y.  The rows
+decide the arithmetic: float rows use dtype float, rational rows (every
+weight an int or a `Fraction`) dtype object holding Python integers: each
+entry v becomes v.numerator * (den // v.denominator) over the least
 common denominator `den` of the table, potentials and residuals, and each
 row of Pi the same over the rows' own denominator, so no `Fraction` is
 built or multiplied and no operation pays a gcd.  Pairwise sup norms are
@@ -98,12 +99,16 @@ def build_worst_case_witness(pi: TriangularArray, table: DistanceTable = None,
                              plans: Dict = None) -> WorstCaseWitness:
     """Construct and verify the witness for the rows of the array.
 
-    Raises CertificationError (carrying the offending pair) if any of the
-    three invariants fails beyond `CERT_TOL`.
+    The rows' arithmetic decides the witness's: rows whose every weight is
+    an int or a `Fraction` are rational, and their table (built here in
+    exact mode unless given) and points are held exactly; any float weight
+    makes a float witness.  Raises CertificationError (carrying the
+    offending pair) if any of the three invariants fails beyond `CERT_TOL`.
     """
     N = pi.horizon
+    exact = all(isinstance(v, (int, Fraction)) for r in pi.rows for v in r)
     if table is None or plans is None:
-        table, plans = build_distance_table(pi, keep_plans=True)
+        table, plans = build_distance_table(pi, exact=exact, keep_plans=True)
 
     pairs: List[Tuple[int, int]] = [(m, n) for m in range(-1, N + 1)
                                     for n in range(m, N + 1)]
@@ -111,12 +116,12 @@ def build_worst_case_witness(pi: TriangularArray, table: DistanceTable = None,
     P = [tuple(r) + (0,) * (N - k) for k, r in enumerate(pi.rows)]
     U = [plans[p].dual_u for p in pairs if p[0] >= 0]
     rows = D + U + [table.residuals[: N + 1]]
-    if any(isinstance(v, Fraction) for block in (rows, P) for r in block for v in r):
+    if exact:
         # the points' entries become integers over `den`, the rows of Pi
         # integers over their own `den_p`; X = Pi @ Y then carries
         # den * den_p per unit
         rows, den = common_denominator(_rationals(rows))
-        P, den_p = common_denominator(_rationals(P))
+        P, den_p = common_denominator(P)
         y_unit, x_unit, dtype = Fraction(1, den), Fraction(1, den * den_p), object
     else:
         den_p, y_unit, x_unit, dtype = 1, 1.0, 1.0, float

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mannrates import cli
+from mannrates import cli, witness
 from mannrates.distances import build_distance_table
 from mannrates.optimize import STATIONARY_TOL
 from mannrates.schemes import SCHEME_PARAMS, SchemeSpec, build_rows
@@ -159,6 +159,25 @@ def test_optimize_exact_mode(tmp_path):
     assert code == 0
     rows = _read_csv(os.path.join(out, "optimize-ms.csv"))
     assert float(rows[3][1]) == pytest.approx(17 / 28, abs=1e-15)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_optimize_certify_rebuilds_in_the_rows_arithmetic(tmp_path, monkeypatch, exact):
+    # the witness of an exact run rebuilds its table exactly, a float run's
+    # in floats
+    seen = []
+    build = witness.build_distance_table
+
+    def recording(pi, exact=False, keep_plans=False):
+        seen.append(exact)
+        return build(pi, exact=exact, keep_plans=keep_plans)
+
+    monkeypatch.setattr(witness, "build_distance_table", recording)
+    argv = ["optimize", "--mode", "ms", "--N", "3", "--certify", "--out", str(tmp_path)]
+    assert run(argv + ["--exact"] * exact) == 0
+    assert seen == [exact]
+    rows = _read_csv(tmp_path / "optimize-ms.csv")
+    assert {r[3] for r in rows[1:]} == {"witness-verified"}
 
 
 with open(Path(__file__).parent / "data" / "exact_arrays.json") as fh:

@@ -10,6 +10,9 @@ method="SLSQP".  The stagewise optimizers have one stage loop,
 `optimize._stagewise`: besides it, only the joint fixed-horizon search
 builds an `OptimizationResult`.  The stage loop builds each stage's one
 `StageEvaluator`; only Ishikawa's two-row lookahead builds trial ones.
+Transport plans have one assembly, the kernel's `transport._plan`, which
+the nested plan shares; besides it only `transport._rational` and the
+identity plan of `distances.extend_table` build a `TransportPlan`.
 The distance table has one rule:
 `distances.extend_table` writes its entries and residuals, besides the
 boundary entries of `empty_table`.  The package starts no child process:
@@ -156,6 +159,18 @@ def test_stage_evaluators_come_from_the_stage_loop():
                                             "StageEvaluator")}
     assert found == {"optimize.py:_stagewise",
                      "optimize.py:_ishikawa_stage.stage.block_obj"}
+
+
+def test_transport_plans_come_from_one_plan_assembly():
+    # judged by the innermost function around each TransportPlan(...) call:
+    # the kernel's `_plan` assembles every solved plan, `_rational` maps an
+    # integer plan back, and `extend_table` writes the (n, n) identity plan
+    found = {f"{path.name}:{name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name in _calls_by_function(ast.parse(path.read_text(), str(path)),
+                                            "TransportPlan")}
+    assert found == {"transport.py:_plan", "transport.py:_rational",
+                     "distances.py:extend_table"}
 
 
 def test_table_entries_come_from_one_table_rule():

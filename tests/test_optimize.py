@@ -55,6 +55,26 @@ def test_exact_depth_two():
                                      Fraction(4, 7))
 
 
+def test_exact_free_stage_drops_constant_flow_rows(monkeypatch):
+    # a flow row with no coefficient makes every face holding it singular;
+    # with those rows left out, N = 2 solves 273 face systems, 33 singular
+    # (315 and 75 with them), and the optimum is the same
+    faces = []
+    solve = optimize_module._face_stationary_point
+
+    def counting(*args):
+        point = solve(*args)
+        faces.append(point is None)
+        return point
+
+    monkeypatch.setattr(optimize_module, "_face_stationary_point", counting)
+    res = optimize_sequential(2, monotone=False, exact=True)
+    assert (len(faces), sum(faces)) == (273, 33)
+    assert res.values == [1, Fraction(3, 4), Fraction(17, 28)]
+    assert res.array.rows == ((Fraction(1),), (Fraction(1, 2), Fraction(1, 2)),
+                              (Fraction(5, 14), Fraction(1, 14), Fraction(4, 7)))
+
+
 def test_float_matches_exact_small_horizons():
     ex = optimize_sequential(4, monotone=True, exact=True)
     fl = optimize_sequential(4, OptimizerConfig(restarts=8), monotone=True)

@@ -14,14 +14,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mannrates import transport
-from mannrates.distances import build_distance_table
+from mannrates.distances import build_distance_table, pair_distance
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
 from mannrates.transport import (MonotonePreconditionError, NotSeparatedError,
                                  TransportInputError, greedy_monotone_transport,
                                  solve_transport, staircase_pieces)
 from mannrates.witness import build_worst_case_witness
 
-from conftest import random_simplex
+from conftest import random_monotone_array, random_simplex
 
 
 def _linprog_oracle(a, b, c):
@@ -180,8 +180,6 @@ def test_diagonal_saturation_on_metric_costs(rng):
 
 
 def test_greedy_matches_simplex_on_monotone_rows(rng):
-    from conftest import random_monotone_array
-
     for _ in range(5):
         rows = random_monotone_array(rng, 6)
         pi = TriangularArray(rows)
@@ -201,6 +199,26 @@ def test_greedy_rejects_non_nested_margins():
     with pytest.raises(MonotonePreconditionError):
         greedy_monotone_transport((0.2, 0.8), (0.5, 0.2, 0.3),
                                   ((0, 1, 1), (1, 0, 1)))
+
+
+def test_equal_length_pairs_meet_both_margins(rng):
+    # the nested plan sends the last source's excess to a later target, so
+    # it refuses an equal-length pair, and pair_distance solves it
+    for a in ((1.0,), (0.5, 0.5), (Fraction(1, 3), Fraction(2, 3))):
+        c = [[int(i != j) for j in range(len(a))] for i in range(len(a))]
+        with pytest.raises(MonotonePreconditionError):
+            greedy_monotone_transport(a, a, c, exact=isinstance(a[0], Fraction))
+    for _ in range(20):
+        rows = random_monotone_array(rng, 12)
+        table, _ = build_distance_table(TriangularArray(rows))
+        for m in range(13):
+            plan = pair_distance(table, rows, m, m)
+            out, into = [0.0] * (m + 1), [0.0] * (m + 1)
+            for i, j, z in plan.flows:
+                out[i] += z
+                into[j] += z
+            assert out == pytest.approx(rows[m], abs=1e-12), m
+            assert into == pytest.approx(rows[m], abs=1e-12), m
 
 
 def test_exact_mode_returns_fractions():
