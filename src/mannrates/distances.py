@@ -4,10 +4,11 @@ The table is built bottom-up: d(m, n) is the optimal transport cost between
 rows m and n with costs given by previously computed entries d(i-1, j-1).
 Residuals follow as R_n = sum_i pi^n_i d(i-1, n).  One rule fills a column:
 `extend_table` takes the two-point (Halpern-structured) closed form when
-both rows are two-point rows, else a transport solve, greedy only while the
-rows so far are monotone.  `build_distance_table` and every optimizer's
-stage freeze call it, so a table built from an array and one frozen row by
-row hold the same values.
+both rows are two-point rows, else `pair_distance`: the nested plan, then
+the northeast staircase of a separated pair, both only while the rows so
+far are monotone, and else the transport kernel.  `build_distance_table`
+and every optimizer's stage freeze call it, so a table built from an array
+and one frozen row by row hold the same values.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .schemes import TriangularArray, check_monotone
-from .transport import (MonotonePreconditionError, TransportPlan,
-                        greedy_monotone_transport, solve_transport)
+from .transport import (MonotonePreconditionError, NotSeparatedError,
+                        TransportPlan, greedy_monotone_transport,
+                        solve_transport, staircase_transport)
 
 
 @dataclass
@@ -62,13 +64,31 @@ def empty_table(N: int) -> DistanceTable:
 
 
 def pair_distance(table: DistanceTable, rows, m: int, n: int,
-                  exact: bool = False, allow_greedy: bool = True) -> TransportPlan:
-    """Transport plan realizing d(m, n); greedy fast path when valid."""
+                  exact: bool = False, allow_greedy: bool = True,
+                  nested: bool = True, duals: bool = True) -> TransportPlan:
+    """Transport plan realizing d(m, n) on the table's cost block, by the
+    first rule that applies.
+
+    `allow_greedy` is the caller's word that the block meets the quadrangle
+    inequality, as it does while the rows are monotone (`check_monotone`).
+    Then two closed forms are optimal and come first: the nested plan
+    (`greedy_monotone_transport`, unless `nested` is False) where its
+    margin conditions hold, then the northeast staircase of a separated
+    pair (`staircase_transport`), which is the kernel's plan bit for bit
+    and carries duals only if `duals`.  Every other pair goes to the
+    kernel, `solve_transport`.
+    """
     costs = table.costs(m, n)
     if allow_greedy:
+        if nested:
+            try:
+                return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact)
+            except MonotonePreconditionError:
+                pass
         try:
-            return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact)
-        except MonotonePreconditionError:
+            return staircase_transport(rows[m], rows[n], costs, exact=exact,
+                                       duals=duals)
+        except NotSeparatedError:
             pass
     return solve_transport(rows[m], rows[n], costs, exact=exact)
 
@@ -90,11 +110,13 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
     """Fill d(m, n) for 0 <= m < n and R_n from rows 0..n: the table rule.
 
     A pair of two-point rows takes the closed form `two_point_distance`;
-    any other pair takes `pair_distance`, whose greedy plan is optimal
-    under the quadrangle inequality, itself guaranteed while rows 0..n are
-    monotone, so it is allowed only then.  With `plans`, each pair's
-    transport plan (and the identity plan of (n, n)) is kept for the
-    witness's duals; the stored d(m, n) is still the rule's.
+    any other pair takes `pair_distance`, whose nested plan and staircase
+    are optimal under the quadrangle inequality, itself guaranteed while
+    rows 0..n are monotone, so they are allowed only then; else the
+    kernel.  With `plans`, each pair's transport plan (and the identity
+    plan of (n, n)) is kept for the witness's duals; the stored d(m, n) is
+    still the rule's.  Without, only the values are read, so a staircase
+    builds no duals.
     """
     nb = _two_point_beta(rows[n])
     allow_greedy = check_monotone(rows[:n + 1], exact=exact)
@@ -102,7 +124,8 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
         mb = _two_point_beta(rows[m]) if nb is not None else None
         if mb is None or plans is not None:
             plan = pair_distance(table, rows, m, n, exact=exact,
-                                 allow_greedy=allow_greedy)
+                                 allow_greedy=allow_greedy,
+                                 duals=plans is not None)
             if plans is not None:
                 plans[(m, n)] = plan
         table.set_d(m, n, plan.objective if mb is None else

@@ -62,11 +62,13 @@ stage value is piecewise quadratic in t, and one sweep over the merged
 breakpoints minimizes each piece in closed form (`_segment_search`), in
 float or `Fraction` arithmetic.
 The free search and the two-parameter scheme searches rank candidates on a
-cutting-plane surrogate and confirm them with exact pair solves by the
-certified transport kernel (`transport.solve_transport`), whose dual
-potentials become the cuts.  Every two-parameter scheme kind, and each
-Ishikawa block, is searched the same way: the best point of a grid,
-refined by Nelder-Mead clipped to [0, 1]^2.  The float
+cutting-plane surrogate and confirm them with exact pair solves, whose
+dual potentials become the cuts: the certified transport kernel
+(`transport.solve_transport`), or on monotone frozen rows the northeast
+staircase of a separated pair, the kernel's plan without its pivots.
+Every two-parameter scheme kind, and each Ishikawa block, is searched the
+same way: the best point of a grid, refined by Nelder-Mead clipped to
+[0, 1]^2.  The float
 search does its per-candidate work on plain Python floats: the free search
 projects Nelder-Mead's list of floats with `_project_list`, a Python sort
 and running sum; the stage value turns each candidate into a list of floats
@@ -310,8 +312,12 @@ class StageEvaluator:
     Each pair d(k-1, n) takes the first rule that applies: the two-point
     closed form when both rows are two-point rows; the nested-plan closed
     form when the frozen rows are monotone and the candidate meets that
-    plan's margin conditions; else the certified transport kernel through
-    `pair_distance`.  Float or `Fraction` arithmetic follows the rows.
+    plan's margin conditions (caps within 1e-12); else `pair_distance`
+    without the nested plan, whose margin checks allow 1e-10: the
+    northeast staircase of a separated pair when the frozen rows are
+    monotone, else the certified transport kernel.  Either gives the
+    kernel's plan and duals.  Float or `Fraction` arithmetic follows the
+    rows.
 
     The per-pair distance d(m, n) is a convex piecewise-linear function of
     the candidate margins: the max of u.cand - v.pi^m over dual-feasible
@@ -355,7 +361,7 @@ class StageEvaluator:
     def _value(self, cand, cuts):
         """cand_0 + sum_k cand_k d(k-1, n), one pass over the pairs.  A pair
         without a closed form reads its best harvested cut when `cuts` is set
-        and it has one, else it is solved by the transport kernel."""
+        and it has one, else it is solved (`_solve_pair`)."""
         n, tol, rows, monotone = self.n, self.tol, self.rows, self.monotone
         betas, dcol, caps = self.betas, self.dcol, self.caps
         pool_U, pool_c = self.pool_U, self.pool_c
@@ -404,11 +410,13 @@ class StageEvaluator:
         return total if self.rational else float(total)
 
     def _solve_pair(self, cand, k):
-        """Exact d(k-1, n) at the candidate by the transport kernel; its duals
-        go to the pool as the cut u.cand - v.pi^m."""
+        """Exact d(k-1, n) at the candidate by the kernel's plan (the
+        staircase on monotone frozen rows); its duals go to the pool as the
+        cut u.cand - v.pi^m."""
         m = k - 1
         plan = pair_distance(self.table, self.rows + [tuple(cand)], m, self.n,
-                             exact=self.rational, allow_greedy=False)
+                             exact=self.rational, allow_greedy=self.monotone,
+                             nested=False)
         u = np.asarray(plan.dual_u, dtype=float)
         c = -sum(v * a for v, a in zip(plan.dual_v, self.rows[m]))
         if self.pool_U[m] is None:
@@ -758,8 +766,8 @@ def _stationarity_gap(x, c, plans, costs, duals):
 
 def _free_stage_inputs(ev: StageEvaluator, x):
     """Row x as plain floats, c_j = d(j-1, n)(x) for j = 0..n (c_0 = 1), and
-    each pair's plan, the kernel's (`pair_distance` without the greedy
-    plan), and cost block, against the evaluator's frozen rows and table."""
+    each pair's plan, the kernel's (`pair_distance` without the closed
+    forms), and cost block, against the evaluator's frozen rows and table."""
     n, table = ev.n, ev.table
     x = [float(w) for w in x]
     full = ev.rows + [tuple(x)]

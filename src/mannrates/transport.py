@@ -1,6 +1,11 @@
 """Exact solvers for the small transportation problems between coefficient rows.
 
-Both solvers take plain sequences: margins a (the source row, M weights)
+A pair of rows takes the first rule that applies: the two-point closed
+form (`distances.two_point_distance`), the nested plan, the northeast
+staircase, the kernel; the two closed forms in the middle only on costs
+that meet the quadrangle inequality, which the caller vouches for
+(`distances.pair_distance`, while the rows are monotone).
+The solvers take plain sequences: margins a (the source row, M weights)
 and b (the target row, N weights), each nonnegative and summing to 1, and
 costs c with c[i][j] the cost of moving mass from i to j, M rows of N
 entries.  `solve_transport(a, b, c)` returns an optimal plan with dual
@@ -18,8 +23,12 @@ the simplex pivots from it as from any start.
 `greedy_monotone_transport(a, b, c)` is the nested plan, a closed form
 valid under the monotone-row preconditions, with the Prop-2 potential as
 its duals; it takes the kernel's input checks, plan assembly (`_plan`) and
-integer scaling.  A malformed problem raises `TransportInputError` before
-either solver runs.
+integer scaling.  `staircase_transport(a, b, c)` is the kernel's plan of a
+separated pair without the kernel: the same corner fill (`_corner`), the
+objective summed in the kernel's order, and the certificate's potential as
+its duals when they are asked for; no pricing and no certificate run, so
+it is the kernel's plan bit for bit only under the quadrangle inequality.
+A malformed problem raises `TransportInputError` before any solver runs.
 `staircase_pieces(a, p, q, c)` is the northeast staircase's value as a
 function of t for the targets (1 - t) p + t q, piecewise linear, for a
 pair separated at the source's support; the scheme searches read it.
@@ -67,8 +76,10 @@ class MonotonePreconditionError(TransportError):
 
 
 class NotSeparatedError(TransportError):
-    """A target weight exceeds the source's on the source's support, so the
-    staircase does not apply."""
+    """The pair is not separated, so the staircase does not apply: an excess
+    row lies at or above a deficit column (`staircase_transport`), or a
+    target weight exceeds the source's on the source's support
+    (`staircase_pieces`)."""
 
 
 @dataclass(frozen=True)
@@ -133,13 +144,53 @@ def _arc(q, parent, M):
     return (q, parent[q] - M) if q < M else (parent[q], q - M)
 
 
+def _corner(a, b):
+    """The northwest-corner fill of margins a and b in the order they come.
+
+    Each step puts t = min(rest of a_i, rest of b_j) on cell (i, j),
+    subtracts it from both, and moves to the next source once source i is
+    used up or target j is the last, else to the next target.  On a basis tree
+    over nodes 0..M-1 (sources) and M..M+N-1 (targets), rooted at source 0,
+    each step hangs one new node on an earlier one.  Returns the M+N-1 steps
+    in fill order as (node, parent, i, j, t).
+    """
+    M, N = len(a), len(b)
+    ar, br = list(a), list(b)
+    steps = []
+    i = j = 0
+    node, par = M, 0
+    while True:
+        t = ar[i] if ar[i] <= br[j] else br[j]
+        ar[i] -= t
+        br[j] -= t
+        steps.append((node, par, i, j, t))
+        if i == M - 1 and j == N - 1:
+            return steps
+        if i < M - 1 and (ar[i] == 0 or j == N - 1):
+            i += 1
+            node, par = i, M + j
+        else:
+            j += 1
+            node, par = M + j, i
+
+
+def _potentials(steps, c, M):
+    """Node potentials of the corner's tree (`_corner`'s steps, M sources):
+    u_j - v_i = c_ij on each step's cell (i, j) and v_0 = 0, as one list,
+    the sources' v first, then the targets' u."""
+    pot = [0] * (len(steps) + 1)
+    for node, par, i, j, _ in steps:
+        pot[node] = pot[par] + c[i][j] if node >= M else pot[par] - c[i][j]
+    return pot
+
+
 def _simplex(a, b, c, tol):
     """Transportation simplex from the northwest corner of the given order.
 
-    The start fills sources 0, 1, ... against targets 0, 1, ... in the order
-    the margins come; a caller picks the start by ordering them.  Returns
-    ({(i, j): flow} on the M+N-1 basic cells, u, v) with u_j - v_i = c_ij on
-    the basis and v_0 = 0.  The basis is a spanning tree on nodes 0..M-1
+    The start (`_corner`) fills sources 0, 1, ... against targets 0, 1, ...
+    in the order the margins come; a caller picks the start by ordering
+    them.  Returns ({(i, j): flow} on the M+N-1 basic cells, u, v) with
+    u_j - v_i = c_ij on the basis and v_0 = 0.  The basis is a spanning tree on nodes 0..M-1
     (sources) and M..M+N-1 (targets), rooted at source 0 and kept as
     parent/depth/children arrays: a pivot finds the entering cycle by walking
     up to the common ancestor and shifts the duals of the subtree the
@@ -152,27 +203,14 @@ def _simplex(a, b, c, tol):
     if not M or not N:
         return {}, [], []
     F = [[0] * N for _ in range(M)]
-    parent, depth, pot = [-1] * (M + N), [0] * (M + N), [0] * (M + N)
+    parent, depth = [-1] * (M + N), [0] * (M + N)
     children = [[] for _ in range(M + N)]
-    ar, br = list(a), list(b)
-    i = j = 0
-    node, par = M, 0  # each northwest cell hangs one new node on the tree
-    while True:
-        t = ar[i] if ar[i] <= br[j] else br[j]
+    steps = _corner(a, b)
+    pot = _potentials(steps, c, M)
+    for node, par, i, j, t in steps:
         F[i][j] = t
-        ar[i] -= t
-        br[j] -= t
         parent[node], depth[node] = par, depth[par] + 1
         children[par].append(node)
-        pot[node] = pot[par] + c[i][j] if node >= M else pot[par] - c[i][j]
-        if i == M - 1 and j == N - 1:
-            break
-        if i < M - 1 and (ar[i] == 0 or j == N - 1):
-            i += 1
-            node, par = i, M + j
-        else:
-            j += 1
-            node, par = M + j, i
 
     degenerate = 0
     for _ in range(_MAX_PIVOTS):
@@ -250,11 +288,20 @@ def _plan(flow, c, tol):
     return TransportPlan(flows, objective, (), ())
 
 
+def _potential(c, sources, v, N):
+    """p_j = min_i (v_i + c_ij) over the given sources, j = 0..N-1, shifted
+    to minimum 0 (all 0 without sources)."""
+    cols = [[vi + x for x in c[i]] for i, vi in zip(sources, v)]
+    p = list(map(min, zip(*cols))) if cols else [0] * N
+    lo = min(p)
+    return [x - lo for x in p]
+
+
 def _certify(a, b, c, plan, sources, v, tol):
     """The plan with one potential p over all indices as its duals, or None.
 
-    p_j = min_i (v_i + c_ij) over the given sources, shifted to minimum 0.
-    The plan is returned only if p_j - p_i <= c_ij on every cell and the
+    p_j = min_i (v_i + c_ij) over the given sources, shifted to minimum 0
+    (`_potential`).  The plan is returned only if p_j - p_i <= c_ij on every cell and the
     dual objective of p equals the plan's cost, exactly for Fractions and
     within DUAL_TOL for floats: then both are optimal.  For metric costs
     both checks hold and p is 1-Lipschitz.
@@ -262,10 +309,7 @@ def _certify(a, b, c, plan, sources, v, tol):
     M, N = len(a), len(b)
     if M > N:
         return None
-    cols = [[vi + x for x in c[i]] for i, vi in zip(sources, v)]
-    p = list(map(min, zip(*cols))) if cols else [0] * N
-    lo = min(p)
-    p = [x - lo for x in p]
+    p = _potential(c, sources, v, N)
     slack = DUAL_TOL if tol else 0
     for i in range(M):
         if max(map(sub, p, c[i])) > p[i] + slack:
@@ -299,17 +343,29 @@ def solve_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     return _solve(a, b, c, FEAS_TOL)
 
 
+def _reduction(a, b):
+    """The excess-to-deficit problem of margins a and b, M <= N: the rows
+    I = {k: a_k > b_k} and columns J = {k: b_k > a_k} (a_k = 0 for k >= M),
+    their excess a_i - b_i and deficit b_j - a_j, and whether the pair is
+    separated, every row of I below every column of J.  J comes in
+    increasing order, or decreasing for a separated pair, so that the corner
+    fill of a separated pair is its northeast staircase."""
+    M, N = len(a), len(b)
+    excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
+    I = [k for k in range(N) if excess[k] > 0]
+    J = [k for k in range(N) if excess[k] < 0]
+    separated = bool(I and J and I[-1] < J[0])
+    if separated:
+        J.reverse()
+    return I, J, [excess[i] for i in I], [-excess[j] for j in J], separated
+
+
 def _solve(a, b, c, tol):
     """`solve_transport` on margin lists a, b and costs c of one arithmetic."""
     M, N = len(a), len(b)
     if M <= N:
-        excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
-        I = [k for k in range(N) if excess[k] > 0]
-        J = [k for k in range(N) if excess[k] < 0]
-        if I and J and I[-1] < J[0]:
-            J.reverse()  # separated: start from the northeast staircase
-        reduced, _, v = _simplex([excess[i] for i in I], [-excess[j] for j in J],
-                                 [[c[i][j] for j in J] for i in I], tol)
+        I, J, ea, eb, _ = _reduction(a, b)
+        reduced, _, v = _simplex(ea, eb, [[c[i][j] for j in J] for i in I], tol)
         flow = {(k, k): min(a[k], b[k]) for k in range(M)}
         flow.update(((I[i], J[j]), z) for (i, j), z in reduced.items())
         plan = _certify(a, b, c, _plan(flow, c, tol), I, v, tol)
@@ -322,6 +378,58 @@ def _solve(a, b, c, tol):
         return certified
     lo = min(min(u), min(v))
     return replace(plan, dual_u=tuple(x - lo for x in u), dual_v=tuple(x - lo for x in v))
+
+
+def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
+                        exact: bool = False, duals: bool = True) -> TransportPlan:
+    """The northeast staircase of a separated pair: `solve_transport`'s
+    plan for it, bit for bit, on costs that meet the quadrangle inequality.
+
+    The pair (M <= N weights) is separated when every excess row
+    (a_k > b_k) lies below every deficit column (b_k > a_k), else
+    NotSeparatedError.  The shared mass min(a_k, b_k) stays on the diagonal,
+    and the excess rows, upward, fill the deficit columns, downward, by the
+    kernel's corner fill (`_corner`): the start `solve_transport` takes for
+    such a pair, optimal under the quadrangle inequality (Hoffman's Monge
+    argument with the deficit columns reversed), so the kernel makes no
+    pivot from it.  The objective is summed in the kernel's order.  With
+    `duals`, the duals are `_certify`'s potential p_j = min_i (v_i + c_ij)
+    over the excess rows, shifted to minimum 0, from the staircase's tree
+    potentials v, an O(|I| N) pass; without, the plan carries none.  No
+    certificate is run: the caller vouches for the quadrangle inequality,
+    which monotone rows give a distance table (`schemes.check_monotone`).
+    Inputs are checked, and exact problems scaled to integers and mapped
+    back, as in `solve_transport`.
+    """
+    a, b, D = _check_inputs(a, b, c, exact)
+    if exact:
+        c, E = common_denominator(c)
+        return _rational(_staircase(a, b, c, 0, duals), D, E)
+    return _staircase(a, b, c, FEAS_TOL, duals)
+
+
+def _staircase(a, b, c, tol, duals):
+    """`staircase_transport` on margin lists a, b and costs c of one
+    arithmetic."""
+    M = len(a)
+    if M > len(b):
+        raise NotSeparatedError("source row longer than the target row")
+    I, J, ea, eb, separated = _reduction(a, b)
+    if not separated:
+        raise NotSeparatedError("an excess row does not lie below every deficit column")
+    # the corner's steps on the pair's own indices; their nodes stay those
+    # of the reduced problem, I's |I| sources and then J's targets
+    steps = [(node, par, I[i], J[j], t) for node, par, i, j, t in _corner(ea, eb)]
+    flow = {(k, k): min(a[k], b[k]) for k in range(M)}
+    # the kernel lists its basis by node, sources 1, 2, ... then targets
+    # 0, 1, ..., and `_plan` sums the objective in that order
+    flow.update(((i, j), t) for _, _, i, j, t in sorted(steps))
+    plan = _plan(flow, c, tol)
+    if not duals:
+        return plan
+    v = _potentials(steps, c, len(I))[:len(I)]
+    p = _potential(c, I, v, len(b))
+    return replace(plan, dual_u=tuple(p), dual_v=tuple(p[:M]))
 
 
 def common_denominator(rows):

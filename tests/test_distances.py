@@ -206,20 +206,24 @@ def test_pair_distance_hands_the_kernels_the_table_block(monkeypatch, pi, exact,
     seen = []
 
     def recording(kernel):
-        def run(a, b, c, exact=False):
+        def run(a, b, c, exact=False, **kwargs):
             seen.append((kernel.__name__, a, b, c, exact))
-            return kernel(a, b, c, exact=exact)
+            return kernel(a, b, c, exact=exact, **kwargs)
         return run
 
-    for name in ("solve_transport", "greedy_monotone_transport"):
+    for name in ("solve_transport", "greedy_monotone_transport", "staircase_transport"):
         monkeypatch.setattr(distances, name, recording(getattr(distances, name)))
     for n in range(pi.horizon + 1):
         for m in range(n):
             seen.clear()
             plan = pair_distance(table, pi.rows, m, n, exact=exact,
                                  allow_greedy=allow_greedy)
-            assert seen[0][0] == ("greedy_monotone_transport" if allow_greedy
-                                  else "solve_transport")
+            # the km rows are monotone: a pair the nested plan refuses is
+            # separated, and the staircase takes it
+            assert [name for name, *_ in seen] in (
+                [["greedy_monotone_transport"],
+                 ["greedy_monotone_transport", "staircase_transport"]]
+                if allow_greedy else [["solve_transport"]])
             for _, a, b, c, ex in seen:
                 assert (a, b, ex) == (pi.rows[m], pi.rows[n], exact)
                 assert c == [[table.d(i - 1, j - 1) for j in range(n + 1)]

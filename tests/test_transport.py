@@ -5,23 +5,33 @@ basic feasible solutions (spanning trees of the bipartite support graph)
 and (b) scipy's LP solver, both of which share no code with it.
 """
 
+import collections
+import importlib
 import itertools
+import json
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mannrates import transport
+from mannrates import distances, transport
 from mannrates.distances import build_distance_table, pair_distance
-from mannrates.schemes import SchemeSpec, TriangularArray, build_rows
+from mannrates.optimize import StageEvaluator, optimize_scheme
+from mannrates.schemes import (SchemeSpec, TriangularArray, build_rows, check_monotone,
+                               scheme_step)
 from mannrates.transport import (MonotonePreconditionError, NotSeparatedError,
                                  TransportInputError, greedy_monotone_transport,
-                                 solve_transport, staircase_pieces)
+                                 solve_transport, staircase_pieces,
+                                 staircase_transport)
 from mannrates.witness import build_worst_case_witness
 
 from conftest import random_monotone_array, random_simplex
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _linprog_oracle(a, b, c):
@@ -545,6 +555,136 @@ def test_separated_pairs_solve_to_the_northeast_staircase(inst):
     assert abs(Fraction(fl.objective) - ex.objective) <= 1e-14
 
 
+# -- separated pairs on monotone tables skip the kernel ----------------------
+
+@st.composite
+def _monotone_arrays(draw):
+    """A monotone array of horizon 1..8 in `Fraction`s and its float twin:
+    random monotone rows (each weight of the row above kept by a factor 0,
+    1/4, 1/2 or 3/4, the rest moved to the new last weight), km rows, or
+    Halpern rows with increasing stepsizes."""
+    N = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "km", "halpern"]))
+    if kind == "random":
+        rows = [(Fraction(1),)]
+        for _ in range(N):
+            r = [x * Fraction(draw(st.integers(0, 3)), 4) for x in rows[-1]]
+            rows.append(tuple(r + [1 - sum(r)]))
+        return (TriangularArray(rows),
+                TriangularArray([tuple(map(float, r)) for r in rows]))
+    steps = [Fraction(draw(st.integers(1, 19)), 20) for _ in range(N)]
+    name = "alphas" if kind == "km" else "betas"
+    steps = steps if kind == "km" else sorted(steps)
+    return tuple(build_rows(SchemeSpec(kind, **{name: (zero, *map(cast, steps))}), N)
+                 for zero, cast in ((Fraction(0), Fraction), (0.0, float)))
+
+
+@given(_monotone_arrays())
+def test_separated_pairs_get_the_kernels_plan(arrays):
+    # every pair of a monotone table is separated; the staircase is the
+    # kernel's plan bit for bit, and pair_distance hands it to every pair
+    # the nested plan refuses, duals included
+    for pi, exact in zip(arrays, (True, False)):
+        rows = pi.rows
+        assert check_monotone(rows, exact=exact)
+        table, plans = build_distance_table(pi, exact=exact, keep_plans=True)
+        bare, _ = build_distance_table(pi, exact=exact)
+        assert repr(list(bare.csv_rows())) == repr(list(table.csv_rows()))
+        assert repr(bare.residuals) == repr(table.residuals)
+        for n in range(1, pi.horizon + 1):
+            for m in range(n):
+                c = table.costs(m, n)
+                kernel = solve_transport(rows[m], rows[n], c, exact=exact)
+                assert staircase_transport(rows[m], rows[n], c, exact=exact) == kernel
+                value = staircase_transport(rows[m], rows[n], c, exact=exact,
+                                            duals=False)
+                assert value == replace(kernel, dual_u=(), dual_v=())
+                try:
+                    greedy_monotone_transport(rows[m], rows[n], c, exact=exact)
+                    continue
+                except MonotonePreconditionError:
+                    pass
+                assert pair_distance(table, rows, m, n, exact=exact) == kernel
+                assert plans[(m, n)] == kernel
+
+
+def _unstructured_rows(monkeypatch, tmp_path):
+    """The unstructured N=16 array of perfbench's `tables` workload, seed 0."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    importlib.import_module("workloads").build("tables", 0, tmp_path)
+    with open(tmp_path / "unstructured.json") as fh:
+        return [tuple(r) for r in json.load(fh)["rows"]]
+
+
+def test_the_staircase_needs_monotone_rows(monkeypatch, tmp_path):
+    # off monotone rows the staircase can be far from optimal: such pairs
+    # keep the kernel's value in the table and in the stage value
+    rows = _unstructured_rows(monkeypatch, tmp_path)
+    table, _ = build_distance_table(TriangularArray(rows))
+    worst = 0.0
+    for n in range(1, len(rows)):
+        if check_monotone(rows[:n + 1]):
+            continue
+        for m in range(n):
+            c = table.costs(m, n)
+            kernel = solve_transport(rows[m], rows[n], c)
+            assert table.d(m, n) == kernel.objective, (m, n)
+            assert pair_distance(table, rows, m, n, allow_greedy=False) == kernel
+            try:
+                stair = staircase_transport(rows[m], rows[n], c)
+            except NotSeparatedError:
+                continue
+            worst = max(worst, abs(stair.objective - kernel.objective))
+        ev = StageEvaluator(rows[:n], table, n)
+        if not ev.monotone:
+            assert ev.exact(rows[n]) == table.residuals[n], n
+    assert worst > 1e-2
+
+
+def test_km_search_sends_no_pair_to_the_kernel(monkeypatch):
+    # every frozen prefix of a km run is monotone, so the freeze and the
+    # stage value take each pair by a closed form; the kernel once took 86
+    calls = collections.Counter()
+
+    def counting(fn):
+        def run(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in ("solve_transport", "staircase_transport"):
+        monkeypatch.setattr(distances, name, counting(getattr(distances, name)))
+    optimize_scheme("km", 12)
+    assert calls["solve_transport"] == 0
+    assert calls["staircase_transport"] > 0
+
+
+def test_stage_value_cuts_are_the_kernels_on_monotone_rows():
+    # the stage value's kernel pairs on monotone frozen rows take the
+    # staircase; its value and the cut it harvests are the kernel's
+    res = optimize_scheme("km", 12)
+    rows, table = list(res.array.rows), res.table
+    staircase = 0
+    for n in range(2, 13):
+        ev = StageEvaluator(rows[:n], table, n)
+        assert ev.monotone
+        for alpha in (0.05, 0.3, 0.7, 0.95):
+            cand = scheme_step("km", n, rows[:n], (alpha,))
+            for k in range(1, n + 1):
+                m = k - 1
+                kernel = solve_transport(rows[m], cand, table.costs(m, n))
+                before = 0 if ev.pool_U[m] is None else len(ev.pool_U[m])
+                assert ev._solve_pair(cand, k) == kernel.objective
+                assert ev.pool_U[m][before].tolist() == list(kernel.dual_u)
+                assert ev.pool_c[m][before] == -sum(
+                    v * a for v, a in zip(kernel.dual_v, rows[m]))
+                try:
+                    greedy_monotone_transport(rows[m], cand, table.costs(m, n))
+                except MonotonePreconditionError:
+                    staircase += 1
+    assert staircase > 0
+
+
 # -- the staircase along a segment of targets ---------------------------------
 
 def _separated_target(draw, a, n):
@@ -600,8 +740,6 @@ def test_staircase_pieces_are_the_kernel_value(inst):
 def test_staircase_is_the_kernel_on_the_km_table():
     # a fixed pair is the segment p = q: one piece, the kernel's value within
     # one unit in the last place of 1, on every pair of the km N=12 optimum
-    from mannrates.optimize import optimize_scheme
-
     res = optimize_scheme("km", 12)
     rows, table = res.array.rows, res.table
     for n in range(1, 13):

@@ -33,6 +33,10 @@ from mannrates import cli  # noqa: E402
 KINDS = ("halpern", "km", "inertial-halpern", "inertial-km", "km-halpern",
          "extra-km", "ishikawa")
 
+# km stepsizes over 0..16 that alternate high and low, so that the nested
+# plan refuses 49 of the table's 136 pairs and the staircase takes them
+KM_ALPHAS = "0,0.5,0.9,0.3,0.8,0.2,0.7,0.1,0.6,0.4,0.95,0.25,0.75,0.15,0.65,0.35,0.55"
+
 CORPUS = (
     [f"optimize --mode s --exact --N {N}" for N in range(3)]
     + [f"optimize --mode ms --exact --N {N}" for N in range(1, 5)]
@@ -50,6 +54,9 @@ CORPUS = (
     + [f"reproduce --target {t}" for t in ("fig3", "fig4", "fig5")]
     + ["bounds --scheme km --alpha constant:0.5 --certify",
        "bounds --scheme km --alpha constant:1/3 --N 16 --exact --certify"]
+    + [f"bounds --scheme km --alpha {KM_ALPHAS} --N 16{flags}"
+       for flags in ("", " --certify", " --exact", " --exact --certify")]
+    + ["optimize --mode scheme --kind km --N 60"]
 )
 
 VARYING = ("wall_time", "out")  # sidecar entries that differ from run to run
