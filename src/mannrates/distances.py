@@ -8,7 +8,11 @@ both rows are two-point rows, else `pair_distance`: the nested plan, then
 the northeast staircase of a separated pair, both only while the rows so
 far are monotone, and else the transport kernel.  `build_distance_table`
 and every optimizer's stage freeze call it, so a table built from an array
-and one frozen row by row hold the same values.
+and one frozen row by row hold the same values.  A freeze that keeps no
+plans reads values only: the two closed forms sum their plans' nonzero
+flows on the table's own storage, and each new row is checked for
+monotonicity once, against the row before it, with the result kept on the
+table.
 """
 
 from __future__ import annotations
@@ -24,20 +28,37 @@ from .transport import (MonotonePreconditionError, NotSeparatedError,
 
 @dataclass
 class DistanceTable:
-    """Symmetric table over indices -1..N plus the residual series R_0..R_N."""
+    """Symmetric table over indices -1..N plus the residual series R_0..R_N,
+    and how far the rows of its extended columns are monotone."""
 
     horizon: int
     _d: List[List[object]]  # (N+2) x (N+2), index k stored at k+1
     residuals: List[object]
+    # rows 0..k-1 are monotone (`schemes.check_monotone`), each row checked
+    # once, against the row before it, as `extend_table` adds its column:
+    # k is the number of columns added while every row so far is monotone,
+    # else the first row that is not
+    monotone_rows: int = 0
 
     def d(self, m: int, n: int):
         return self._d[m + 1][n + 1]
 
+    def row(self, m: int) -> List[object]:
+        """Row m of the table's storage, in place: d(m, j - 1) at index j,
+        j = 0..N + 1.  It is the table's own list; do not modify it."""
+        return self._d[m + 1]
+
     def costs(self, m: int, n: int) -> List[List[object]]:
         """The transport costs c[i][j] = d(i-1, j-1) between rows m and n,
-        0 <= i <= m, 0 <= j <= n: the (m+1) x (n+1) block of the table's
-        own storage."""
+        0 <= i <= m, 0 <= j <= n: a copy of the (m+1) x (n+1) block of the
+        table's own storage."""
         return [r[:n + 1] for r in self._d[:m + 1]]
+
+    def monotone(self, n: int) -> bool:
+        """Whether rows 0..n are monotone, as `extend_table` found them when
+        it added their columns; False before column n is added, so a table
+        whose entries were written otherwise has no monotone rows."""
+        return n < self.monotone_rows
 
     def set_d(self, m: int, n: int, value) -> None:
         self._d[m + 1][n + 1] = value
@@ -45,7 +66,7 @@ class DistanceTable:
 
     def copy(self) -> DistanceTable:
         return DistanceTable(self.horizon, [r[:] for r in self._d],
-                             list(self.residuals))
+                             list(self.residuals), self.monotone_rows)
 
     def csv_rows(self):
         for m in range(-1, self.horizon + 1):
@@ -65,32 +86,37 @@ def empty_table(N: int) -> DistanceTable:
 
 def pair_distance(table: DistanceTable, rows, m: int, n: int,
                   exact: bool = False, allow_greedy: bool = True,
-                  nested: bool = True, duals: bool = True) -> TransportPlan:
+                  nested: bool = True, value: bool = False):
     """Transport plan realizing d(m, n) on the table's cost block, by the
-    first rule that applies.
+    first rule that applies; with `value`, d(m, n) alone.
 
     `allow_greedy` is the caller's word that the block meets the quadrangle
     inequality, as it does while the rows are monotone (`check_monotone`).
     Then two closed forms are optimal and come first: the nested plan
     (`greedy_monotone_transport`, unless `nested` is False) where its
     margin conditions hold, then the northeast staircase of a separated
-    pair (`staircase_transport`), which is the kernel's plan bit for bit
-    and carries duals only if `duals`.  Every other pair goes to the
-    kernel, `solve_transport`.
+    pair (`staircase_transport`), which is the kernel's plan bit for bit,
+    duals included.  Every other pair goes to the kernel, `solve_transport`.
+    With `value` the closed forms build no plan: they sum their plans'
+    nonzero flows on the table's storage, read in place, and give the
+    plan's objective bit for bit; only the kernel reads a copy of the cost
+    block (`DistanceTable.costs`).
     """
-    costs = table.costs(m, n)
     if allow_greedy:
+        costs = table._d if value else table.costs(m, n)
         if nested:
             try:
-                return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact)
+                return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact,
+                                                 value=value)
             except MonotonePreconditionError:
                 pass
         try:
             return staircase_transport(rows[m], rows[n], costs, exact=exact,
-                                       duals=duals)
+                                       value=value)
         except NotSeparatedError:
             pass
-    return solve_transport(rows[m], rows[n], costs, exact=exact)
+    plan = solve_transport(rows[m], rows[n], table.costs(m, n), exact=exact)
+    return plan.objective if value else plan
 
 
 def _two_point_beta(row):
@@ -113,23 +139,32 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
     any other pair takes `pair_distance`, whose nested plan and staircase
     are optimal under the quadrangle inequality, itself guaranteed while
     rows 0..n are monotone, so they are allowed only then; else the
-    kernel.  With `plans`, each pair's transport plan (and the identity
-    plan of (n, n)) is kept for the witness's duals; the stored d(m, n) is
-    still the rule's.  Without, only the values are read, so a staircase
-    builds no duals.
+    kernel.  Row n is checked against row n - 1 only (`check_monotone`),
+    and only while rows 0..n-1 are monotone; the table keeps the result
+    (`DistanceTable.monotone`).  Columns are added in order, n = 0, 1, ....
+    With `plans`, each pair's transport plan (and the identity plan of
+    (n, n)) is kept for the witness's duals; the stored d(m, n) is still
+    the rule's.  Without, only the values are read: the closed forms build
+    no plan and copy no cost block.
     """
+    if table.monotone_rows == n and (
+            n == 0 or check_monotone(rows[:n + 1], exact, start=n)):
+        table.monotone_rows = n + 1
+    allow_greedy = table.monotone_rows > n
     nb = _two_point_beta(rows[n])
-    allow_greedy = check_monotone(rows[:n + 1], exact=exact)
     for m in range(n):
         mb = _two_point_beta(rows[m]) if nb is not None else None
-        if mb is None or plans is not None:
-            plan = pair_distance(table, rows, m, n, exact=exact,
-                                 allow_greedy=allow_greedy,
-                                 duals=plans is not None)
-            if plans is not None:
-                plans[(m, n)] = plan
-        table.set_d(m, n, plan.objective if mb is None else
-                    two_point_distance(mb, nb, table.d(m - 1, n - 1)))
+        if plans is not None:
+            plans[(m, n)] = plan = pair_distance(table, rows, m, n, exact=exact,
+                                                 allow_greedy=allow_greedy)
+        if mb is not None:
+            d = two_point_distance(mb, nb, table.d(m - 1, n - 1))
+        elif plans is not None:
+            d = plan.objective
+        else:
+            d = pair_distance(table, rows, m, n, exact=exact,
+                              allow_greedy=allow_greedy, value=True)
+        table.set_d(m, n, d)
     if plans is not None:
         plans[(n, n)] = TransportPlan(tuple((i, i, w) for i, w in enumerate(rows[n])),
                                       0, (0,) * (n + 1), (0,) * (n + 1))

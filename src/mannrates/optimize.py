@@ -119,8 +119,7 @@ from scipy.optimize._slsqplib import slsqp
 from .distances import (DistanceTable, _two_point_beta, build_distance_table,
                         empty_table, extend_table, pair_distance,
                         two_point_distance)
-from .schemes import (SCHEME_PARAMS, SchemeError, TriangularArray, check_monotone,
-                      scheme_step)
+from .schemes import SCHEME_PARAMS, SchemeError, TriangularArray, scheme_step
 from .transport import (DUAL_TOL, NotSeparatedError, common_denominator,
                         staircase_pieces)
 
@@ -301,8 +300,9 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
 
 
 def _dcol(table: DistanceTable, n: int) -> List[float]:
-    """d(i-1, n-1) for i = 0..n (the cost column used by stage n)."""
-    return [table.d(i - 1, n - 1) for i in range(n + 1)]
+    """d(i-1, n-1) for i = 0..n (the cost column used by stage n), read off
+    the table's symmetric storage as row n - 1."""
+    return table.row(n - 1)[:n + 1]
 
 
 class StageEvaluator:
@@ -326,6 +326,11 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
+    Whether the frozen rows are monotone is read off the table
+    (`DistanceTable.monotone`), which checked each row once, as the freeze
+    added its column; a table whose entries were written otherwise has no
+    monotone rows, and its pairs go to the kernel.
+
     One loop over the pairs (`_value`) serves both entry points; the pair
     rules are written out in it.  A float candidate becomes a list of plain
     floats once per call, and the ndarray the cuts multiply is built once,
@@ -341,7 +346,7 @@ class StageEvaluator:
         self.n = n
         self.rational = isinstance(self.rows[0][0], Fraction)
         self.tol = 0 if self.rational else 1e-12
-        self.monotone = check_monotone(self.rows, exact=self.rational)
+        self.monotone = table.monotone(n - 1)
         self.dcol = _dcol(table, n)
         # the nested plan's margin caps pi^m_i + tol, per frozen row m
         self.caps = ([[w + self.tol for w in r] for r in self.rows]
@@ -484,23 +489,24 @@ def _stage_quadratic(rows, table: DistanceTable, n: int):
     """Objective of the monotone stage as lin . x + x^T Q x over x in R^{n+1}.
 
     Nested lists in the arithmetic of the rows (float or Fraction); row 0 is
-    the Dirac mass, so rows[0][0] is the one of that arithmetic.
+    the Dirac mass, so rows[0][0] is the one of that arithmetic.  Row k of
+    Q is -d(i-1, n-1) for i <= k - 1 and d(k-2, j-1) - d(k-2, n-1) for
+    j >= k, each added to a zero of that arithmetic (0.0 + -0.0 is 0.0);
+    the second part is read off the table's storage row k - 2 in place.
     """
     one = rows[0][0]
     zero = 0 * one
     dcol = _dcol(table, n)
     lin = [zero] * (n + 1)
-    Q = [[zero] * (n + 1) for _ in range(n + 1)]
+    Q = [[zero] * (n + 1)]
     lin[0] = one
     for k in range(1, n + 1):
         m = k - 1
-        prow = rows[m]
-        lin[k] = sum(prow[i] * dcol[i] for i in range(m + 1))
-        for i in range(m + 1):
-            Q[k][i] -= dcol[i]
-        base = table.d(m - 1, n - 1)
-        for j in range(m + 1, n + 1):
-            Q[k][j] += table.d(m - 1, j - 1) - base
+        lin[k] = sum(map(mul, rows[m], dcol))
+        drow = table.row(m - 1)
+        base = drow[n]
+        Q.append([zero - x for x in dcol[:k]]
+                 + [zero + (x - base) for x in drow[k:n + 1]])
     return lin, Q
 
 
@@ -508,8 +514,9 @@ def _repair_monotone(x: np.ndarray, prev, n: int) -> np.ndarray:
     """Project a candidate onto the monotone stage polytope (cheap exact repair)."""
     x = np.maximum(x, 0.0)
     out = np.empty(n + 1)
-    for k in range(n):
-        out[k] = min(x[k], prev[k])
+    # min(x_k, prev_k) per coordinate: np.minimum returns its second
+    # argument on a tie, min() its first, so a tie of 0.0 and -0.0 keeps x_k
+    out[:n] = np.minimum(prev[:n], x[:n])
     s = math.fsum(out[:n])
     if s > 0.5:
         scale = 0.5 / s
@@ -559,7 +566,7 @@ def minimize(fun, x0, *, method, jac, lb, ub, maxiter, ftol):
     indices = np.zeros(2 * n + 3, dtype=np.int32)
     mult = np.zeros(2 * n + 3)
     C = np.ones((1, n), order="F")  # the constraint's normal, constant
-    d = np.array([x.sum() - 1.0])
+    d = np.array([np.add.reduce(x) - 1.0])  # x.sum() without its wrapper
     # the memo: the last point asked for (an array and its list), and f and
     # the gradient there once evaluated
     xm = x.copy()
@@ -578,7 +585,7 @@ def minimize(fun, x0, *, method, jac, lb, ub, maxiter, ftol):
             if fm is None:
                 fm = fun(xm)
             fx = fm
-            d[0] = x.sum() - 1.0
+            d[0] = np.add.reduce(x) - 1.0
         else:
             if gm is None:
                 gm = jac(xm)

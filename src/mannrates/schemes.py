@@ -183,12 +183,14 @@ def _one_like(spec):
     return 1
 
 
-def check_monotone(rows, exact: bool = False) -> bool:
+def check_monotone(rows, exact: bool = False, start: int = 1) -> bool:
     """Whether the rows are monotone, which enables the greedy transport fast
     path: pi^n_n > 0 and pi^n_i <= pi^{n-1}_i for i < n, each within 1e-12
-    unless `exact`."""
+    unless `exact`.  Only rows start.. are checked, each against the row
+    before it; a distance table checks each row once, as it adds its column
+    (`distances.extend_table`)."""
     tol = 0 if exact else 1e-12
-    for n in range(1, len(rows)):
+    for n in range(start, len(rows)):
         row = rows[n]
         if row[n] <= tol or any(w > p + tol for w, p in zip(row, rows[n - 1])):
             return False

@@ -28,6 +28,11 @@ separated pair without the kernel: the same corner fill (`_corner`), the
 objective summed in the kernel's order, and the certificate's potential as
 its duals when they are asked for; no pricing and no certificate run, so
 it is the kernel's plan bit for bit only under the quadrangle inequality.
+Both closed forms take `value=True` from a caller that needs the value
+alone (a table freeze without kept plans): they then build no plan, sum
+the plan's nonzero flows in `_plan`'s order over the rows' supports, and
+read the costs in place from the leading block of c, which may be a
+distance table's whole storage.
 A malformed problem raises `TransportInputError` before any solver runs.
 `staircase_pieces(a, p, q, c)` is the northeast staircase's value as a
 function of t for the targets (1 - t) p + t q, piecewise linear, for a
@@ -48,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from operator import sub
 from typing import Sequence
 
@@ -105,18 +110,22 @@ def _require_rational(values, what):
                 f"exact arithmetic needs int or Fraction {what}, got {x!r}")
 
 
-def _check_inputs(a, b, c, exact):
+def _check_inputs(a, b, c, exact, block=False):
     """The margins a and b as lists, and their unit D, once the problem
     checks out: rational entries under `exact`, each margin nonempty,
     nonnegative and summing to 1 (exactly under `exact`, else within
-    1e-12), and an M x N cost block.  Exact margins come back as numerators
+    1e-12), and an M x N cost block: c itself, or with `block` the leading
+    M x N block of c, which may have more and longer rows, such as a
+    distance table's storage.  Exact margins come back as numerators
     over their least common denominator D, the integers the solve uses;
     float margins with D = 1, each weight in [-1e-12, 0) (rounding) clipped
     to 0.0 once the checks pass; -0.0 stays.  A NaN weight fails the sum
     check.
     """
+    M, N = len(a), len(b)
     if exact:
-        _require_rational(chain(*c), "costs")
+        rows = (r[:N] for r in c[:M]) if block else c
+        _require_rational(chain.from_iterable(rows), "costs")
         _require_rational(chain(a, b), "weights")
         (a, b), D = common_denominator((a, b))
     else:
@@ -132,11 +141,19 @@ def _check_inputs(a, b, c, exact):
             raise TransportInputError(f"weights sum to {sum(w) / D}, expected 1")
         if low < 0:
             w[:] = [0.0 if x < 0 else x for x in w]
-    M, N = len(a), len(b)
-    if len(c) != M or any(len(r) != N for r in c):
+    if block:
+        mismatch = len(c) < M or min(map(len, c[:M])) < N
+    else:
+        mismatch = len(c) != M or any(len(r) != N for r in c)
+    if mismatch:
         raise TransportInputError(
             f"cost rows of lengths {[len(r) for r in c]} do not match margins ({M}, {N})")
     return a, b, D
+
+
+def _support(w):
+    """The indices of the nonzero weights of w, in increasing order."""
+    return list(compress(range(len(w)), w))
 
 
 def _arc(q, parent, M):
@@ -281,11 +298,24 @@ def _simplex(a, b, c, tol):
     raise CyclingError("pivot limit exceeded")
 
 
-def _plan(flow, c, tol):
-    """Plan of the given flows and their cost; the duals are filled in later."""
+def _plan(flow, c, tol, dual_u=(), dual_v=()):
+    """Plan of the given flows {(i, j): z}, their cost summed in the flows'
+    order, and the duals when they are known; the kernel fills its duals in
+    later.  The plan lists the flows above tol and every diagonal one."""
     objective = sum(z * c[i][j] for (i, j), z in flow.items())
     flows = tuple(sorted((i, j, z) for (i, j), z in flow.items() if z > tol or i == j))
-    return TransportPlan(flows, objective, (), ())
+    return TransportPlan(flows, objective, dual_u, dual_v)
+
+
+def _value(terms, exact, D):
+    """A plan's objective without the plan, from the terms (flow times
+    cost) of its nonzero flows, in the order `_plan` sums them.  A zero flow adds a
+    zero term, and a zero leaves the sum as it is: the sum starts at 0, so
+    it is never -0.0, the one value that adding +0.0 changes.  So the value
+    is the plan's objective bit for bit.  Exact flows are numerators over
+    D, and the sum is divided by D once."""
+    total = sum(terms)
+    return Fraction(total) / D if exact else total
 
 
 def _potential(c, sources, v, N):
@@ -349,15 +379,17 @@ def _reduction(a, b):
     their excess a_i - b_i and deficit b_j - a_j, and whether the pair is
     separated, every row of I below every column of J.  J comes in
     increasing order, or decreasing for a separated pair, so that the corner
-    fill of a separated pair is its northeast staircase."""
-    M, N = len(a), len(b)
-    excess = [(a[k] if k < M else 0) - b[k] for k in range(N)]
-    I = [k for k in range(N) if excess[k] > 0]
-    J = [k for k in range(N) if excess[k] < 0]
+    fill of a separated pair is its northeast staircase.  The margins are
+    nonnegative, so I lies in a's support and J in b's: only those are
+    scanned."""
+    M = len(a)
+    I = [i for i in _support(a) if a[i] - b[i] > 0]
+    J = [j for j in _support(b) if (a[j] if j < M else 0) - b[j] < 0]
     separated = bool(I and J and I[-1] < J[0])
     if separated:
         J.reverse()
-    return I, J, [excess[i] for i in I], [-excess[j] for j in J], separated
+    return (I, J, [a[i] - b[i] for i in I],
+            [-((a[j] if j < M else 0) - b[j]) for j in J], separated)
 
 
 def _solve(a, b, c, tol):
@@ -381,7 +413,8 @@ def _solve(a, b, c, tol):
 
 
 def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
-                        exact: bool = False, duals: bool = True) -> TransportPlan:
+                        exact: bool = False, duals: bool = True,
+                        value: bool = False):
     """The northeast staircase of a separated pair: `solve_transport`'s
     plan for it, bit for bit, on costs that meet the quadrangle inequality.
 
@@ -400,36 +433,55 @@ def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     which monotone rows give a distance table (`schemes.check_monotone`).
     Inputs are checked, and exact problems scaled to integers and mapped
     back, as in `solve_transport`.
+
+    With `value`, only the objective is returned and no plan is built: the
+    plan's nonzero flows summed in the same order (`_value`), on the
+    leading M x N block of c, read in place (a distance table passes its
+    storage).  The excess rows and deficit columns are found on the rows'
+    supports (`_reduction`).  Only the margins are scaled to integers, so
+    an exact objective is the same `Fraction`.
     """
-    a, b, D = _check_inputs(a, b, c, exact)
+    a, b, D = _check_inputs(a, b, c, exact, block=value)
+    if value:
+        # the shared mass, then the steps in the kernel's basis order
+        _, steps = _steps(a, b)
+        terms = [min(a[k], b[k]) * c[k][k] for k in _support(a) if b[k]]
+        terms += [t * c[i][j] for _, _, i, j, t in sorted(steps) if t]
+        return _value(terms, exact, D)
     if exact:
         c, E = common_denominator(c)
         return _rational(_staircase(a, b, c, 0, duals), D, E)
     return _staircase(a, b, c, FEAS_TOL, duals)
 
 
-def _staircase(a, b, c, tol, duals):
-    """`staircase_transport` on margin lists a, b and costs c of one
-    arithmetic."""
-    M = len(a)
-    if M > len(b):
+def _steps(a, b):
+    """The northeast staircase of the margin lists a, b as the corner's
+    steps (`_corner`) on the pair's own indices; their nodes stay those of
+    the reduced problem, I's |I| sources and then J's targets."""
+    if len(a) > len(b):
         raise NotSeparatedError("source row longer than the target row")
     I, J, ea, eb, separated = _reduction(a, b)
     if not separated:
         raise NotSeparatedError("an excess row does not lie below every deficit column")
-    # the corner's steps on the pair's own indices; their nodes stay those
-    # of the reduced problem, I's |I| sources and then J's targets
-    steps = [(node, par, I[i], J[j], t) for node, par, i, j, t in _corner(ea, eb)]
+    return I, [(node, par, I[i], J[j], t) for node, par, i, j, t in _corner(ea, eb)]
+
+
+def _staircase(a, b, c, tol, duals):
+    """`staircase_transport` on margin lists a, b and costs c of one
+    arithmetic."""
+    M = len(a)
+    I, steps = _steps(a, b)
     flow = {(k, k): min(a[k], b[k]) for k in range(M)}
     # the kernel lists its basis by node, sources 1, 2, ... then targets
-    # 0, 1, ..., and `_plan` sums the objective in that order
-    flow.update(((i, j), t) for _, _, i, j, t in sorted(steps))
-    plan = _plan(flow, c, tol)
+    # 0, 1, ..., and `_plan` sums the objective in that order; a step that
+    # moves nothing adds nothing to the sum, and `_plan` keeps a zero flow
+    # only on the diagonal
+    flow.update(((i, j), t) for _, _, i, j, t in sorted(steps) if t)
     if not duals:
-        return plan
+        return _plan(flow, c, tol)
     v = _potentials(steps, c, len(I))[:len(I)]
-    p = _potential(c, I, v, len(b))
-    return replace(plan, dual_u=tuple(p), dual_v=tuple(p[:M]))
+    p = tuple(_potential(c, I, v, len(b)))
+    return _plan(flow, c, tol, p, p[:M])
 
 
 def common_denominator(rows):
@@ -517,7 +569,7 @@ def staircase_pieces(a: Sequence, p: Sequence, q: Sequence,
 
 
 def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
-                              exact: bool = False) -> TransportPlan:
+                              exact: bool = False, value: bool = False):
     """Closed-form nested plan for monotone rows (source row a = pi^m, target
     row b = pi^n, M < N weights, costs c[i][j]), with the Prop-2 potential
     as its duals.
@@ -527,35 +579,60 @@ def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     quadrangle inequality (caller-checked).  Raises
     MonotonePreconditionError when a margin condition fails.  The plan keeps
     b_i on the diagonal, sends b_j to j from the last source m for m < j < n,
-    and every remaining excess to n.  It is assembled by `_plan`, as the
-    kernel's, and exact problems are scaled to integers and mapped back as
-    in `solve_transport`.
+    and every remaining excess to n; a flow in [-1e-10, 0) (rounding) is
+    clipped to 0.  It is assembled by `_plan`, as the kernel's, and exact
+    problems are scaled to integers and mapped back as in
+    `solve_transport`.
+
+    The loops run over the rows' nonzero weights: b's for the diagonal and
+    row m, a's for column n, as a zero weight of a leaves column n a flow
+    the clip zeroes; a zero flow off the diagonal is not listed.  With
+    `value`, only the objective is returned and no plan is built: the
+    plan's nonzero flows summed in the same order (`_value`), on the
+    leading M x N block of c, read in place (a distance table passes its
+    storage).  Only the margins are scaled to integers, so an exact
+    objective is the same `Fraction`.
     """
-    a, b, D = _check_inputs(a, b, c, exact)
+    a, b, D = _check_inputs(a, b, c, exact, block=value)
     M, N = len(a), len(b)
     if M >= N:
         raise MonotonePreconditionError("source support not shorter than target support")
-    m = M - 1
+    m, n = M - 1, N - 1
     tol = 0 if exact else FEAS_TOL
-    for i in range(M):
+    # a weight of b above a's needs b's weight nonzero
+    support = _support(b)
+    for i in support:
+        if i >= M:
+            break
         if b[i] > a[i] + tol:
             raise MonotonePreconditionError(f"target[{i}] > source[{i}]")
-    tail = sum(b[m:N - 1])
+    tail = sum(b[m:n])
     if a[m] < tail - tol:
         raise MonotonePreconditionError("tail condition fails")
-    c, E = common_denominator(c) if exact else (c, 1)
 
-    # flows in the order the objective is summed: diagonal, row m, column n
+    # column n's flows, clipped, and only the nonzero ones: they lie in a's
+    # support, as a zero a_i leaves b_i <= tol
+    col = [(i, a[i] - b[i]) for i in _support(a) if i < m]
+    col.append((m, a[m] - tail))
+    col = [(i, z) for i, z in col if not -tol <= z <= 0]
+    if value:
+        # the flows in the order the objective is summed: the diagonal,
+        # row m, column n
+        cm = c[m]
+        terms = [b[j] * (c[j][j] if j <= m else cm[j]) for j in support if j < n]
+        terms += [z * c[i][n] for i, z in col]
+        return _value(terms, exact, D)
+    # the same flows, and the diagonal's zeros, which the plan lists; a
+    # zero flow off the diagonal adds nothing to the sum, and `_plan`
+    # keeps a zero flow only on the diagonal
     flow = {(i, i): b[i] for i in range(M)}
-    flow.update(((m, j), b[j]) for j in range(m + 1, N - 1))
-    flow.update(((i, N - 1), a[i] - b[i]) for i in range(m))
-    flow[(m, N - 1)] = a[m] - tail
-    plan = _plan({k: (0 if -tol <= z < 0 else z) for k, z in flow.items()}, c, tol)
-
+    flow.update(((m, j), b[j]) for j in support if m < j < n)
+    flow.update(((i, n), z) for i, z in col)
+    c, E = common_denominator(c) if exact else (c, 1)
     # Prop-2 dual solution, as a single potential over 0..n
-    u = [E - c[i][N - 1] for i in range(M)]
-    u += [E - c[m][N - 1] + c[m][j] for j in range(M, N)]
+    u = [E - c[i][n] for i in range(M)]
+    u += [E - c[m][n] + c[m][j] for j in range(M, N)]
     lo = min(u)
-    u = [x - lo for x in u]
-    plan = replace(plan, dual_u=tuple(u), dual_v=tuple(u[:M]))
+    u = tuple(x - lo for x in u)
+    plan = _plan(flow, c, tol, u, u[:M])
     return _rational(plan, D, E) if exact else plan

@@ -1,5 +1,7 @@
 """Distance tables, residual series, and the two-point closed forms."""
 
+import importlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
@@ -8,14 +10,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from mannrates import distances
-from mannrates.distances import (build_distance_table, halpern_residuals,
-                                 pair_distance, residual_from_table,
-                                 validate_metric, validate_quadrangle)
+from mannrates import distances, transport
+from mannrates.distances import (DistanceTable, build_distance_table, empty_table,
+                                 extend_table, halpern_residuals, pair_distance,
+                                 residual_from_table, validate_metric,
+                                 validate_quadrangle)
+from mannrates.optimize import OptimizerConfig, StageEvaluator, optimize_sequential
 from mannrates.schemes import SchemeSpec, TriangularArray, build_rows, check_monotone
 
 from conftest import (assert_table_is_transport, random_array,
-                      random_monotone_array, random_wide_range_array)
+                      random_monotone_array, random_simplex, random_wide_range_array)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_depth_one_optimum():
@@ -257,3 +263,195 @@ def test_monotone_float_table_matches_its_exact_replay(seed):
         assert abs(de - Fraction(df)) <= 1e-14, (m, n)
     for re, rf in zip(ex.residuals, flt.residuals):
         assert abs(re - Fraction(rf)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the freeze without plans reads values only
+
+def _km_alphas_rows():
+    """`tools/output_manifest.py`'s alternating km stepsizes over 0..16, as
+    `bounds --scheme km --alpha` builds them: the nested plan refuses 49 of
+    the table's pairs and the staircase takes them."""
+    spec = importlib.util.spec_from_file_location(
+        "output_manifest", ROOT / "tools" / "output_manifest.py")
+    manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(manifest)
+    alphas = tuple(map(float, manifest.KM_ALPHAS.split(",")))
+    return build_rows(SchemeSpec("km", alphas=alphas), 16)
+
+
+def _monotone_with_zeros(rng, N):
+    """A km-style monotone array in which some rows move an earlier weight
+    to their last index; the zero stays in every later row."""
+    rows = [(1.0,)]
+    for n in range(1, N + 1):
+        a = rng.uniform(0.05, 0.95)
+        row = [(1 - a) * w for w in rows[-1]] + [a]
+        live = [i for i in range(n) if row[i] > 0]
+        if len(live) > 1 and rng.random() < 0.5:
+            i = rng.choice(live)
+            row[n] += row[i]
+            row[i] = 0.0
+        rows.append(tuple(row))
+    return rows
+
+
+def _unstructured_rows(monkeypatch, tmp_path):
+    """The unstructured N=16 array of perfbench's `tables` workload, seed 0:
+    its pairs go to the kernel."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    importlib.import_module("workloads").build("tables", 0, tmp_path)
+    with open(tmp_path / "unstructured.json") as fh:
+        return [tuple(r) for r in json.load(fh)["rows"]]
+
+
+def _value_path_arrays(monkeypatch, tmp_path):
+    """(label, array, exact) of every kind of pair the freeze meets."""
+    out = [(f"ms N=30 seed {seed}",
+            optimize_sequential(30, OptimizerConfig(restarts=8, seed=seed)).array, False)
+           for seed in range(8)]
+    rng = random.Random(30)
+    out += [(f"monotone with zeros {k}", TriangularArray(_monotone_with_zeros(rng, 20)),
+             False) for k in range(6)]
+    out.append(("km alphas N=16", _km_alphas_rows(), False))
+    out.append(("unstructured N=16",
+                TriangularArray(_unstructured_rows(monkeypatch, tmp_path)), False))
+    out.append(("rational km N=12", _rational_km_rows(12, 12), True))
+    return out
+
+
+def test_freeze_without_plans_writes_the_kept_plan_table(monkeypatch, tmp_path):
+    # the values the closed forms sum without building a plan are the kept
+    # plans' objectives, bit for bit, on zero caps, injected zeros, staircase
+    # pairs, kernel pairs and in Fractions
+    arrays = _value_path_arrays(monkeypatch, tmp_path)
+    zero_caps = sum(w == 0 for label, pi, _ in arrays if label.startswith("ms")
+                    for r in pi.rows for w in r)
+    assert zero_caps > 0
+    for label, pi, exact in arrays:
+        bare, _ = build_distance_table(pi, exact=exact)
+        kept, _ = build_distance_table(pi, exact=exact, keep_plans=True)
+        assert repr(bare) == repr(kept), label
+
+
+def _counting(calls, name, fn):
+    def run(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return run
+
+
+def test_freeze_without_plans_builds_no_plan_and_copies_no_block(monkeypatch):
+    # on monotone rows every pair is nested or staircase: without plans the
+    # freeze calls neither `DistanceTable.costs` nor `_plan`; the kept-plan
+    # build calls both
+    from collections import Counter
+
+    calls = Counter()
+    monkeypatch.setattr(DistanceTable, "costs",
+                        _counting(calls, "costs", DistanceTable.costs))
+    monkeypatch.setattr(transport, "_plan", _counting(calls, "_plan", transport._plan))
+    for name in ("greedy_monotone_transport", "staircase_transport"):
+        monkeypatch.setattr(distances, name,
+                            _counting(calls, name, getattr(distances, name)))
+    ms = optimize_sequential(30, OptimizerConfig(restarts=8, seed=0)).array
+    for pi, exact in ((ms, False), (_km_alphas_rows(), False),
+                      (_rational_km_rows(12, 12), True)):
+        assert check_monotone(pi.rows, exact)
+        calls.clear()
+        build_distance_table(pi, exact=exact)
+        assert calls["costs"] == calls["_plan"] == 0
+        assert calls["greedy_monotone_transport"] > 0
+        calls.clear()
+        build_distance_table(pi, exact=exact, keep_plans=True)
+        assert calls["costs"] > 0 and calls["_plan"] > 0
+    # the km stepsizes send pairs to the staircase
+    calls.clear()
+    build_distance_table(_km_alphas_rows())
+    assert calls["staircase_transport"] > 0 and calls["_plan"] == 0
+
+
+# ---------------------------------------------------------------------------
+# monotonicity checked once per row
+
+def _broken_at(rng, N, k):
+    """Rows 0..N, monotone but for row k, a random row; every later row is
+    km-style from the row before it, so monotone against it."""
+    rows = [(1.0,)]
+    for n in range(1, N + 1):
+        if n == k:
+            row = list(random_simplex(rng, n + 1))
+        else:
+            a = rng.uniform(0.05, 0.95)
+            row = [(1 - a) * w for w in rows[-1]] + [a]
+        rows.append(tuple(row))
+    return rows
+
+
+def test_monotone_flag_is_the_whole_prefix_rule(monkeypatch):
+    # each column's flag, checked on its new row only, equals the rule on
+    # rows 0..n: once a row breaks it, later rows monotone against their
+    # predecessors do not restore it
+    flags = {}
+    pair = distances.pair_distance
+
+    def recording(table, rows, m, n, **kwargs):
+        flags.setdefault(n, set()).add(kwargs["allow_greedy"])
+        return pair(table, rows, m, n, **kwargs)
+
+    monkeypatch.setattr(distances, "pair_distance", recording)
+    rng = random.Random(7)
+    broken = 0
+    for _ in range(20):
+        N = rng.randint(4, 9)
+        k = rng.randint(2, N)
+        rows = _broken_at(rng, N, k)
+        broken += not check_monotone(rows)
+        flags.clear()
+        table, _ = build_distance_table(TriangularArray(rows))
+        for n in range(N + 1):
+            want = check_monotone(rows[:n + 1])
+            assert table.monotone(n) is want, n
+            if n >= 2:  # row 1 meets row 0 in the two-point closed form
+                assert flags[n] == {want}, n
+        assert table.copy().monotone_rows == table.monotone_rows
+        # Ishikawa's trial freeze: column n added to a copy of the table
+        for n in range(1, N + 1):
+            partial = empty_table(N)
+            for j in range(n):
+                extend_table(partial, rows, j)
+            trial = partial.copy()
+            extend_table(trial, rows, n)
+            assert trial.monotone(n) is check_monotone(rows[:n + 1])
+            assert partial.monotone(n) is False
+            assert trial.monotone(n - 1) is partial.monotone(n - 1)
+    assert broken > 10
+
+
+def test_stage_evaluator_reads_the_tables_flag():
+    rows = _broken_at(random.Random(8), 8, 5)
+    table, _ = build_distance_table(TriangularArray(rows))
+    for n in range(1, 9):
+        assert StageEvaluator(rows[:n], table, n).monotone is check_monotone(rows[:n])
+    # a table whose entries were written otherwise has no monotone rows:
+    # its evaluators send every pair without a two-point form to the kernel
+    bare = empty_table(8)
+    for m, n, d in table.csv_rows():
+        bare.set_d(m, n, d)
+    assert not any(StageEvaluator(rows[:n], bare, n).monotone for n in range(1, 9))
+
+
+def test_monotone_rows_visited_grow_linearly(monkeypatch):
+    # the stage loop checks each row once, when its column is added; the
+    # evaluators read the table's record
+    visited = []
+
+    def counting(rows, exact=False, start=1):
+        visited.append(max(0, len(rows) - start))
+        return check_monotone(rows, exact, start)
+
+    monkeypatch.setattr(distances, "check_monotone", counting)
+    for N in (8, 16, 32):
+        visited.clear()
+        optimize_sequential(N, OptimizerConfig(restarts=2, seed=0))
+        assert sum(visited) == N

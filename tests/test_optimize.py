@@ -294,6 +294,49 @@ def test_free_block_without_zero_caps_is_the_full_box_bit_for_bit():
         assert [x.tobytes() for x in block] == [x.tobytes() for x in full]
 
 
+def _repair_by_loop(x, prev, n):
+    """`_repair_monotone` as it was written, one coordinate at a time."""
+    x = np.maximum(x, 0.0)
+    out = np.empty(n + 1)
+    for k in range(n):
+        out[k] = min(x[k], prev[k])
+    s = math.fsum(out[:n])
+    if s > 0.5:
+        out[:n] *= 0.5 / s
+        s = math.fsum(out[:n])
+    out[n] = 1.0 - s
+    return out
+
+
+def test_repair_is_the_coordinate_loop_bit_for_bit():
+    # caps of 0 and signed zeros on both sides: a tie of 0.0 and -0.0 keeps
+    # the candidate's zero, as min() does
+    gen = np.random.default_rng(3)
+    zeros = 0
+    for _ in range(400):
+        n = int(gen.integers(1, 40))
+        prev = gen.dirichlet(np.ones(n)).tolist()
+        x = gen.normal(0.0, 0.3, n + 1)
+        for k in range(n):
+            r = gen.random()
+            if r < 0.2:
+                prev[k] = 0.0
+            elif r < 0.3:
+                prev[k] = -0.0
+            r = gen.random()
+            if r < 0.2:
+                x[k] = 0.0
+            elif r < 0.3:
+                x[k] = -0.0
+            elif r < 0.4:
+                x[k] = prev[k]
+        zeros += prev.count(0.0)
+        for cap in (prev, tuple(prev)):
+            assert (_repair_monotone(x.copy(), cap, n).tobytes()
+                    == _repair_by_loop(x.copy(), cap, n).tobytes())
+    assert zeros > 0
+
+
 def test_config_validation():
     with pytest.raises(OptimizeInputError):
         OptimizerConfig(restarts=0)

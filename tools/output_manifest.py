@@ -47,6 +47,8 @@ CORPUS = (
        "optimize --mode ms --N 12 --restarts 8 --certify"]
     + [f"optimize --mode ms --N 30 --restarts 8 --certify --seed {s}" for s in range(8)]
     + ["optimize --mode ms --N 100 --restarts 8"]
+    # rows with 195 zeros of 201: the sparse rows of long MS runs
+    + ["optimize --mode ms --N 200 --restarts 8"]
     + [f"optimize --mode s --N 4 --seed {s}" for s in range(8)]
     + ["optimize --mode s --N 12 --restarts 4"]
     + [f"optimize --mode scheme --kind {k} --N 10" for k in KINDS]
