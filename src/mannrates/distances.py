@@ -43,15 +43,16 @@ class DistanceTable:
     def d(self, m: int, n: int):
         return self._d[m + 1][n + 1]
 
-    def row(self, m: int) -> List[object]:
-        """Row m of the table's storage, in place: d(m, j - 1) at index j,
-        j = 0..N + 1.  It is the table's own list; do not modify it."""
-        return self._d[m + 1]
+    def cost_rows(self) -> List[List[object]]:
+        """The table's own storage, in place: c[i][j] = d(i-1, j-1) for
+        i, j = 0..N + 1, so pair (m, n)'s transport costs are its leading
+        (m+1) x (n+1) block.  Do not modify it."""
+        return self._d
 
     def costs(self, m: int, n: int) -> List[List[object]]:
         """The transport costs c[i][j] = d(i-1, j-1) between rows m and n,
-        0 <= i <= m, 0 <= j <= n: a copy of the (m+1) x (n+1) block of the
-        table's own storage."""
+        0 <= i <= m, 0 <= j <= n: a copy of the (m+1) x (n+1) block of
+        `cost_rows`."""
         return [r[:n + 1] for r in self._d[:m + 1]]
 
     def monotone(self, n: int) -> bool:
@@ -98,12 +99,12 @@ def pair_distance(table: DistanceTable, rows, m: int, n: int,
     pair (`staircase_transport`), which is the kernel's plan bit for bit,
     duals included.  Every other pair goes to the kernel, `solve_transport`.
     With `value` the closed forms build no plan: they sum their plans'
-    nonzero flows on the table's storage, read in place, and give the
-    plan's objective bit for bit; only the kernel reads a copy of the cost
-    block (`DistanceTable.costs`).
+    nonzero flows on the table's storage (`DistanceTable.cost_rows`), read
+    in place, and give the plan's objective bit for bit; only the kernel
+    reads a copy of the cost block (`DistanceTable.costs`).
     """
     if allow_greedy:
-        costs = table._d if value else table.costs(m, n)
+        costs = table.cost_rows() if value else table.costs(m, n)
         if nested:
             try:
                 return greedy_monotone_transport(rows[m], rows[n], costs, exact=exact,
@@ -141,12 +142,15 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
     rows 0..n are monotone, so they are allowed only then; else the
     kernel.  Row n is checked against row n - 1 only (`check_monotone`),
     and only while rows 0..n-1 are monotone; the table keeps the result
-    (`DistanceTable.monotone`).  Columns are added in order, n = 0, 1, ....
+    (`DistanceTable.monotone`).  Columns are added in order, n = 0, 1, ...;
+    adding column n again drops the record of rows n.. and checks row n
+    anew, so a later column sees monotone rows only once it is re-added.
     With `plans`, each pair's transport plan (and the identity plan of
     (n, n)) is kept for the witness's duals; the stored d(m, n) is still
     the rule's.  Without, only the values are read: the closed forms build
     no plan and copy no cost block.
     """
+    table.monotone_rows = min(table.monotone_rows, n)
     if table.monotone_rows == n and (
             n == 0 or check_monotone(rows[:n + 1], exact, start=n)):
         table.monotone_rows = n + 1

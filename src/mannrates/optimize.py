@@ -301,8 +301,8 @@ def _nelder_mead(f, x0, maxfev, xatol, fatol, adaptive=False):
 
 def _dcol(table: DistanceTable, n: int) -> List[float]:
     """d(i-1, n-1) for i = 0..n (the cost column used by stage n), read off
-    the table's symmetric storage as row n - 1."""
-    return table.row(n - 1)[:n + 1]
+    the table's symmetric storage as its cost row n."""
+    return table.cost_rows()[n][:n + 1]
 
 
 class StageEvaluator:
@@ -492,10 +492,11 @@ def _stage_quadratic(rows, table: DistanceTable, n: int):
     the Dirac mass, so rows[0][0] is the one of that arithmetic.  Row k of
     Q is -d(i-1, n-1) for i <= k - 1 and d(k-2, j-1) - d(k-2, n-1) for
     j >= k, each added to a zero of that arithmetic (0.0 + -0.0 is 0.0);
-    the second part is read off the table's storage row k - 2 in place.
+    the second part is read off the table's cost row k - 1 in place.
     """
     one = rows[0][0]
     zero = 0 * one
+    costs = table.cost_rows()
     dcol = _dcol(table, n)
     lin = [zero] * (n + 1)
     Q = [[zero] * (n + 1)]
@@ -503,7 +504,7 @@ def _stage_quadratic(rows, table: DistanceTable, n: int):
     for k in range(1, n + 1):
         m = k - 1
         lin[k] = sum(map(mul, rows[m], dcol))
-        drow = table.row(m - 1)
+        drow = costs[m]
         base = drow[n]
         Q.append([zero - x for x in dcol[:k]]
                  + [zero + (x - base) for x in drow[k:n + 1]])

@@ -26,13 +26,14 @@ its duals; it takes the kernel's input checks, plan assembly (`_plan`) and
 integer scaling.  `staircase_transport(a, b, c)` is the kernel's plan of a
 separated pair without the kernel: the same corner fill (`_corner`), the
 objective summed in the kernel's order, and the certificate's potential as
-its duals when they are asked for; no pricing and no certificate run, so
+its duals; no pricing and no certificate run, so
 it is the kernel's plan bit for bit only under the quadrangle inequality.
-Both closed forms take `value=True` from a caller that needs the value
-alone (a table freeze without kept plans): they then build no plan, sum
-the plan's nonzero flows in `_plan`'s order over the rows' supports, and
-read the costs in place from the leading block of c, which may be a
-distance table's whole storage.
+Each closed form lists its plan's nonzero flows once, in the order
+`_plan` sums them, over the rows' supports.  With `value=True`, from a
+caller that needs the value alone (a table freeze without kept plans),
+it sums them (`_value`) and builds no plan, reading the costs in place
+from the leading block of c, which may be a distance table's whole
+storage; else `_plan` assembles them (`_closed_plan`).
 A malformed problem raises `TransportInputError` before any solver runs.
 `staircase_pieces(a, p, q, c)` is the northeast staircase's value as a
 function of t for the targets (1 - t) p + t q, piecewise linear, for a
@@ -307,15 +308,30 @@ def _plan(flow, c, tol, dual_u=(), dual_v=()):
     return TransportPlan(flows, objective, dual_u, dual_v)
 
 
-def _value(terms, exact, D):
-    """A plan's objective without the plan, from the terms (flow times
-    cost) of its nonzero flows, in the order `_plan` sums them.  A zero flow adds a
-    zero term, and a zero leaves the sum as it is: the sum starts at 0, so
-    it is never -0.0, the one value that adding +0.0 changes.  So the value
-    is the plan's objective bit for bit.  Exact flows are numerators over
-    D, and the sum is divided by D once."""
-    total = sum(terms)
+def _value(flows, c, exact, D):
+    """A closed form's objective without its plan: its nonzero flows
+    [(i, j, z)], listed in the order `_plan` sums them (`_closed_plan`),
+    times their costs.  A zero flow adds a zero term, and a zero leaves the
+    sum as it is: the sum starts at 0, so it is never -0.0, the one value
+    that adding +0.0 changes.  So the value is the plan's objective bit for
+    bit.  Exact flows are numerators over D, and the sum is divided by D
+    once."""
+    total = sum([z * c[i][j] for i, j, z in flows])
     return Fraction(total) / D if exact else total
+
+
+def _closed_plan(flows, M, c, tol, duals, exact, D, E):
+    """The plan of a closed form's nonzero flows [(i, j, z)], its
+    diagonal ones first in increasing order, with the potential `duals`
+    over all indices as its duals; exact flows over D and costs over E are
+    mapped back (`_rational`).  `_plan` lists every diagonal flow, so the
+    zero ones enter at 0.0 (0 when exact) in the diagonal's order, where
+    they add nothing to the sum: the objective sums the nonzero flows in
+    their listed order, as `_value` does."""
+    flow = dict.fromkeys([(k, k) for k in range(M)], 0 if exact else 0.0)
+    flow.update(((i, j), z) for i, j, z in flows)
+    plan = _plan(flow, c, tol, duals, duals[:M])
+    return _rational(plan, D, E) if exact else plan
 
 
 def _potential(c, sources, v, N):
@@ -413,8 +429,7 @@ def _solve(a, b, c, tol):
 
 
 def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
-                        exact: bool = False, duals: bool = True,
-                        value: bool = False):
+                        exact: bool = False, value: bool = False):
     """The northeast staircase of a separated pair: `solve_transport`'s
     plan for it, bit for bit, on costs that meet the quadrangle inequality.
 
@@ -425,14 +440,13 @@ def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     kernel's corner fill (`_corner`): the start `solve_transport` takes for
     such a pair, optimal under the quadrangle inequality (Hoffman's Monge
     argument with the deficit columns reversed), so the kernel makes no
-    pivot from it.  The objective is summed in the kernel's order.  With
-    `duals`, the duals are `_certify`'s potential p_j = min_i (v_i + c_ij)
-    over the excess rows, shifted to minimum 0, from the staircase's tree
-    potentials v, an O(|I| N) pass; without, the plan carries none.  No
-    certificate is run: the caller vouches for the quadrangle inequality,
-    which monotone rows give a distance table (`schemes.check_monotone`).
-    Inputs are checked, and exact problems scaled to integers and mapped
-    back, as in `solve_transport`.
+    pivot from it.  The objective is summed in the kernel's order.  The
+    duals are `_certify`'s potential p_j = min_i (v_i + c_ij) over the
+    excess rows, shifted to minimum 0, from the staircase's tree potentials
+    v, an O(|I| N) pass.  No certificate is run: the caller vouches for the
+    quadrangle inequality, which monotone rows give a distance table
+    (`schemes.check_monotone`).  Inputs are checked, and exact problems
+    scaled to integers and mapped back, as in `solve_transport`.
 
     With `value`, only the objective is returned and no plan is built: the
     plan's nonzero flows summed in the same order (`_value`), on the
@@ -442,16 +456,19 @@ def staircase_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     an exact objective is the same `Fraction`.
     """
     a, b, D = _check_inputs(a, b, c, exact, block=value)
+    I, steps = _steps(a, b)
+    # the shared mass, then the steps in the kernel's basis order: it lists
+    # its basis by node, sources 1, 2, ... then targets 0, 1, ..., and
+    # `_plan` sums the objective in that order; a step that moves nothing
+    # adds nothing to the sum
+    flows = [(k, k, min(a[k], b[k])) for k in _support(a) if b[k]]
+    flows += [(i, j, t) for _, _, i, j, t in sorted(steps) if t]
     if value:
-        # the shared mass, then the steps in the kernel's basis order
-        _, steps = _steps(a, b)
-        terms = [min(a[k], b[k]) * c[k][k] for k in _support(a) if b[k]]
-        terms += [t * c[i][j] for _, _, i, j, t in sorted(steps) if t]
-        return _value(terms, exact, D)
-    if exact:
-        c, E = common_denominator(c)
-        return _rational(_staircase(a, b, c, 0, duals), D, E)
-    return _staircase(a, b, c, FEAS_TOL, duals)
+        return _value(flows, c, exact, D)
+    c, E = common_denominator(c) if exact else (c, 1)
+    v = _potentials(steps, c, len(I))[:len(I)]
+    p = tuple(_potential(c, I, v, len(b)))
+    return _closed_plan(flows, len(a), c, 0 if exact else FEAS_TOL, p, exact, D, E)
 
 
 def _steps(a, b):
@@ -464,24 +481,6 @@ def _steps(a, b):
     if not separated:
         raise NotSeparatedError("an excess row does not lie below every deficit column")
     return I, [(node, par, I[i], J[j], t) for node, par, i, j, t in _corner(ea, eb)]
-
-
-def _staircase(a, b, c, tol, duals):
-    """`staircase_transport` on margin lists a, b and costs c of one
-    arithmetic."""
-    M = len(a)
-    I, steps = _steps(a, b)
-    flow = {(k, k): min(a[k], b[k]) for k in range(M)}
-    # the kernel lists its basis by node, sources 1, 2, ... then targets
-    # 0, 1, ..., and `_plan` sums the objective in that order; a step that
-    # moves nothing adds nothing to the sum, and `_plan` keeps a zero flow
-    # only on the diagonal
-    flow.update(((i, j), t) for _, _, i, j, t in sorted(steps) if t)
-    if not duals:
-        return _plan(flow, c, tol)
-    v = _potentials(steps, c, len(I))[:len(I)]
-    p = tuple(_potential(c, I, v, len(b)))
-    return _plan(flow, c, tol, p, p[:M])
 
 
 def common_denominator(rows):
@@ -580,15 +579,16 @@ def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     MonotonePreconditionError when a margin condition fails.  The plan keeps
     b_i on the diagonal, sends b_j to j from the last source m for m < j < n,
     and every remaining excess to n; a flow in [-1e-10, 0) (rounding) is
-    clipped to 0.  It is assembled by `_plan`, as the kernel's, and exact
-    problems are scaled to integers and mapped back as in
-    `solve_transport`.
+    clipped to 0.  It is assembled by `_plan` (`_closed_plan`), as the
+    kernel's, and exact problems are scaled to integers and mapped back as
+    in `solve_transport`.
 
-    The loops run over the rows' nonzero weights: b's for the diagonal and
-    row m, a's for column n, as a zero weight of a leaves column n a flow
-    the clip zeroes; a zero flow off the diagonal is not listed.  With
-    `value`, only the objective is returned and no plan is built: the
-    plan's nonzero flows summed in the same order (`_value`), on the
+    The nonzero flows are listed once, in the order the objective sums
+    them (the diagonal, row m, column n), by loops over the rows' nonzero
+    weights: b's for the diagonal and row m, a's for column n, as a zero
+    weight of a leaves column n a flow the clip zeroes.  With `value`,
+    only the objective is returned and no plan is built: those flows
+    summed in that order (`_value`), on the
     leading M x N block of c, read in place (a distance table passes its
     storage).  Only the margins are scaled to integers, so an exact
     objective is the same `Fraction`.
@@ -610,29 +610,18 @@ def greedy_monotone_transport(a: Sequence, b: Sequence, c: Sequence[Sequence],
     if a[m] < tail - tol:
         raise MonotonePreconditionError("tail condition fails")
 
-    # column n's flows, clipped, and only the nonzero ones: they lie in a's
-    # support, as a zero a_i leaves b_i <= tol
+    # the diagonal and row m over b's support, then column n's flows,
+    # clipped, and only the nonzero ones: they lie in a's support, as a
+    # zero a_i leaves b_i <= tol
+    flows = [(j, j, b[j]) if j <= m else (m, j, b[j]) for j in support if j < n]
     col = [(i, a[i] - b[i]) for i in _support(a) if i < m]
     col.append((m, a[m] - tail))
-    col = [(i, z) for i, z in col if not -tol <= z <= 0]
+    flows += [(i, n, z) for i, z in col if not -tol <= z <= 0]
     if value:
-        # the flows in the order the objective is summed: the diagonal,
-        # row m, column n
-        cm = c[m]
-        terms = [b[j] * (c[j][j] if j <= m else cm[j]) for j in support if j < n]
-        terms += [z * c[i][n] for i, z in col]
-        return _value(terms, exact, D)
-    # the same flows, and the diagonal's zeros, which the plan lists; a
-    # zero flow off the diagonal adds nothing to the sum, and `_plan`
-    # keeps a zero flow only on the diagonal
-    flow = {(i, i): b[i] for i in range(M)}
-    flow.update(((m, j), b[j]) for j in support if m < j < n)
-    flow.update(((i, n), z) for i, z in col)
+        return _value(flows, c, exact, D)
     c, E = common_denominator(c) if exact else (c, 1)
     # Prop-2 dual solution, as a single potential over 0..n
     u = [E - c[i][n] for i in range(M)]
     u += [E - c[m][n] + c[m][j] for j in range(M, N)]
     lo = min(u)
-    u = tuple(x - lo for x in u)
-    plan = _plan(flow, c, tol, u, u[:M])
-    return _rational(plan, D, E) if exact else plan
+    return _closed_plan(flows, M, c, tol, tuple(x - lo for x in u), exact, D, E)

@@ -428,6 +428,35 @@ def test_monotone_flag_is_the_whole_prefix_rule(monkeypatch):
     assert broken > 10
 
 
+def test_adding_a_column_again_rechecks_its_row():
+    # columns k.. of a monotone table added again with other rows, row k
+    # not monotone: the table's record is dropped from row k on, so those
+    # columns take the rule a fresh build of the new rows takes (the kernel
+    # where the closed forms are no longer vouched for), value for value
+    rng = random.Random(11)
+    broken = 0
+    for _ in range(20):
+        N = rng.randint(4, 9)
+        k = rng.randint(2, N)
+        new = _broken_at(rng, N, k)
+        old = list(new[:k])
+        for _ in range(k, N + 1):
+            a = rng.uniform(0.05, 0.95)
+            old.append(tuple([(1 - a) * w for w in old[-1]] + [a]))
+        table, _ = build_distance_table(TriangularArray(old))
+        assert table.monotone(N)
+        del table.residuals[k:]
+        for n in range(k, N + 1):
+            extend_table(table, new, n)
+        fresh, _ = build_distance_table(TriangularArray(new))
+        broken += not check_monotone(new)
+        for n in range(N + 1):
+            assert table.monotone(n) is check_monotone(new[:n + 1]), n
+        assert repr(list(table.csv_rows())) == repr(list(fresh.csv_rows()))
+        assert repr(table) == repr(fresh)
+    assert broken > 10
+
+
 def test_stage_evaluator_reads_the_tables_flag():
     rows = _broken_at(random.Random(8), 8, 5)
     table, _ = build_distance_table(TriangularArray(rows))
