@@ -18,6 +18,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .schemes import TriangularArray, check_monotone
@@ -29,11 +30,17 @@ from .transport import (MonotonePreconditionError, NotSeparatedError,
 @dataclass
 class DistanceTable:
     """Symmetric table over indices -1..N plus the residual series R_0..R_N,
-    and how far the rows of its extended columns are monotone."""
+    how far the rows of its extended columns are monotone, and what the
+    stage value reads of each of those rows."""
 
     horizon: int
     _d: List[List[object]]  # (N+2) x (N+2), index k stored at k+1
     residuals: List[object]
+    # per row n = 0..N, written as `extend_table` adds column n (None
+    # before): its two-point beta (`_two_point_beta`), and its nested-plan
+    # margin caps pi^n_i + tol, the gate of `optimize.StageEvaluator`
+    betas: List[object]
+    caps: List[Optional[List[object]]]
     # rows 0..k-1 are monotone (`schemes.check_monotone`), each row checked
     # once, against the row before it, as `extend_table` adds its column:
     # k is the number of columns added while every row so far is monotone,
@@ -67,7 +74,8 @@ class DistanceTable:
 
     def copy(self) -> DistanceTable:
         return DistanceTable(self.horizon, [r[:] for r in self._d],
-                             list(self.residuals), self.monotone_rows)
+                             list(self.residuals), list(self.betas),
+                             list(self.caps), self.monotone_rows)
 
     def csv_rows(self):
         for m in range(-1, self.horizon + 1):
@@ -77,7 +85,7 @@ class DistanceTable:
 
 def empty_table(N: int) -> DistanceTable:
     d = [[None] * (N + 2) for _ in range(N + 2)]
-    t = DistanceTable(N, d, [])
+    t = DistanceTable(N, d, [], [None] * (N + 1), [None] * (N + 1))
     for k in range(-1, N + 1):
         t.set_d(k, k, 0)
     for k in range(0, N + 1):
@@ -145,6 +153,10 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
     (`DistanceTable.monotone`).  Columns are added in order, n = 0, 1, ...;
     adding column n again drops the record of rows n.. and checks row n
     anew, so a later column sees monotone rows only once it is re-added.
+    The table also keeps row n's two-point beta, which the pairs of later
+    columns read, and its nested-plan caps pi^n_i + tol for the stage
+    value, tol 0 for `Fraction` rows (row 0 decides, as in the stage
+    value) and 1e-12 for float ones.
     With `plans`, each pair's transport plan (and the identity plan of
     (n, n)) is kept for the witness's duals; the stored d(m, n) is still
     the rule's.  Without, only the values are read: the closed forms build
@@ -155,9 +167,11 @@ def extend_table(table: DistanceTable, rows, n: int, exact: bool = False,
             n == 0 or check_monotone(rows[:n + 1], exact, start=n)):
         table.monotone_rows = n + 1
     allow_greedy = table.monotone_rows > n
-    nb = _two_point_beta(rows[n])
+    tol = 0 if isinstance(rows[0][0], Fraction) else 1e-12
+    table.betas[n] = nb = _two_point_beta(rows[n])
+    table.caps[n] = [w + tol for w in rows[n]]
     for m in range(n):
-        mb = _two_point_beta(rows[m]) if nb is not None else None
+        mb = table.betas[m] if nb is not None else None
         if plans is not None:
             plans[(m, n)] = plan = pair_distance(table, rows, m, n, exact=exact,
                                                  allow_greedy=allow_greedy)

@@ -66,6 +66,11 @@ cutting-plane surrogate and confirm them with exact pair solves, whose
 dual potentials become the cuts: the certified transport kernel
 (`transport.solve_transport`), or on monotone frozen rows the northeast
 staircase of a separated pair, the kernel's plan without its pivots.
+The cuts are collected only for a surrogate that reads them: on monotone
+frozen rows an evaluator's exact pair solves give values alone, with no
+plan, until its first surrogate read harvests them in their order
+(`StageEvaluator`), so the stages that read no surrogate (km, halpern, MS,
+Ishikawa, a certified free stage) build no closed-form plan.
 Every two-parameter scheme kind, and each Ishikawa block, is searched the
 same way: the best point of a grid, refined by Nelder-Mead clipped to
 [0, 1]^2.  The float
@@ -326,10 +331,23 @@ class StageEvaluator:
     bounds (`surrogate`), making derivative-free search cheap; `exact`
     confirms (and tightens the pools at) incumbents.
 
-    Whether the frozen rows are monotone is read off the table
-    (`DistanceTable.monotone`), which checked each row once, as the freeze
-    added its column; a table whose entries were written otherwise has no
-    monotone rows, and its pairs go to the kernel.
+    Only the surrogate reads the pools, and the km, halpern, MS and
+    Ishikawa stages and a certified free stage never read it, so on
+    monotone frozen rows the pools are filled only when it is read.  Until
+    then `exact` takes each pair it solves by value alone (`pair_distance`
+    with `value`: no plan, no duals) and records the pair; the first
+    surrogate read harvests the records in their order (`_solve_pair`), and
+    from then on `exact` harvests at each solve.  So at every surrogate
+    read the pools are those of an evaluator that harvested at every solve.
+    On other rows each such pair goes to the kernel, which builds its plan
+    and duals for the value too, so it harvests at once.
+
+    Whether the frozen rows are monotone, each row's two-point beta and
+    the nested plan's caps are read off the table (`DistanceTable.monotone`,
+    `.betas`, `.caps`), which the freeze (`extend_table`) recorded once per
+    row, as it added the row's column.  A table whose entries were written
+    otherwise has no such record: no monotone rows, no two-point rows, and
+    every pair goes to the kernel.
 
     One loop over the pairs (`_value`) serves both entry points; the pair
     rules are written out in it.  A float candidate becomes a list of plain
@@ -348,14 +366,19 @@ class StageEvaluator:
         self.tol = 0 if self.rational else 1e-12
         self.monotone = table.monotone(n - 1)
         self.dcol = _dcol(table, n)
-        # the nested plan's margin caps pi^m_i + tol, per frozen row m
-        self.caps = ([[w + self.tol for w in r] for r in self.rows]
-                     if self.monotone else None)
-        self.betas = [_two_point_beta(r) for r in self.rows]
+        # per frozen row m, as the freeze recorded it: the two-point beta,
+        # and on monotone rows the nested plan's margin caps pi^m_i + tol
+        self.betas = table.betas
+        self.caps = table.caps if self.monotone else None
         # per pair m = k-1: stacked dual rows U and constants -v.a, or None
-        # before the pair's first transport solve
+        # before the pair's first harvest
         self.pool_U: List[Optional[np.ndarray]] = [None] * n
         self.pool_c: List[Optional[np.ndarray]] = [None] * n
+        # the pairs solved by value alone, as (m, candidate) in solve order,
+        # until the first surrogate read harvests them; then None.  Off
+        # monotone rows every such pair goes to the kernel, which builds its
+        # plan and duals for the value too, so those harvest at once
+        self._unharvested: Optional[list] = [] if self.monotone else None
 
     @cached_property
     def quadratic(self):
@@ -366,11 +389,14 @@ class StageEvaluator:
     def _value(self, cand, cuts):
         """cand_0 + sum_k cand_k d(k-1, n), one pass over the pairs.  A pair
         without a closed form reads its best harvested cut when `cuts` is set
-        and it has one, else it is solved (`_solve_pair`)."""
+        and it has one, else it is solved: by value alone and recorded
+        before the first surrogate read on monotone rows, else harvested
+        (`_solve_pair`)."""
         n, tol, rows, monotone = self.n, self.tol, self.rows, self.monotone
         betas, dcol, caps = self.betas, self.dcol, self.caps
-        pool_U, pool_c = self.pool_U, self.pool_c
+        pool_U, pool_c, unharvested = self.pool_U, self.pool_c, self._unharvested
         lin = Q = None  # the stage quadratic, read at the first nested-plan pair
+        full = None  # rows 0..n-1 and the candidate, built at the first pair solve
         if not self.rational:
             # plain floats: numpy scalars make the scalar arithmetic slow
             cand = list(map(float, cand))
@@ -399,18 +425,32 @@ class StageEvaluator:
                 if x is None:
                     x = np.array(cand)
                 d = max((pool_U[m] @ x + pool_c[m]).tolist())
-            else:
+            elif unharvested is None:
                 d = self._solve_pair(cand, m + 1)
+            else:
+                if full is None:
+                    full = rows + [tuple(cand)]
+                d = pair_distance(self.table, full, m, n, exact=self.rational,
+                                  nested=False, value=True)
+                if not self.rational:
+                    d = float(d)
+                unharvested.append((m, full[n]))
             total += cand[m + 1] * d
         return total
 
     def surrogate(self, cand) -> float:
-        """Lower bound on R_n(cand); exact where closed forms apply."""
+        """Lower bound on R_n(cand); exact where closed forms apply.  The
+        first read harvests the pairs `exact` solved by value alone."""
+        if self._unharvested is not None:
+            unharvested, self._unharvested = self._unharvested, None
+            for m, solved in unharvested:
+                self._solve_pair(solved, m + 1)
         return float(self._value(cand, True))
 
     def exact(self, cand):
-        """True R_n(cand), in the rows' arithmetic; harvests duals from any
-        transport solves."""
+        """True R_n(cand), in the rows' arithmetic.  Before the first
+        surrogate read its pair solves give values alone; from then on they
+        harvest their duals."""
         total = self._value(cand, False)
         return total if self.rational else float(total)
 
@@ -1149,8 +1189,9 @@ def _pair_pieces(ev: StageEvaluator, p, q, m: int, two_point: bool):
     two-point closed form |beta_m - t| + min(beta_m, t) d(m-1, n-1), with
     its breakpoint at t = beta_m.  Otherwise the frozen rows must be
     monotone and the pair separated: its value is then the northeast
-    staircase (`transport.staircase_pieces`), optimal under the quadrangle
-    inequality of the monotone table.  Any other pair raises
+    staircase (`transport.staircase_pieces`, on the table's storage read in
+    place), optimal under the quadrangle inequality of the monotone table.
+    Any other pair raises
     NotSeparatedError.
     """
     beta = ev.betas[m]
@@ -1162,7 +1203,7 @@ def _pair_pieces(ev: StageEvaluator, p, q, m: int, two_point: bool):
     if not ev.monotone:
         raise NotSeparatedError(f"pair ({m}, {ev.n}) is neither two-point nor "
                                 "on monotone frozen rows")
-    return staircase_pieces(ev.rows[m], p, q, ev.table.costs(m, ev.n))
+    return staircase_pieces(ev.rows[m], p, q, ev.table.cost_rows())
 
 
 def _ishikawa_stage(N: int, coeffs: Dict[str, list]):

@@ -506,6 +506,8 @@ def staircase_pieces(a: Sequence, p: Sequence, q: Sequence,
     weights) to each target row b(t) = (1 - t) p + t q (N > M weights) under
     costs c, for t in [0, 1], as pieces [(t_lo, alpha, beta)]: from t_lo to
     the next piece's t_lo (the last piece to 1) the value is alpha + beta t.
+    Only the leading M x N block of c is read, in place, so c may be a
+    distance table's whole storage.
 
     The pair must be separated at the source's support: b_k <= a_k for
     k < M at t = 0 and t = 1, hence for every t, else NotSeparatedError;

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mannrates import optimize as optimize_module
+from mannrates import transport
 from mannrates.distances import (_two_point_beta, build_distance_table, empty_table,
                                  pair_distance, two_point_distance)
 from mannrates.halpern import optimal_recursion
@@ -806,6 +807,106 @@ def test_optimizer_outputs_rebuild_and_certify():
         assert table.residuals == res.values, name
         assert build_worst_case_witness(res.array).report.ok, name
         assert max(res.certificates) <= 1e-9, name
+
+
+def _check_pools_against_eager_twins(monkeypatch):
+    """Give every `StageEvaluator` a twin on its rows and table that
+    harvests at every pair solve, and send the twin each `exact` and
+    `surrogate` call the evaluator gets.  Each value must be the twin's to
+    the bit, and at every surrogate read the evaluator's pools must be the
+    twin's byte for byte.  Returns the number of pairs each read found
+    solved by value alone and not yet harvested."""
+    exact, surrogate = StageEvaluator.exact, StageEvaluator.surrogate
+    twins, unharvested = {}, []
+
+    def twin(ev):
+        if id(ev) not in twins:
+            ref = StageEvaluator(ev.rows, ev.table, ev.n)
+            ref._unharvested = None
+            twins[id(ev)] = ev, ref  # holding ev keeps its id from reuse
+        return twins[id(ev)][1]
+
+    def pools(ev):
+        return [None if a is None else (a.shape, a.tobytes())
+                for a in ev.pool_U + ev.pool_c]
+
+    def checked_exact(self, cand):
+        val = exact(self, cand)
+        assert val.hex() == exact(twin(self), cand).hex()
+        return val
+
+    def checked_surrogate(self, cand):
+        ref = twin(self)
+        unharvested.append(len(self._unharvested or ()))
+        val = surrogate(self, cand)
+        assert val.hex() == surrogate(ref, cand).hex()
+        assert pools(self) == pools(ref)
+        return val
+
+    monkeypatch.setattr(StageEvaluator, "exact", checked_exact)
+    monkeypatch.setattr(StageEvaluator, "surrogate", checked_surrogate)
+    return unharvested
+
+
+def _exacts_then_surrogates():
+    # three exact calls before the first surrogate read on monotone rows, at
+    # candidates off the nested plan's caps: each pair's pool takes three
+    # cuts at once
+    rng = random.Random(4)
+    rows = random_monotone_array(rng, 6)
+    table, _ = build_distance_table(TriangularArray(rows[:6]))
+    ev = StageEvaluator(rows[:6], table, 6)
+    cands = [random_simplex(rng, 7) for _ in range(6)]
+    for c in cands[:3]:
+        ev.exact(c)
+    for c in cands:
+        ev.surrogate(c)
+        ev.exact(c)
+
+
+@pytest.mark.parametrize("run", [
+    functools.partial(optimize_scheme, "inertial-km", 10),
+    functools.partial(optimize_scheme, "extra-km", 10),
+    functools.partial(_free_search_run, 4, OptimizerConfig(restarts=2, seed=3)),
+    _exacts_then_surrogates,
+], ids=["inertial-km", "extra-km", "free-search", "exacts-first"])
+def test_pools_at_surrogate_reads_are_the_eager_harvests(monkeypatch, run):
+    # `exact` solves pairs by value alone until the first surrogate read,
+    # which harvests them in solve order: every read sees the pools an
+    # evaluator that harvested at every solve would have
+    unharvested = _check_pools_against_eager_twins(monkeypatch)
+    run()
+    assert len(unharvested) > 0 and max(unharvested) > 0
+
+
+def test_stage_values_without_surrogate_build_no_plan(monkeypatch):
+    # these stage loops read no surrogate, so on monotone frozen rows their
+    # stage values solve each pair without a closed form by value alone: no
+    # closed-form plan is built, and `pair_distance` is asked for no plan
+    # there.  Off monotone rows (three of Ishikawa's trial evaluators) such
+    # pairs go to the kernel, whose plan the value needs as well.
+    calls = collections.Counter()
+    closed_plan, pair_distance_ = transport._closed_plan, optimize_module.pair_distance
+
+    def counted_plan(*args):
+        calls["plan"] += 1
+        return closed_plan(*args)
+
+    def counted_pair(*args, **kwargs):
+        if kwargs.get("value"):
+            calls["value"] += 1
+        elif kwargs.get("allow_greedy", True):
+            calls["pair plan"] += 1
+        return pair_distance_(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_closed_plan", counted_plan)
+    monkeypatch.setattr(optimize_module, "pair_distance", counted_pair)
+    optimize_scheme("km", 12)
+    optimize_scheme("halpern", 12)
+    optimize_scheme("ishikawa", 6)
+    optimize_sequential(8)
+    assert calls["plan"] == calls["pair plan"] == 0
+    assert calls["value"] > 0
 
 
 # -- the free stage: a stationarity certificate at the MS row ----------------

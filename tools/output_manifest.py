@@ -59,6 +59,10 @@ CORPUS = (
     + [f"bounds --scheme km --alpha {KM_ALPHAS} --N 16{flags}"
        for flags in ("", " --certify", " --exact", " --exact --certify")]
     + ["optimize --mode scheme --kind km --N 60"]
+    # past N = 10: the surrogate's pools (inertial-km) and Ishikawa's trial
+    # evaluators
+    + [f"optimize --mode scheme --kind {k} --N 20"
+       for k in ("inertial-km", "ishikawa")]
 )
 
 VARYING = ("wall_time", "out")  # sidecar entries that differ from run to run
